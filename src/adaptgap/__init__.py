@@ -23,6 +23,7 @@ from .errors import (
     InsufficientPoints,
     InvalidExponent,
     InvalidParameters,
+    NonfiniteError,
     NonpositiveError,
     PreconditionViolated,
     RegimeViolation,

@@ -253,6 +253,10 @@ def _cmd_estimate(args) -> str:
     stream = RngStream(seed)
     if args.input:
         entries = np.load(args.input)
+        if entries.ndim != 2:
+            raise ValueError(
+                f"--input must hold a 2-D matrix, got shape {entries.shape}"
+            )
         spec = ProblemSpec(entries.shape[0], entries.shape[1], args.p, args.u)
         f = MixedMatrix(spec, entries)
         family_name = f"file:{args.input}"

@@ -41,5 +41,9 @@ class NonpositiveError(AdaptGapError):
     """A rate fit received an error value that is zero or negative."""
 
 
+class NonfiniteError(AdaptGapError):
+    """A rate fit received an error value that is infinite or NaN."""
+
+
 class RegimeViolation(AdaptGapError):
     """An experiment grid violates the sampling-regime guard."""

@@ -6,7 +6,9 @@ Three estimators are provided:
   population; the building block of the adaptive estimator's first stage.
 * ``mc_mean_a2`` -- plain Monte Carlo: the average of n uniform
   with-replacement entry samples. Non-adaptive (the sample positions never
-  depend on answers) and unbiased, with cost exactly n.
+  depend on answers) and unbiased, with cost exactly n. On a NONADAPTIVE
+  tape it answers the tape's declared plan, normally ``draw_indices`` for
+  the same stream, so the plan is drawn once.
 * ``adaptive_mean_a3`` -- two-stage adaptive estimator for 1 <= p < 2.
   Stage one probes every row with m independent empirical L_2 norms of
   ceil(n/N1) samples each and takes the per-row median as a robust row-size
@@ -115,9 +117,11 @@ def norm_est_a1(sample_access, population_size: int, v, n: int, rng: RngStream) 
 
 
 def draw_indices(spec: ProblemSpec, n: int, rng: RngStream) -> np.ndarray:
-    """The n uniform (i, j) pairs that ``mc_mean_a2`` will query for ``rng``.
+    """The n uniform (i, j) pairs that ``mc_mean_a2`` queries for ``rng``.
 
     Exposed so callers can pre-declare the sequence on a non-adaptive tape.
+    The ``(n, 2)`` result has contiguous columns, so ``open_nonadaptive``
+    keeps it without a copy.
     """
     n = int(n)
     if n < 1:
@@ -125,14 +129,30 @@ def draw_indices(spec: ProblemSpec, n: int, rng: RngStream) -> np.ndarray:
     g = rng.generator()
     rows = g.integers(1, spec.n1 + 1, size=n)
     cols = g.integers(1, spec.n2 + 1, size=n)
-    return np.stack([rows, cols], axis=1)
+    return np.array([rows, cols]).T
 
 
 def mc_mean_a2(tape: QueryTape, n: int, rng: RngStream) -> EstimateReport:
-    """Average of n uniform with-replacement entry samples; cost exactly n."""
-    idx = draw_indices(tape.spec, n, rng)
-    vals = tape.query_many(idx[:, 0], idx[:, 1])
-    return EstimateReport(value=float(vals.mean()), cards=int(n))
+    """Average of n uniform with-replacement entry samples; cost exactly n.
+
+    On an ADAPTIVE tape the samples are ``draw_indices(tape.spec, n, rng)``.
+    On a NONADAPTIVE tape they are the tape's declared plan, which must hold
+    exactly n pairs, and ``rng`` is not drawn from.
+    """
+    n = int(n)
+    if n < 1:
+        raise ValueError("n must be positive")
+    if tape.mode is Mode.NONADAPTIVE:
+        rows, cols = tape.declared
+        if rows.size != n:
+            raise PreconditionViolated(
+                f"the declared plan holds {rows.size} queries, not n = {n}"
+            )
+    else:
+        idx = draw_indices(tape.spec, n, rng)
+        rows, cols = idx[:, 0], idx[:, 1]
+    vals = tape.query_many(rows, cols)
+    return EstimateReport(value=float(vals.mean()), cards=n)
 
 
 def allocate_samples(a_tilde, p, n: int) -> np.ndarray:
@@ -198,14 +218,19 @@ def adaptive_mean_a3(
     per_probe = -(-n // n1)  # ceil(n / N1) samples per probe
 
     # Stage 1: m empirical L_2 probes per row, one column plan shared by all
-    # rows, then the per-row median of the m probe values.
+    # rows, then the per-row median of the m probe values. Scaling by a
+    # power of two just above the max abs before squaring keeps the squares
+    # from overflowing; it is exact, so a_tilde stays homogeneous in the
+    # input and bit-identical wherever the unscaled squares were in range.
     g1 = rng.child(_STAGE_PROBE).generator()
     probe_cols = g1.integers(1, n2 + 1, size=(per_probe, m))
     rows1 = np.repeat(np.arange(1, n1 + 1, dtype=np.int64), per_probe * m)
     cols1 = np.tile(probe_cols.reshape(-1), n1)
     vals1 = tape.query_many(rows1, cols1).reshape(n1, per_probe, m)
-    probes = np.sqrt((vals1 * vals1).mean(axis=1))
-    a_tilde = np.median(probes, axis=1)
+    _, exponent = np.frexp(max(vals1.max(), -vals1.min()))
+    np.ldexp(vals1, -exponent, out=vals1)
+    probes = np.sqrt(np.square(vals1, out=vals1).mean(axis=1))
+    a_tilde = np.ldexp(np.median(probes, axis=1), exponent)
     stage1 = n1 * per_probe * m
 
     # Stage 2: proportional row budgets, one mean estimate per row.

@@ -27,6 +27,7 @@ from .direct_sum import DirectSumElement, DirectSumSpec, ds_estimate, ds_integra
 from .errors import (
     InsufficientPoints,
     InvalidParameters,
+    NonfiniteError,
     NonpositiveError,
     RegimeViolation,
 )
@@ -321,11 +322,14 @@ def _row(
 def rate_fit(points) -> RateFit:
     """Ordinary least squares on (log2 n, log2 error).
 
-    Needs at least four points; every error must be strictly positive.
+    Needs at least four points; every error must be finite and strictly
+    positive.
     """
     pts = [(float(n), float(err)) for n, err in points]
     if len(pts) < 4:
         raise InsufficientPoints(f"rate fit needs >= 4 points, got {len(pts)}")
+    if not all(math.isfinite(err) for _, err in pts):
+        raise NonfiniteError("rate fit requires finite errors")
     if any(err <= 0.0 for _, err in pts):
         raise NonpositiveError("rate fit requires strictly positive errors")
     x = np.log2([n for n, _ in pts])
@@ -352,7 +356,7 @@ def rate_fit(points) -> RateFit:
 def _try_fit(points) -> RateFit | None:
     try:
         return rate_fit(points)
-    except (InsufficientPoints, NonpositiveError):
+    except (InsufficientPoints, NonfiniteError, NonpositiveError):
         return None
 
 

@@ -9,11 +9,15 @@ optional budget, and enforces the access discipline:
 * NONADAPTIVE tapes fix the whole query sequence up front; any deviation from
   the declared order raises :class:`DisciplineViolation`. Non-adaptivity is
   thereby machine-checked structurally instead of audited after the fact.
+  The declared plan is kept as two contiguous 1-based index arrays, exposed
+  read-only as :attr:`QueryTape.declared`, so a non-adaptive estimator can
+  answer the plan it was opened on without drawing it again.
 
 Indices are 1-based, matching (i, j) in [1, N1] x [1, N2]. Failed queries
 (budget or discipline errors) are not charged: the run is aborted, not billed.
 ``query_many`` answers a batch with exactly the semantics of issuing its
-queries one at a time, but at vectorized cost.
+queries one at a time, but at vectorized cost: one flat gather from the
+row-major entries.
 """
 
 from __future__ import annotations
@@ -63,9 +67,11 @@ class QueryTape:
         target: MixedMatrix,
         mode: Mode,
         budget: int | None,
-        declared: np.ndarray | None,
+        declared: tuple[np.ndarray, np.ndarray] | None,
     ) -> None:
         self._target = target
+        # Row-major view of the entries (a copy only for non-C-ordered input).
+        self._flat = target.entries.reshape(-1)
         self._mode = mode
         if budget is not UNBOUNDED:
             budget = int(budget)
@@ -87,6 +93,11 @@ class QueryTape:
     @property
     def budget(self) -> int | None:
         return self._budget
+
+    @property
+    def declared(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """Read-only (rows, cols) of the declared plan; None when ADAPTIVE."""
+        return self._declared
 
     def card(self) -> int:
         """Number of queries answered so far (repeats counted)."""
@@ -114,16 +125,15 @@ class QueryTape:
             )
 
     def _check_declared(self, rows: np.ndarray, cols: np.ndarray) -> None:
-        count = rows.size
-        declared = self._declared
-        end = self._cursor + count
-        if end > declared.shape[0]:
+        declared_rows, declared_cols = self._declared
+        end = self._cursor + rows.size
+        if end > declared_rows.size:
             raise DisciplineViolation(
                 "query past the end of the declared sequence"
             )
-        block = declared[self._cursor : end]
         if not (
-            np.array_equal(block[:, 0], rows) and np.array_equal(block[:, 1], cols)
+            np.array_equal(declared_rows[self._cursor : end], rows)
+            and np.array_equal(declared_cols[self._cursor : end], cols)
         ):
             raise DisciplineViolation(
                 "query differs from the next declared index pair"
@@ -163,7 +173,12 @@ class QueryTape:
             self._check_declared(rows, cols)
             self._cursor += rows.size
         self._issued += rows.size
-        return self._target.entries[rows - 1, cols - 1]
+        # Row-major offset (rows-1)*N2 + (cols-1), built in one buffer.
+        n2 = self._target.spec.n2
+        flat = np.multiply(rows, n2)
+        flat += cols
+        flat -= n2 + 1
+        return self._flat.take(flat)
 
 
 def open_adaptive(f: MixedMatrix, budget: int | None = UNBOUNDED) -> QueryTape:
@@ -176,15 +191,20 @@ def open_nonadaptive(f: MixedMatrix, queries) -> QueryTape:
 
     ``queries`` is a sequence of 1-based (i, j) pairs; the budget equals its
     length. Out-of-range pairs are rejected here, before any query is made.
+    An ``(n, 2)`` array with contiguous columns, as ``draw_indices`` returns,
+    is stored without a copy.
     """
     declared = np.asarray(queries, dtype=np.int64)
     if declared.size == 0:
         declared = declared.reshape(0, 2)
     if declared.ndim != 2 or declared.shape[1] != 2:
         raise ValueError("queries must be a sequence of (i, j) pairs")
+    rows = np.ascontiguousarray(declared[:, 0])
+    cols = np.ascontiguousarray(declared[:, 1])
+    rows.flags.writeable = False
+    cols.flags.writeable = False
     spec = f.spec
-    if declared.shape[0]:
-        rows, cols = declared[:, 0], declared[:, 1]
+    if rows.size:
         if (
             rows.min() < 1
             or rows.max() > spec.n1
@@ -194,7 +214,7 @@ def open_nonadaptive(f: MixedMatrix, queries) -> QueryTape:
             raise IndexOutOfRange(
                 f"declared indices outside [1, {spec.n1}] x [1, {spec.n2}]"
             )
-    return QueryTape(f, Mode.NONADAPTIVE, declared.shape[0], declared=declared)
+    return QueryTape(f, Mode.NONADAPTIVE, rows.size, declared=(rows, cols))
 
 
 def query(tape: QueryTape, i: int, j: int) -> float:

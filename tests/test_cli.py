@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -87,6 +89,37 @@ class TestEstimate:
         assert code == 0
         assert "true_mean=1.0" in out
         assert "abs_error=0.0" in out
+
+    @pytest.mark.parametrize("shape", [(16,), (2, 4, 4)])
+    def test_input_must_be_2d(self, capsys, tmp_path, shape):
+        path = tmp_path / "f.npy"
+        np.save(path, np.ones(shape))
+        code, out, err = capture(
+            capsys, ["estimate", "--input", str(path), "--n", "8"]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_a3_input_near_overflow(self, capsys, tmp_path):
+        entries = np.where(np.arange(64).reshape(8, 8) % 3 == 0, 1e200, -1e200)
+        path = tmp_path / "f.npy"
+        argv = ["estimate", "--input", str(path), "--alg", "a3", "--p", "1",
+                "--u", "inf", "--n", "64", "--seed", "1"]
+
+        def report(matrix):
+            np.save(path, matrix)
+            code, out, err = capture(capsys, argv)
+            assert code == 0, err
+            return dict(l.split("=", 1) for l in out.splitlines() if l[0] != "#")
+
+        big = report(entries)
+        small = report(np.ldexp(entries, -600))
+        # Same stream, exactly scaled input: exactly scaled estimate, same
+        # cost and allocation.
+        assert float(big["value"]) == math.ldexp(float(small["value"]), 600)
+        for key in ("card", "stage_cards", "allocation"):
+            assert big[key] == small[key]
 
 
 class TestGap:

@@ -141,6 +141,48 @@ class TestMcMeanA2:
         assert abs(values.mean() - truth) <= 3.0 * se
 
 
+class TestA2DeclaredPlan:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n1=st.integers(1, 9),
+        n2=st.integers(1, 9),
+        n=st.integers(1, 300),
+        seed=st.integers(0, 2**32),
+        fortran=st.booleans(),
+    )
+    def test_answers_the_declared_plan(self, n1, n2, n, seed, fortran):
+        entries = np.random.default_rng(seed).normal(size=(n1, n2))
+        if fortran:
+            entries = np.asfortranarray(entries)
+        f = MixedMatrix(ProblemSpec(n1, n2, 1.0, INF), entries)
+        rng = RngStream(seed)
+        plan = draw_indices(f.spec, n, rng)
+        tape = open_nonadaptive(f, plan)
+        report = mc_mean_a2(tape, n, rng)
+        reference = entries[plan[:, 0] - 1, plan[:, 1] - 1].mean()
+        assert report.value == float(reference)
+        assert report.cards == tape.card() == n
+        # The same stream on an ADAPTIVE tape draws and answers the same plan.
+        assert mc_mean_a2(open_adaptive(f), n, rng).value == report.value
+
+    def test_plan_is_kept_without_a_copy(self):
+        f = constant_matrix(1.0, 3, 5)
+        plan = draw_indices(f.spec, 40, RngStream(2))
+        assert plan.shape == (40, 2)
+        assert plan[:, 0].flags.c_contiguous and plan[:, 1].flags.c_contiguous
+        rows, cols = open_nonadaptive(f, plan).declared
+        assert np.shares_memory(rows, plan) and np.shares_memory(cols, plan)
+        assert not rows.flags.writeable and not cols.flags.writeable
+
+    @pytest.mark.parametrize("length", [19, 21])
+    def test_plan_of_the_wrong_length(self, length):
+        f = constant_matrix(1.0, 3, 5)
+        tape = open_nonadaptive(f, draw_indices(f.spec, length, RngStream(1)))
+        with pytest.raises(PreconditionViolated):
+            mc_mean_a2(tape, 20, RngStream(1))
+        assert tape.card() == 0
+
+
 class TestAllocateSamples:
     def test_uniform_takes_floor(self):
         assert allocate_samples([3.0, 3.0, 3.0], 1.5, 10).tolist() == [4, 4, 4]
@@ -259,6 +301,30 @@ class TestAdaptiveMeanA3:
         assert default_probe_count(1) == 1
         assert default_probe_count(64) == 7
         assert default_probe_count(256) == 9
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n1=st.integers(1, 24),
+    n2=st.integers(1, 24),
+    extra=st.integers(0, 64),
+    seed=st.integers(0, 2**32),
+    power=st.sampled_from([600, -600]),
+)
+def test_a3_is_homogeneous(n1, n2, extra, seed, power):
+    # Scaling by a power of two is exact, so the stage-1 squares of the
+    # scaled instance must neither overflow nor underflow into a different
+    # allocation: the estimate scales by exactly the same factor.
+    spec = ProblemSpec(n1, n2, 1.0, INF)
+    f = sample_mu4(spec, RngStream(seed, (0,)))
+    scaled = MixedMatrix(spec, np.ldexp(f.entries, power))
+    n = n1 + extra
+    m = default_probe_count(n1)
+    base = adaptive_mean_a3(open_adaptive(f), n, m, 1.0, RngStream(seed, (1,)))
+    big = adaptive_mean_a3(open_adaptive(scaled), n, m, 1.0, RngStream(seed, (1,)))
+    assert big.value == math.ldexp(base.value, power)
+    assert big.cards == base.cards and big.stage_cards == base.stage_cards
+    assert big.allocation.tolist() == base.allocation.tolist()
 
 
 def test_adaptive_beats_nonadaptive_at_equal_budget():

@@ -3,9 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from adaptgap import cli, direct_sum, estimators, harness
+from adaptgap.direct_sum import DirectSumSpec
 from adaptgap.errors import (
     InsufficientPoints,
     InvalidParameters,
+    NonfiniteError,
     NonpositiveError,
     RegimeViolation,
 )
@@ -22,6 +25,8 @@ from adaptgap.harness import (
     run_plan,
 )
 from adaptgap.hard_instances import HardFamily, Variant
+from adaptgap.oracle import Mode
+from adaptgap.rng import RngStream
 from adaptgap.spaces import INF, MixedMatrix, ProblemSpec
 
 
@@ -134,6 +139,14 @@ class TestRateFit:
         with pytest.raises(NonpositiveError):
             rate_fit([(16, 0.5), (32, 0.4), (64, 0.0), (128, 0.2)])
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_nonfinite_error_is_no_fit(self, bad):
+        points = [(16, 0.5), (32, 0.4), (64, bad), (128, 0.2)]
+        with pytest.raises(NonfiniteError):
+            rate_fit(points)
+        assert harness._try_fit(points) is None
+
     def test_noisy_line_recovers_slope(self):
         rng = np.random.default_rng(2)
         points = [
@@ -243,3 +256,45 @@ class TestNormDeviationExperiment:
         a = norm_deviation_experiment([1.0, 2.0], 2.0, [16, 32], workers=1, **kwargs)
         b = norm_deviation_experiment([1.0, 2.0], 2.0, [16, 32], workers=2, **kwargs)
         assert a.rows == b.rows
+
+
+class TestA2DrawsItsPlanOnce:
+    """Every a2 call site draws the index plan once; the tape answers it."""
+
+    @pytest.fixture
+    def draws(self, monkeypatch):
+        sizes = []
+        real = estimators.draw_indices
+
+        def counting(spec, n, rng):
+            sizes.append(int(n))
+            return real(spec, n, rng)
+
+        for module in (estimators, harness, cli, direct_sum):
+            monkeypatch.setattr(module, "draw_indices", counting)
+        return sizes
+
+    def test_gap_trial(self, draws):
+        task = harness._GapTask(n=256, n1=80, n2=80, m=None, seed=1, n_index=0)
+        result = harness._gap_trial((task, 0))
+        assert draws == [result[4]]
+
+    def test_run_estimator(self, draws):
+        family = HardFamily(Variant.FULL_BERNOULLI, ProblemSpec(6, 7, 2.0, 2.0))
+        report, _ = harness._run_estimator(
+            EstimatorKind.A2, family, 50, None, RngStream(4)
+        )
+        assert draws == [50] and report.cards == 50
+
+    def test_cli_estimate(self, draws, capsys):
+        code = cli.run(["estimate", "--alg", "a2", "--n1", "8", "--n2", "8",
+                        "--n", "100", "--seed", "2"])
+        assert code == 0 and "card=100" in capsys.readouterr().out
+        assert draws == [100]
+
+    def test_ds_estimate(self, draws):
+        spec = DirectSumSpec(1.5, 1.0, INF, 1.0, 6)
+        x = harness.sample_ds_input(spec, RngStream(5))
+        schedule = direct_sum.level_allocation(4, 1.5, 0.2, 0.5)
+        direct_sum.ds_estimate(x, 4, 0.2, Mode.NONADAPTIVE, None, RngStream(6))
+        assert draws == [n for k, n in schedule.levels if k >= 4]
