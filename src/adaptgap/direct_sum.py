@@ -36,7 +36,14 @@ from .estimators import (
 )
 from .oracle import Mode, open_adaptive, open_nonadaptive
 from .rng import RngStream
-from .spaces import INF, MixedMatrix, ProblemSpec, as_exponent, mixed_norm
+from .spaces import (
+    INF,
+    MixedMatrix,
+    ProblemSpec,
+    as_exponent,
+    mixed_norm,
+    scalar_mean,
+)
 
 __all__ = [
     "MAX_LEVEL",
@@ -131,7 +138,7 @@ def ds_integral(x: DirectSumElement) -> float:
     """Exact weighted sum of level means (the estimation target)."""
     total = 0.0
     for k, f_k in x.items():
-        total += 2.0 ** (-x.spec.alpha * k) * float(f_k.entries.mean())
+        total += 2.0 ** (-x.spec.alpha * k) * scalar_mean(f_k)
     return total
 
 
@@ -229,9 +236,8 @@ def ds_estimate(
         weight = 2.0 ** (-spec.alpha * k)
         side = level_size(k)
         if k < k0:
-            idx = _full_readout_indices(side)
-            tape = open_nonadaptive(f_k, idx)
-            vals = tape.query_many(idx[:, 0], idx[:, 1])
+            tape = open_nonadaptive(f_k, _full_readout_indices(side))
+            vals = tape.query_many(*tape.declared)
             value += weight * float(vals.mean())
             cards += tape.card()
             continue

@@ -24,6 +24,7 @@ a run is bitwise reproducible from (input, n, m, seed).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -177,15 +178,35 @@ def allocate_samples(a_tilde, p, n: int) -> np.ndarray:
         raise ValueError(f"n = {n} must be at least N1 = {n1}")
     floor = -(-n // n1)  # ceil(n / N1)
     counts = np.full(n1, floor, dtype=np.int64)
-    # Scalar powers and a correctly rounded sum keep the proportional-share
-    # ceilings reproducible down to the last ulp, where a pairwise-summed
-    # total can land a share on the wrong side of an integer.
-    powers = np.array([x**p for x in a.tolist()])
+    powers = _powers(a.tolist(), p)
     total = math.fsum(powers.tolist())
     if total > 0.0:
         heavy = powers > total / n1
         counts[heavy] = np.ceil(powers[heavy] * n / total).astype(np.int64)
     return counts
+
+
+def _powers(values: list[float], p: float) -> np.ndarray:
+    """``x**p`` for every x, scaled by one power of two if need be.
+
+    Scalar powers and a correctly rounded sum keep the proportional-share
+    ceilings reproducible down to the last ulp, where a pairwise-summed
+    total can land a share on the wrong side of an integer. When the largest
+    power would overflow or fall below the normal range, the values are
+    first divided by a power of two that brings the largest into [1/2, 1);
+    the shares of the total are unchanged by that, and every in-range input
+    keeps its unscaled powers bit for bit.
+    """
+    top = max(values)
+    try:
+        powers = [x**p for x in values]
+        normal = top == 0.0 or max(powers) >= sys.float_info.min
+    except OverflowError:
+        normal = False
+    if not normal:
+        _, exponent = math.frexp(top)
+        powers = [math.ldexp(x, -exponent) ** p for x in values]
+    return np.array(powers)
 
 
 def default_probe_count(n1: int) -> int:
@@ -218,14 +239,15 @@ def adaptive_mean_a3(
     per_probe = -(-n // n1)  # ceil(n / N1) samples per probe
 
     # Stage 1: m empirical L_2 probes per row, one column plan shared by all
-    # rows, then the per-row median of the m probe values. Scaling by a
-    # power of two just above the max abs before squaring keeps the squares
-    # from overflowing; it is exact, so a_tilde stays homogeneous in the
-    # input and bit-identical wherever the unscaled squares were in range.
+    # rows and asked as one rows x columns grid, then the per-row median of
+    # the m probe values. Scaling by a power of two just above the max abs
+    # before squaring keeps the squares from overflowing; it is exact, so
+    # a_tilde stays homogeneous in the input and bit-identical wherever the
+    # unscaled squares were in range.
     g1 = rng.child(_STAGE_PROBE).generator()
     probe_cols = g1.integers(1, n2 + 1, size=(per_probe, m))
-    rows1 = np.repeat(np.arange(1, n1 + 1, dtype=np.int64), per_probe * m)
-    cols1 = np.tile(probe_cols.reshape(-1), n1)
+    rows1 = np.arange(1, n1 + 1, dtype=np.int64).reshape(n1, 1)
+    cols1 = probe_cols.reshape(1, per_probe * m)
     vals1 = tape.query_many(rows1, cols1).reshape(n1, per_probe, m)
     _, exponent = np.frexp(max(vals1.max(), -vals1.min()))
     np.ldexp(vals1, -exponent, out=vals1)

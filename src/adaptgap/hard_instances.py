@@ -17,6 +17,11 @@ the regime where adaptive sampling wins:
 Positions and signs come from separate child streams, so passing
 ``antithetic=True`` flips every sign draw while keeping positions fixed;
 the sampled matrix (and hence its mean) is negated draw for draw.
+
+SINGLE_SPIKE and ACTIVE_ROW_BERNOULLI samples are row-sparse: they store
+their one nonzero row as a ``1 x N2`` block (see ``MixedMatrix.from_rows``),
+so sampling, ground truth and queries cost O(N2), not O(N1*N2). The other
+two families are dense.
 """
 
 from __future__ import annotations
@@ -51,11 +56,12 @@ class Variant(enum.Enum):
     ACTIVE_ROW_BERNOULLI = "mu4"
 
 
-def _signs(g: np.random.Generator, size, antithetic: bool) -> np.ndarray:
-    s = g.integers(0, 2, size=size) * 2 - 1
-    if antithetic:
-        s = -s
-    return s.astype(np.float64)
+def _signs(
+    g: np.random.Generator, size, antithetic: bool, scale: float = 1.0
+) -> np.ndarray:
+    """Fair signs times ``scale``, as float64; flipped when antithetic."""
+    high = -scale if antithetic else scale
+    return np.where(g.integers(0, 2, size=size), high, -high)
 
 
 def sample_mu1(
@@ -66,11 +72,10 @@ def sample_mu1(
     g_sign = rng.child(_SIGNS).generator()
     i = int(g_pos.integers(0, spec.n1))
     j = int(g_pos.integers(0, spec.n2))
-    sign = float(_signs(g_sign, (), antithetic))
     scale = inverse_power(spec.n1, spec.p) * inverse_power(spec.n2, spec.u)
-    entries = np.zeros((spec.n1, spec.n2))
-    entries[i, j] = sign * scale
-    return MixedMatrix(spec, entries)
+    block = np.zeros((1, spec.n2))
+    block[0, j] = _signs(g_sign, (), antithetic, scale)
+    return MixedMatrix._adopt(spec, (i,), block)
 
 
 def sample_mu2(
@@ -79,7 +84,7 @@ def sample_mu2(
     """Independent fair signs in every entry."""
     g_sign = rng.child(_SIGNS).generator()
     entries = _signs(g_sign, (spec.n1, spec.n2), antithetic)
-    return MixedMatrix(spec, entries)
+    return MixedMatrix._adopt(spec, None, entries)
 
 
 def sample_mu3(
@@ -89,10 +94,10 @@ def sample_mu3(
     g_pos = rng.child(_POSITIONS).generator()
     g_sign = rng.child(_SIGNS).generator()
     cols = g_pos.integers(0, spec.n2, size=spec.n1)
-    signs = _signs(g_sign, spec.n1, antithetic)
+    signs = _signs(g_sign, spec.n1, antithetic, inverse_power(spec.n2, spec.u))
     entries = np.zeros((spec.n1, spec.n2))
-    entries[np.arange(spec.n1), cols] = signs * inverse_power(spec.n2, spec.u)
-    return MixedMatrix(spec, entries)
+    entries[np.arange(spec.n1), cols] = signs
+    return MixedMatrix._adopt(spec, None, entries)
 
 
 def sample_mu4(
@@ -104,10 +109,8 @@ def sample_mu4(
     g_pos = rng.child(_POSITIONS).generator()
     g_sign = rng.child(_SIGNS).generator()
     active = int(g_pos.integers(0, spec.n1))
-    signs = _signs(g_sign, spec.n2, antithetic)
-    entries = np.zeros((spec.n1, spec.n2))
-    entries[active] = signs * inverse_power(spec.n1, spec.p)
-    return MixedMatrix(spec, entries)
+    signs = _signs(g_sign, (1, spec.n2), antithetic, inverse_power(spec.n1, spec.p))
+    return MixedMatrix._adopt(spec, (active,), signs)
 
 
 _SAMPLERS = {

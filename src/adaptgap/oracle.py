@@ -16,8 +16,12 @@ optional budget, and enforces the access discipline:
 Indices are 1-based, matching (i, j) in [1, N1] x [1, N2]. Failed queries
 (budget or discipline errors) are not charged: the run is aborted, not billed.
 ``query_many`` answers a batch with exactly the semantics of issuing its
-queries one at a time, but at vectorized cost: one flat gather from the
-row-major entries.
+queries one at a time, but at vectorized cost. Its row and column arrays
+broadcast against each other, so a grid of every row against a few columns
+is one ``(N1, 1) x (1, k)`` query; the answers come back flat in C order.
+A dense matrix is answered by one flat gather from its row-major entries;
+a row-sparse one (see ``MixedMatrix.from_rows``) from its stored rows, with
+zeros elsewhere, so no query ever builds the dense array.
 """
 
 from __future__ import annotations
@@ -49,13 +53,6 @@ class Mode(enum.Enum):
 UNBOUNDED = None
 
 
-def _as_index_array(values, name: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.int64)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be a 1-D integer array")
-    return arr
-
-
 class QueryTape:
     """Single-owner handle mediating all entry access to one matrix.
 
@@ -70,8 +67,9 @@ class QueryTape:
         declared: tuple[np.ndarray, np.ndarray] | None,
     ) -> None:
         self._target = target
-        # Row-major view of the entries (a copy only for non-C-ordered input).
-        self._flat = target.entries.reshape(-1)
+        # The stored rows: the whole C-ordered matrix when dense.
+        self._row_ids = target.row_ids
+        self._block = target.block
         self._mode = mode
         if budget is not UNBOUNDED:
             budget = int(budget)
@@ -105,8 +103,6 @@ class QueryTape:
 
     def _check_range(self, rows: np.ndarray, cols: np.ndarray) -> None:
         spec = self._target.spec
-        if rows.size == 0:
-            return
         if (
             rows.min() < 1
             or rows.max() > spec.n1
@@ -124,17 +120,23 @@ class QueryTape:
                 f"budget {self._budget}"
             )
 
-    def _check_declared(self, rows: np.ndarray, cols: np.ndarray) -> None:
+    def _check_declared(
+        self, rows: np.ndarray, cols: np.ndarray, count: int, shape=None
+    ) -> None:
         declared_rows, declared_cols = self._declared
-        end = self._cursor + rows.size
+        if self._cursor == 0 and rows is declared_rows and cols is declared_cols:
+            return  # the whole plan, asked with the tape's own arrays
+        end = self._cursor + count
         if end > declared_rows.size:
             raise DisciplineViolation(
                 "query past the end of the declared sequence"
             )
-        if not (
-            np.array_equal(declared_rows[self._cursor : end], rows)
-            and np.array_equal(declared_cols[self._cursor : end], cols)
-        ):
+        want_rows = declared_rows[self._cursor : end]
+        want_cols = declared_cols[self._cursor : end]
+        if shape is not None:
+            want_rows = want_rows.reshape(shape)
+            want_cols = want_cols.reshape(shape)
+        if not ((want_rows == rows).all() and (want_cols == cols).all()):
             raise DisciplineViolation(
                 "query differs from the next declared index pair"
             )
@@ -151,34 +153,77 @@ class QueryTape:
         self._check_budget(1)
         if self._mode is Mode.NONADAPTIVE:
             self._check_declared(
-                np.array([i], dtype=np.int64), np.array([j], dtype=np.int64)
+                np.array([i], dtype=np.int64), np.array([j], dtype=np.int64), 1
             )
             self._cursor += 1
         self._issued += 1
-        return float(self._target.entries[i - 1, j - 1])
+        if self._row_ids is None:
+            return float(self._block[i - 1, j - 1])
+        if i - 1 in self._row_ids:
+            return float(self._block[self._row_ids.index(i - 1), j - 1])
+        return 0.0
 
     def query_many(self, rows, cols) -> np.ndarray:
         """Answer a batch of queries; equivalent to issuing them in order.
 
-        The whole batch is validated first, so a failing batch charges
-        nothing and leaves the tape unchanged.
+        ``rows`` and ``cols`` are integer arrays that broadcast against each
+        other; the queries are their broadcast pairs in C order, and so are
+        the 1-D answers. The ranges of ``rows`` and ``cols`` are checked as
+        given, and the broadcast size is charged. The whole batch is
+        validated first, so a failing batch charges nothing and leaves the
+        tape unchanged.
         """
-        rows = _as_index_array(rows, "rows")
-        cols = _as_index_array(cols, "cols")
-        if rows.shape != cols.shape:
-            raise ValueError("rows and cols must have equal length")
-        self._check_range(rows, cols)
-        self._check_budget(rows.size)
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        if rows.shape == cols.shape:
+            shape = None  # flat pairs
+            if rows.ndim != 1:
+                rows = rows.reshape(-1)
+                cols = cols.reshape(-1)
+            count = rows.size
+        else:
+            grid = np.broadcast(rows, cols)
+            shape = grid.shape
+            count = grid.size
+        if count:
+            self._check_range(rows, cols)
+        self._check_budget(count)
         if self._mode is Mode.NONADAPTIVE:
-            self._check_declared(rows, cols)
-            self._cursor += rows.size
-        self._issued += rows.size
-        # Row-major offset (rows-1)*N2 + (cols-1), built in one buffer.
-        n2 = self._target.spec.n2
-        flat = np.multiply(rows, n2)
-        flat += cols
-        flat -= n2 + 1
-        return self._flat.take(flat)
+            self._check_declared(rows, cols, count, shape)
+            self._cursor += count
+        self._issued += count
+        if shape is None:
+            return self._gather(rows, cols, count)
+        return self._gather_grid(rows, cols, shape)
+
+    def _gather(self, rows: np.ndarray, cols: np.ndarray, count: int) -> np.ndarray:
+        """Answers to equally shaped 1-D rows and cols, unchecked."""
+        if self._row_ids is None:
+            # Row-major offset (rows-1)*N2 + (cols-1), built in one buffer.
+            n2 = self._target.spec.n2
+            flat = np.multiply(rows, n2)
+            flat += cols
+            flat -= n2 + 1
+            return self._block.take(flat)
+        # Only the queries that hit a stored row are gathered.
+        out = np.zeros(count)
+        for i, values in zip(self._row_ids, self._block):
+            hit = np.flatnonzero(rows == i + 1)
+            out[hit] = values.take(cols[hit] - 1)
+        return out
+
+    def _gather_grid(self, rows: np.ndarray, cols: np.ndarray, shape) -> np.ndarray:
+        """Answers to rows and cols broadcast to ``shape``, flat, unchecked."""
+        if self._row_ids is None:
+            n2 = self._target.spec.n2
+            flat = np.multiply(rows, n2) + cols
+            flat -= n2 + 1
+            return self._block.take(flat.reshape(-1))
+        out = np.zeros(shape)
+        cols0 = cols - 1
+        for i, values in zip(self._row_ids, self._block):
+            np.copyto(out, values.take(cols0), where=rows == i + 1)
+        return out.reshape(-1)
 
 
 def open_adaptive(f: MixedMatrix, budget: int | None = UNBOUNDED) -> QueryTape:

@@ -11,6 +11,14 @@ mixed norm takes the averaged ``L_u`` norm of each row and then the averaged
 The mean functional averages all entries and has operator norm one, so
 |scalar_mean(f)| <= mixed_norm(f) for every matrix.
 
+A :class:`MixedMatrix` stores either the whole dense array or, for matrices
+with few nonzero rows, only those rows: their 0-based row ids and an
+``r x N2`` block. ``MixedMatrix(spec, entries)`` builds the dense form and
+``MixedMatrix.from_rows`` the row-sparse one. Query tapes and
+``scalar_mean`` read the stored rows directly; ``MixedMatrix.entries`` is
+the full dense array, built on first access and cached, for the readers that
+need every entry (``mixed_norm``, ``row_means``).
+
 Exponents are plain floats with ``INF`` (``math.inf``) as the sentinel for
 the supremum norm; finite exponents must lie in [1, inf).
 """
@@ -94,24 +102,89 @@ class ProblemSpec:
         return self.n1 * self.n2
 
 
-@dataclass(frozen=True)
 class MixedMatrix:
-    """An element of the mixed-norm space: a spec plus a finite real matrix."""
+    """An element of the mixed-norm space: a spec plus a finite real matrix.
 
-    spec: ProblemSpec
-    entries: np.ndarray
+    ``MixedMatrix(spec, entries)`` keeps a private C-ordered copy of
+    ``entries``, so the caller's array stays writable and later writes to it
+    do not reach the matrix. The matrix is immutable: every array it exposes
+    is read-only.
+    """
 
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.entries, dtype=np.float64)
-        if arr.shape != (self.spec.n1, self.spec.n2):
+    __slots__ = ("_spec", "_row_ids", "_block", "_entries")
+
+    def __init__(self, spec: ProblemSpec, entries) -> None:
+        self._store(spec, None, np.array(entries, dtype=np.float64, order="C"))
+
+    @classmethod
+    def from_rows(cls, spec: ProblemSpec, row_ids, block) -> MixedMatrix:
+        """The matrix that is zero outside the rows ``row_ids``.
+
+        ``row_ids`` are distinct 0-based row positions and ``block`` holds
+        their values, one row of ``block`` per id; ``block`` is copied.
+        """
+        ids = tuple(int(i) for i in row_ids)
+        return cls._adopt(spec, ids, np.array(block, dtype=np.float64, order="C"))
+
+    @classmethod
+    def _adopt(
+        cls, spec: ProblemSpec, row_ids: tuple[int, ...] | None, block: np.ndarray
+    ) -> MixedMatrix:
+        """Take ``block`` (a fresh float64 array) without a copy; for
+        samplers that hand over an array nobody else holds."""
+        f = cls.__new__(cls)
+        f._store(spec, row_ids, block)
+        return f
+
+    def _store(
+        self, spec: ProblemSpec, row_ids: tuple[int, ...] | None, block: np.ndarray
+    ) -> None:
+        expected = (spec.n1 if row_ids is None else len(row_ids), spec.n2)
+        if block.shape != expected:
             raise ValueError(
-                f"entries shape {arr.shape} does not match spec "
-                f"({self.spec.n1}, {self.spec.n2})"
+                f"entries shape {block.shape} does not match {expected} "
+                f"for spec ({spec.n1}, {spec.n2})"
             )
-        if not np.isfinite(arr).all():
+        if row_ids is not None and (
+            len(set(row_ids)) != len(row_ids)
+            or not all(0 <= i < spec.n1 for i in row_ids)
+        ):
+            raise ValueError(f"row ids must be distinct and in [0, {spec.n1})")
+        if not np.isfinite(block).all():
             raise ValueError("entries must all be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
+        block.setflags(write=False)
+        self._spec = spec
+        self._row_ids = row_ids
+        self._block = block
+        self._entries = block if row_ids is None else None
+
+    def __reduce__(self):
+        # Rebuilt through the validating path, so copies are read-only too.
+        return (MixedMatrix._adopt, (self._spec, self._row_ids, self._block))
+
+    @property
+    def spec(self) -> ProblemSpec:
+        return self._spec
+
+    @property
+    def row_ids(self) -> tuple[int, ...] | None:
+        """0-based ids of the stored rows; None for a dense matrix."""
+        return self._row_ids
+
+    @property
+    def block(self) -> np.ndarray:
+        """The stored rows, one per row id; the whole matrix when dense."""
+        return self._block
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense ``N1 x N2`` array, read-only; built once when sparse."""
+        if self._entries is None:
+            dense = np.zeros((self._spec.n1, self._spec.n2))
+            dense[list(self._row_ids)] = self._block
+            dense.setflags(write=False)
+            self._entries = dense
+        return self._entries
 
 
 def _vector_norm(values: np.ndarray, e: float, axis: int) -> np.ndarray:
@@ -154,8 +227,11 @@ def mixed_norm_many(stack, p, u) -> np.ndarray:
 
 
 def scalar_mean(f: MixedMatrix) -> float:
-    """Arithmetic mean of all N1*N2 entries (exact full readout)."""
-    return float(f.entries.mean())
+    """Arithmetic mean of all N1*N2 entries (exact full readout).
+
+    Sums the stored rows only: the other rows are zero.
+    """
+    return float(f.block.sum()) / f.spec.n_entries
 
 
 def row_means(f: MixedMatrix) -> np.ndarray:

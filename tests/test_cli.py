@@ -121,6 +121,21 @@ class TestEstimate:
         for key in ("card", "stage_cards", "allocation"):
             assert big[key] == small[key]
 
+    def test_a3_input_whose_powers_overflow(self, capsys, tmp_path):
+        # a_tilde**p is past the float range at p = 1.9; the allocation is
+        # taken on a_tilde scaled down by a power of two.
+        entries = np.where(np.arange(64).reshape(8, 8) % 3 == 0, 1e200, -1e200)
+        path = tmp_path / "f.npy"
+        np.save(path, entries)
+        code, out, err = capture(
+            capsys,
+            ["estimate", "--input", str(path), "--alg", "a3", "--p", "1.9",
+             "--u", "inf", "--n", "64"],
+        )
+        assert code == 0, err
+        values = dict(l.split("=", 1) for l in out.splitlines() if l[0] != "#")
+        assert math.isfinite(float(values["value"]))
+
 
 class TestGap:
     SMALL = ["gap", "--budgets", "256,512", "--c3", "5", "--trials", "30",

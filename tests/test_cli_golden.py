@@ -9,6 +9,7 @@ purpose replaces it and says why in CHANGES.md.
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from adaptgap.cli import run
@@ -41,6 +42,17 @@ GOLDEN = {
          "64", "--p", "1", "--u", "inf", "--n", "4096", "--seed", "3"],
         "9c64996dcf768efe1bf8a155c99ee50cd482d08428d46f77a4503a8eb05c197a",
     ),
+    # Single spikes are stored as one row; rates p-ge-u samples dense mu3.
+    "estimate-mu1-a2": (
+        ["estimate", "--family", "mu1", "--alg", "a2", "--n1", "64", "--n2",
+         "64", "--p", "1", "--u", "inf", "--n", "4096", "--seed", "3"],
+        "50542c0a352a144e730acdab13b19495a45761b18cf9dfe9c9cda63258bd6050",
+    ),
+    "rates-p-ge-u": (
+        ["rates", "--regime", "p-ge-u", "--trials", "4",
+         "--budgets", "2^6,2^7,2^8,2^9", "--seed", "3"],
+        "d448b2406312e89e9602ec5d664bd2ec17c867d9a5f14bd2843969818a968c03",
+    ),
 }
 
 
@@ -50,3 +62,16 @@ def test_stdout_digest(name, capsys):
     assert run(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_dense_input_digest(tmp_path, monkeypatch, capsys):
+    # A fixed dense matrix from a file, run through a3. The file is named
+    # relative to tmp_path, so the "family=file:m.npy" header is stable.
+    monkeypatch.chdir(tmp_path)
+    np.save("m.npy", np.arange(48, dtype=np.float64).reshape(6, 8) % 7 - 3.0)
+    assert run(["estimate", "--input", "m.npy", "--alg", "a3", "--p", "1",
+                "--u", "inf", "--n", "64", "--seed", "3"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b7e68390907ea2f5886a2d286088ada7f63e61a2bf92897c55b77b17f394eb3a"
+    )

@@ -20,7 +20,7 @@ from adaptgap.estimators import (
     median,
     norm_est_a1,
 )
-from adaptgap.hard_instances import sample_mu4
+from adaptgap.hard_instances import HardFamily, Variant, sample_mu4
 from adaptgap.oracle import open_adaptive, open_nonadaptive
 from adaptgap.rng import RngStream
 from adaptgap.spaces import INF, MixedMatrix, ProblemSpec, scalar_mean
@@ -229,6 +229,39 @@ class TestAllocateSamples:
             ).all()
 
 
+class TestAllocationOutOfRange:
+    """Powers past the float range are taken on input scaled by a power of
+    two; the allocation is the one of the scaled-down input."""
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 1.9])
+    @pytest.mark.parametrize("power", [1000, -1000])
+    def test_matches_the_scaled_input(self, p, power):
+        a = [3.0, 0.25, 1.0, 0.0, 2.5]
+        expected = allocate_samples([x / 4.0 for x in a], p, 64).tolist()
+        assert allocate_samples(np.ldexp(a, power), p, 64).tolist() == expected
+
+    def test_largest_double(self):
+        counts = allocate_samples([np.finfo(float).max, 1.0], 1.9, 10)
+        assert counts.tolist() == [10, 5]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        a=st.lists(st.floats(min_value=0.0, max_value=1e100), min_size=1, max_size=8),
+        p=st.sampled_from([1.0, 1.5, 1.9]),
+        extra=st.integers(0, 100),
+    )
+    def test_in_range_input_is_unscaled(self, a, p, extra):
+        # Reference: the scalar powers, unscaled, whenever they are normal.
+        powers = np.array([x**p for x in a])
+        n = len(a) + extra
+        counts = np.full(len(a), -(-n // len(a)))
+        total = math.fsum(powers.tolist())
+        if total > 0.0 and powers.max() >= np.finfo(float).tiny:
+            heavy = powers > total / len(a)
+            counts[heavy] = np.ceil(powers[heavy] * n / total)
+            assert allocate_samples(a, p, n).tolist() == counts.tolist()
+
+
 class TestAdaptiveMeanA3:
     def test_constant_exact(self):
         f = constant_matrix(-1.25, 4, 6)
@@ -349,3 +382,52 @@ def test_adaptive_beats_nonadaptive_at_equal_budget():
         sq3.append((rep3.value - truth) ** 2)
         sq2.append((rep2.value - truth) ** 2)
     assert math.sqrt(np.mean(sq3)) < math.sqrt(np.mean(sq2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    variant=st.sampled_from([Variant.SINGLE_SPIKE, Variant.ACTIVE_ROW_BERNOULLI]),
+    n1=st.integers(1, 16),
+    n2=st.integers(1, 16),
+    extra=st.integers(0, 80),
+    p=st.sampled_from([1.0, 1.5]),
+    seed=st.integers(0, 2**32),
+)
+def test_antithetic_samples_negate_both_estimates(variant, n1, n2, extra, p, seed):
+    # Flipping every sign keeps positions and the stage-1 magnitudes, so the
+    # same streams spend the same queries and return the negated estimate.
+    family = HardFamily(variant, ProblemSpec(n1, n2, p, INF))
+    f = family.sample(RngStream(seed, (0,)))
+    g = family.sample(RngStream(seed, (0,)), antithetic=True)
+    n = n1 + extra
+    m = default_probe_count(n1)
+    a3 = [
+        adaptive_mean_a3(open_adaptive(h), n, m, p, RngStream(seed, (1,)))
+        for h in (f, g)
+    ]
+    assert a3[1].value == -a3[0].value
+    assert a3[1].cards == a3[0].cards and a3[1].stage_cards == a3[0].stage_cards
+    assert a3[1].allocation.tolist() == a3[0].allocation.tolist()
+    a2 = []
+    for h in (f, g):
+        rng = RngStream(seed, (2,))
+        a2.append(mc_mean_a2(open_nonadaptive(h, draw_indices(h.spec, n, rng)), n, rng))
+    assert a2[1].value == -a2[0].value and a2[1].cards == a2[0].cards == n
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    variant=st.sampled_from(list(Variant)),
+    n1=st.integers(1, 40),
+    n2=st.integers(1, 40),
+    extra=st.integers(0, 400),
+    m=st.integers(1, 8),
+    seed=st.integers(0, 2**32),
+)
+def test_a3_cost_within_6mn(variant, n1, n2, extra, m, seed):
+    spec = ProblemSpec(n1, n2, 1.5, INF)
+    f = HardFamily(variant, spec).sample(RngStream(seed, (0,)))
+    n = n1 + extra
+    tape = open_adaptive(f, budget=6 * m * n)
+    report = adaptive_mean_a3(tape, n, m, 1.5, RngStream(seed, (1,)))
+    assert report.cards == tape.card() <= 6 * m * n

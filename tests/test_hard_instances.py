@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adaptgap.errors import InvalidExponent
 from adaptgap.hard_instances import (
@@ -153,3 +155,63 @@ class TestSharedProperties:
                 for t in range(20):
                     f = fam.sample(RngStream(idx, (t,)))
                     assert mixed_norm(f) <= 1.0 + 1e-12
+
+
+def dense_reference(variant, spec, rng, antithetic):
+    """The sample built as a dense array, the way every family once was:
+    positions and signs from the same child streams, in the same order."""
+    g_pos = rng.child(0).generator()
+    g_sign = rng.child(1).generator()
+
+    def signs(size):
+        s = g_sign.integers(0, 2, size=size) * 2 - 1
+        return (-s if antithetic else s).astype(np.float64)
+
+    n1, n2 = spec.n1, spec.n2
+    entries = np.zeros((n1, n2))
+    if variant is Variant.SINGLE_SPIKE:
+        i = int(g_pos.integers(0, n1))
+        j = int(g_pos.integers(0, n2))
+        sign = float(signs(()))
+        entries[i, j] = sign * inverse_power(n1, spec.p) * inverse_power(n2, spec.u)
+    elif variant is Variant.FULL_BERNOULLI:
+        entries = signs((n1, n2))
+    elif variant is Variant.ROW_SPIKES:
+        cols = g_pos.integers(0, n2, size=n1)
+        entries[np.arange(n1), cols] = signs(n1) * inverse_power(n2, spec.u)
+    else:
+        active = int(g_pos.integers(0, n1))
+        entries[active] = signs(n2) * inverse_power(n1, spec.p)
+    return entries
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    variant=st.sampled_from(list(Variant)),
+    n1=st.integers(1, 12),
+    n2=st.integers(1, 12),
+    p=st.sampled_from([1.0, 1.5, 2.0]),
+    u=st.sampled_from([1.0, 2.0, INF]),
+    seed=st.integers(0, 2**32),
+    antithetic=st.booleans(),
+)
+def test_samples_match_the_dense_reference(variant, n1, n2, p, u, seed, antithetic):
+    spec = ProblemSpec(n1, n2, p, u)
+    rng = RngStream(seed, (3,))
+    f = HardFamily(variant, spec).sample(rng, antithetic=antithetic)
+    reference = dense_reference(variant, spec, rng, antithetic)
+    assert np.array_equal(f.entries, reference)
+    # Single spike and active row are stored as one row; the others dense.
+    if variant in (Variant.SINGLE_SPIKE, Variant.ACTIVE_ROW_BERNOULLI):
+        assert len(f.row_ids) == 1 and f.block.shape == (1, n2)
+    else:
+        assert f.row_ids is None
+    # The ground truth sums the stored rows only, in another order than the
+    # dense sum: exact wherever the entries are integers, otherwise within 4
+    # ulp of the mean absolute entry, the scale of the partial sums.
+    truth = float(reference.mean())
+    if np.array_equal(reference, np.round(reference)):
+        assert scalar_mean(f) == truth
+    else:
+        ulp = np.spacing(np.abs(reference).mean())
+        assert abs(scalar_mean(f) - truth) <= 4 * ulp

@@ -25,7 +25,7 @@ from adaptgap.harness import (
     run_plan,
 )
 from adaptgap.hard_instances import HardFamily, Variant
-from adaptgap.oracle import Mode
+from adaptgap.oracle import Mode, open_adaptive
 from adaptgap.rng import RngStream
 from adaptgap.spaces import INF, MixedMatrix, ProblemSpec
 
@@ -298,3 +298,43 @@ class TestA2DrawsItsPlanOnce:
         schedule = direct_sum.level_allocation(4, 1.5, 0.2, 0.5)
         direct_sum.ds_estimate(x, 4, 0.2, Mode.NONADAPTIVE, None, RngStream(6))
         assert draws == [n for k, n in schedule.levels if k >= 4]
+
+
+class TestRowSparsePathsStaySparse:
+    """Sampling, ground truth and both estimators answer single-spike and
+    active-row samples from their stored row, never the dense array."""
+
+    @pytest.fixture(autouse=True)
+    def no_dense(self, monkeypatch):
+        def refuse(f):
+            if f.row_ids is not None:
+                raise AssertionError("built the dense entries of a row-sparse matrix")
+            return f.block
+
+        monkeypatch.setattr(MixedMatrix, "entries", property(refuse))
+
+    def test_gap_trial(self):
+        task = harness._GapTask(n=256, n1=80, n2=80, m=None, seed=1, n_index=0)
+        harness._gap_trial((task, 0))
+
+    @pytest.mark.parametrize(
+        "variant", [Variant.SINGLE_SPIKE, Variant.ACTIVE_ROW_BERNOULLI]
+    )
+    @pytest.mark.parametrize("kind", [EstimatorKind.A2, EstimatorKind.A3])
+    def test_rms_error(self, variant, kind):
+        family = HardFamily(variant, ProblemSpec(7, 9, 1.0, INF))
+        rms_error(family, kind, 40, 3, 2)
+
+    @pytest.mark.parametrize("mode", [Mode.ADAPTIVE, Mode.NONADAPTIVE])
+    def test_ds_estimate(self, mode):
+        spec = DirectSumSpec(1.5, 1.0, INF, 1.0, 6)
+        x = harness.sample_ds_input(spec, RngStream(5))
+        direct_sum.ds_integral(x)
+        direct_sum.ds_estimate(x, 4, 0.2, mode, None, RngStream(6))
+
+    def test_single_queries(self):
+        spec = ProblemSpec(3, 4, 1.0, INF)
+        f = HardFamily(Variant.ACTIVE_ROW_BERNOULLI, spec).sample(RngStream(1))
+        tape = open_adaptive(f)
+        values = [tape.query(i, j) for i in (1, 2, 3) for j in (1, 2, 3, 4)]
+        assert sum(v != 0.0 for v in values) == 4

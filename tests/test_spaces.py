@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -145,6 +146,82 @@ class TestMatrixValidation:
     def test_bad_dims(self):
         with pytest.raises(ValueError):
             ProblemSpec(0, 2, 2.0, 2.0)
+
+    def test_caller_array_stays_writable_and_detached(self):
+        a = np.zeros((2, 2))
+        f = MixedMatrix(ProblemSpec(2, 2, 2.0, 2.0), a)
+        assert a.flags.writeable
+        a[0, 0] = 5.0
+        assert f.entries[0, 0] == 0.0
+        assert not f.entries.flags.writeable
+
+
+class TestRowSparse:
+    SPEC = ProblemSpec(4, 3, 1.5, INF)
+
+    def test_entries_are_zero_outside_the_rows(self):
+        block = np.array([[1.0, -2.0, 3.0], [0.5, 0.0, -0.5]])
+        f = MixedMatrix.from_rows(self.SPEC, [3, 1], block)
+        expected = np.zeros((4, 3))
+        expected[[3, 1]] = block
+        assert f.row_ids == (3, 1)
+        assert np.array_equal(f.entries, expected)
+        assert scalar_mean(f) == expected.mean()
+        assert mixed_norm(f) == mixed_norm(MixedMatrix(self.SPEC, expected))
+        assert row_means(f).tolist() == expected.mean(axis=1).tolist()
+
+    def test_entries_built_once_and_frozen(self):
+        f = MixedMatrix.from_rows(self.SPEC, [0], [[1.0, 2.0, 3.0]])
+        assert f.entries is f.entries
+        with pytest.raises(ValueError):
+            f.entries[0, 0] = 9.0
+        with pytest.raises(ValueError):
+            f.block[0, 0] = 9.0
+
+    def test_block_is_copied(self):
+        block = np.ones((1, 3))
+        f = MixedMatrix.from_rows(self.SPEC, [2], block)
+        block[0, 0] = 7.0
+        assert block.flags.writeable
+        assert f.block[0, 0] == 1.0
+
+    def test_dense_matrix_stores_every_row(self):
+        f = matrix([[1.0, 2.0]])
+        assert f.row_ids is None
+        assert f.block is f.entries
+
+    @pytest.mark.parametrize("sparse", [True, False])
+    def test_copies_stay_read_only(self, sparse):
+        f = (
+            MixedMatrix.from_rows(self.SPEC, [1], [[1.0, 2.0, 3.0]])
+            if sparse
+            else matrix([[1.0, 2.0]])
+        )
+        g = pickle.loads(pickle.dumps(f))
+        assert g.row_ids == f.row_ids and g.spec == f.spec
+        assert np.array_equal(g.entries, f.entries)
+        assert not g.block.flags.writeable and not g.entries.flags.writeable
+
+    def test_no_rows_is_the_zero_matrix(self):
+        f = MixedMatrix.from_rows(self.SPEC, [], np.zeros((0, 3)))
+        assert scalar_mean(f) == 0.0
+        assert not f.entries.any()
+
+    @pytest.mark.parametrize(
+        "rows, block",
+        [
+            ([0, 0], np.ones((2, 3))),  # repeated row
+            ([4], np.ones((1, 3))),  # past the last row
+            ([-1], np.ones((1, 3))),
+            ([0], np.ones((1, 2))),  # wrong row length
+            ([0, 1], np.ones((1, 3))),  # one row short
+            ([0], [[1.0, np.nan, 0.0]]),
+            ([0], [[1.0, -np.inf, 0.0]]),
+        ],
+    )
+    def test_rejects(self, rows, block):
+        with pytest.raises(ValueError):
+            MixedMatrix.from_rows(self.SPEC, rows, block)
 
 
 finite_exponents = st.sampled_from([1.0, 1.5, 2.0, 4.0, INF])
