@@ -92,6 +92,16 @@ def parse_int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
+def parse_workers(text: str) -> int:
+    try:
+        workers = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"workers must be at least 1, got {workers}")
+    return workers
+
+
 def parse_floats(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
@@ -441,7 +451,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", type=Path, default=None,
                      help="write output to this path instead of stdout")
     sub.add_argument("--format", choices=("csv", "tsv"), default="csv")
-    sub.add_argument("--workers", type=int, default=1,
+    sub.add_argument("--workers", type=parse_workers, default=1,
                      help="parallel trial workers (any count is bitwise equivalent)")
 
 

@@ -73,20 +73,30 @@ class EstimateReport:
     allocation: np.ndarray | None = None
 
 
-def median(values) -> float:
-    """Median of a nonempty sequence.
+def median(values, axis: int | None = None):
+    """Median of a nonempty sequence, or of every slice along ``axis``.
 
-    Sorted middle element for odd length; the average of the two middle
-    elements for even length.
+    The sorted middle element for odd length, and ``(a + b) / 2`` of the two
+    middle elements for even length. Both are computed as ``np.median``
+    computes them, whose sum starts from +0.0, so the result equals
+    ``np.median`` bit for bit on NaN-free input, signed zeros included.
+    With ``axis=None`` the values are flattened and a float is returned;
+    otherwise an array with ``axis`` removed.
     """
-    arr = np.asarray(values, dtype=np.float64).ravel()
-    m = arr.size
+    arr = np.asarray(values, dtype=np.float64)
+    if axis is None:
+        arr = arr.ravel()
+        axis = 0
+    m = arr.shape[axis]
     if m == 0:
         raise EmptyInput("median of an empty sequence")
-    z = np.sort(arr)
+    z = np.sort(arr, axis=axis)
     if m % 2 == 1:
-        return float(z[(m - 1) // 2])
-    return float((z[m // 2 - 1] + z[m // 2]) / 2.0)
+        mid = z.take((m - 1) // 2, axis=axis) + 0.0
+    else:
+        low = z.take(m // 2 - 1, axis=axis)
+        mid = (low + z.take(m // 2, axis=axis) + 0.0) / 2.0
+    return float(mid) if z.ndim == 1 else mid
 
 
 def norm_est_a1(sample_access, population_size: int, v, n: int, rng: RngStream) -> float:
@@ -153,7 +163,8 @@ def mc_mean_a2(tape: QueryTape, n: int, rng: RngStream) -> EstimateReport:
         idx = draw_indices(tape.spec, n, rng)
         rows, cols = idx[:, 0], idx[:, 1]
     vals = tape.query_many(rows, cols)
-    return EstimateReport(value=float(vals.mean()), cards=n)
+    # np.add.reduce(x) / len(x) is what x.mean() computes.
+    return EstimateReport(value=float(np.add.reduce(vals) / n), cards=n)
 
 
 def allocate_samples(a_tilde, p, n: int) -> np.ndarray:
@@ -167,7 +178,8 @@ def allocate_samples(a_tilde, p, n: int) -> np.ndarray:
     a = np.asarray(a_tilde, dtype=np.float64)
     if a.ndim != 1 or a.size < 1:
         raise ValueError("a_tilde must be a nonempty 1-D vector")
-    if (a < 0).any() or not np.isfinite(a).all():
+    # A NaN makes the minimum NaN, which fails the comparison too.
+    if not (np.minimum.reduce(a) >= 0.0 and np.maximum.reduce(a) < INF):
         raise ValueError("a_tilde must be finite and nonnegative")
     p = as_exponent(p)
     if not p < 2.0:
@@ -177,16 +189,17 @@ def allocate_samples(a_tilde, p, n: int) -> np.ndarray:
     if n < n1:
         raise ValueError(f"n = {n} must be at least N1 = {n1}")
     floor = -(-n // n1)  # ceil(n / N1)
-    counts = np.full(n1, floor, dtype=np.int64)
     powers = _powers(a.tolist(), p)
-    total = math.fsum(powers.tolist())
-    if total > 0.0:
-        heavy = powers > total / n1
-        counts[heavy] = np.ceil(powers[heavy] * n / total).astype(np.int64)
-    return counts
+    total = math.fsum(powers)
+    threshold = total / n1
+    # Python floats round x * n / total exactly as float64 arrays do.
+    return np.array(
+        [math.ceil(x * n / total) if x > threshold else floor for x in powers],
+        dtype=np.int64,
+    )
 
 
-def _powers(values: list[float], p: float) -> np.ndarray:
+def _powers(values: list[float], p: float) -> list[float]:
     """``x**p`` for every x, scaled by one power of two if need be.
 
     Scalar powers and a correctly rounded sum keep the proportional-share
@@ -206,7 +219,7 @@ def _powers(values: list[float], p: float) -> np.ndarray:
     if not normal:
         _, exponent = math.frexp(top)
         powers = [math.ldexp(x, -exponent) ** p for x in values]
-    return np.array(powers)
+    return powers
 
 
 def default_probe_count(n1: int) -> int:
@@ -243,31 +256,34 @@ def adaptive_mean_a3(
     # the m probe values. Scaling by a power of two just above the max abs
     # before squaring keeps the squares from overflowing; it is exact, so
     # a_tilde stays homogeneous in the input and bit-identical wherever the
-    # unscaled squares were in range.
+    # unscaled squares were in range. The k = per_probe * m probe columns are
+    # drawn flat, which gives the same values as a (per_probe, m) draw.
+    k = per_probe * m
     g1 = rng.child(_STAGE_PROBE).generator()
-    probe_cols = g1.integers(1, n2 + 1, size=(per_probe, m))
-    rows1 = np.arange(1, n1 + 1, dtype=np.int64).reshape(n1, 1)
-    cols1 = probe_cols.reshape(1, per_probe * m)
-    vals1 = tape.query_many(rows1, cols1).reshape(n1, per_probe, m)
-    _, exponent = np.frexp(max(vals1.max(), -vals1.min()))
+    cols1 = g1.integers(1, n2 + 1, size=k).reshape(1, k)
+    row_ids = np.arange(1, n1 + 1, dtype=np.int64)
+    vals1 = tape.query_many(row_ids.reshape(n1, 1), cols1)
+    _, exponent = math.frexp(
+        max(np.maximum.reduce(vals1), -np.minimum.reduce(vals1))
+    )
     np.ldexp(vals1, -exponent, out=vals1)
-    probes = np.sqrt(np.square(vals1, out=vals1).mean(axis=1))
-    a_tilde = np.ldexp(np.median(probes, axis=1), exponent)
-    stage1 = n1 * per_probe * m
+    sums = np.add.reduce(np.square(vals1, out=vals1).reshape(n1, per_probe, m), 1)
+    probes = np.sqrt(np.true_divide(sums, per_probe, out=sums), out=sums)
+    a_tilde = np.ldexp(median(probes, axis=1), exponent)
+    stage1 = n1 * k
 
     # Stage 2: proportional row budgets, one mean estimate per row.
     allocation = allocate_samples(a_tilde, p, n)
-    total = int(allocation.sum())
+    ends = np.add.accumulate(allocation)
+    total = int(ends[-1])
     g2 = rng.child(_STAGE_SAMPLE).generator()
-    rows2 = np.repeat(np.arange(1, n1 + 1, dtype=np.int64), allocation)
+    rows2 = np.repeat(row_ids, allocation)
     cols2 = g2.integers(1, n2 + 1, size=total)
     vals2 = tape.query_many(rows2, cols2)
-    starts = np.zeros(n1, dtype=np.int64)
-    np.cumsum(allocation[:-1], out=starts[1:])
-    row_estimates = np.add.reduceat(vals2, starts) / allocation
+    row_estimates = np.add.reduceat(vals2, ends - allocation) / allocation
 
     return EstimateReport(
-        value=float(row_estimates.mean()),
+        value=float(np.add.reduce(row_estimates) / n1),
         cards=stage1 + total,
         stage_cards=(stage1, total),
         allocation=allocation,

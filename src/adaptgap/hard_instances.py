@@ -59,9 +59,13 @@ class Variant(enum.Enum):
 def _signs(
     g: np.random.Generator, size, antithetic: bool, scale: float = 1.0
 ) -> np.ndarray:
-    """Fair signs times ``scale``, as float64; flipped when antithetic."""
+    """Fair signs times ``scale``, as float64; flipped when antithetic.
+
+    A draw of 1 maps to ``scale`` (``-scale`` when antithetic), a draw of 0
+    to its negation.
+    """
     high = -scale if antithetic else scale
-    return np.where(g.integers(0, 2, size=size), high, -high)
+    return np.array((-high, high)).take(g.integers(0, 2, size=size))
 
 
 def sample_mu1(

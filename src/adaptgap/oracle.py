@@ -53,6 +53,15 @@ class Mode(enum.Enum):
 UNBOUNDED = None
 
 
+def _within(index: np.ndarray, high: int) -> bool:
+    """Whether every entry of a nonempty integer array lies in [1, high]."""
+    # The ufunc reductions skip the Python layer of ndarray.min and .max.
+    return (
+        np.minimum.reduce(index, axis=None) >= 1
+        and np.maximum.reduce(index, axis=None) <= high
+    )
+
+
 class QueryTape:
     """Single-owner handle mediating all entry access to one matrix.
 
@@ -103,12 +112,7 @@ class QueryTape:
 
     def _check_range(self, rows: np.ndarray, cols: np.ndarray) -> None:
         spec = self._target.spec
-        if (
-            rows.min() < 1
-            or rows.max() > spec.n1
-            or cols.min() < 1
-            or cols.max() > spec.n2
-        ):
+        if not (_within(rows, spec.n1) and _within(cols, spec.n2)):
             raise IndexOutOfRange(
                 f"query indices outside [1, {spec.n1}] x [1, {spec.n2}]"
             )
@@ -208,8 +212,8 @@ class QueryTape:
         # Only the queries that hit a stored row are gathered.
         out = np.zeros(count)
         for i, values in zip(self._row_ids, self._block):
-            hit = np.flatnonzero(rows == i + 1)
-            out[hit] = values.take(cols[hit] - 1)
+            hit = (rows == i + 1).nonzero()[0]
+            out[hit] = values.take(cols.take(hit) - 1)
         return out
 
     def _gather_grid(self, rows: np.ndarray, cols: np.ndarray, shape) -> np.ndarray:
@@ -246,19 +250,13 @@ def open_nonadaptive(f: MixedMatrix, queries) -> QueryTape:
         raise ValueError("queries must be a sequence of (i, j) pairs")
     rows = np.ascontiguousarray(declared[:, 0])
     cols = np.ascontiguousarray(declared[:, 1])
-    rows.flags.writeable = False
-    cols.flags.writeable = False
+    rows.setflags(write=False)
+    cols.setflags(write=False)
     spec = f.spec
-    if rows.size:
-        if (
-            rows.min() < 1
-            or rows.max() > spec.n1
-            or cols.min() < 1
-            or cols.max() > spec.n2
-        ):
-            raise IndexOutOfRange(
-                f"declared indices outside [1, {spec.n1}] x [1, {spec.n2}]"
-            )
+    if rows.size and not (_within(rows, spec.n1) and _within(cols, spec.n2)):
+        raise IndexOutOfRange(
+            f"declared indices outside [1, {spec.n1}] x [1, {spec.n2}]"
+        )
     return QueryTape(f, Mode.NONADAPTIVE, rows.size, declared=(rows, cols))
 
 

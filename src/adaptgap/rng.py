@@ -35,7 +35,7 @@ class RngStream:
 
     def child(self, *ids: int) -> "RngStream":
         """Derive an independent sub-stream named by ``ids``."""
-        return RngStream(self.seed, self.stream + tuple(int(i) for i in ids))
+        return RngStream(self.seed, self.stream + tuple(map(int, ids)))
 
     def generator(self) -> np.random.Generator:
         """Fresh generator at the start of this stream."""

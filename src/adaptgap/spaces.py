@@ -108,13 +108,14 @@ class MixedMatrix:
     ``MixedMatrix(spec, entries)`` keeps a private C-ordered copy of
     ``entries``, so the caller's array stays writable and later writes to it
     do not reach the matrix. The matrix is immutable: every array it exposes
-    is read-only.
+    is read-only. Entries must be real and finite; complex input raises
+    ``ValueError`` instead of losing its imaginary part.
     """
 
     __slots__ = ("_spec", "_row_ids", "_block", "_entries")
 
     def __init__(self, spec: ProblemSpec, entries) -> None:
-        self._store(spec, None, np.array(entries, dtype=np.float64, order="C"))
+        self._store(spec, None, _real_copy(entries))
 
     @classmethod
     def from_rows(cls, spec: ProblemSpec, row_ids, block) -> MixedMatrix:
@@ -123,8 +124,8 @@ class MixedMatrix:
         ``row_ids`` are distinct 0-based row positions and ``block`` holds
         their values, one row of ``block`` per id; ``block`` is copied.
         """
-        ids = tuple(int(i) for i in row_ids)
-        return cls._adopt(spec, ids, np.array(block, dtype=np.float64, order="C"))
+        ids = tuple(map(int, row_ids))
+        return cls._adopt(spec, ids, _real_copy(block))
 
     @classmethod
     def _adopt(
@@ -150,7 +151,8 @@ class MixedMatrix:
             or not all(0 <= i < spec.n1 for i in row_ids)
         ):
             raise ValueError(f"row ids must be distinct and in [0, {spec.n1})")
-        if not np.isfinite(block).all():
+        # The ufunc reduction skips the Python layer of ndarray.all.
+        if not np.logical_and.reduce(np.isfinite(block), axis=None):
             raise ValueError("entries must all be finite")
         block.setflags(write=False)
         self._spec = spec
@@ -185,6 +187,14 @@ class MixedMatrix:
             dense.setflags(write=False)
             self._entries = dense
         return self._entries
+
+
+def _real_copy(values) -> np.ndarray:
+    """A fresh C-ordered float64 copy of ``values``, which must be real."""
+    arr = np.asarray(values)
+    if arr.dtype.kind == "c":
+        raise ValueError(f"entries must be real, got {arr.dtype} values")
+    return np.array(arr, dtype=np.float64, order="C")
 
 
 def _vector_norm(values: np.ndarray, e: float, axis: int) -> np.ndarray:
@@ -231,7 +241,8 @@ def scalar_mean(f: MixedMatrix) -> float:
 
     Sums the stored rows only: the other rows are zero.
     """
-    return float(f.block.sum()) / f.spec.n_entries
+    # np.add.reduce over every axis is what ndarray.sum computes.
+    return float(np.add.reduce(f.block, axis=None)) / f.spec.n_entries
 
 
 def row_means(f: MixedMatrix) -> np.ndarray:

@@ -37,6 +37,20 @@ class TestParsing:
         assert exc.value.code == 2
 
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["estimate", "rates", "gap", "ds", "norm-est"])
+    def test_workers_below_one_is_usage_error(self, command, workers, capsys):
+        argv = [command, "--workers", workers]
+        if command == "rates":
+            argv += ["--regime", "p-lt-2-lt-u"]
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "workers must be at least 1" in out.err
+
+
 class TestEstimate:
     ARGS = [
         "estimate", "--family", "mu2", "--alg", "a2", "--n1", "16",
@@ -96,6 +110,17 @@ class TestEstimate:
         np.save(path, np.ones(shape))
         code, out, err = capture(
             capsys, ["estimate", "--input", str(path), "--n", "8"]
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_complex_input_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "c.npy"
+        np.save(path, np.full((3, 4), 1 + 5j))
+        code, out, err = capture(
+            capsys, ["estimate", "--input", str(path), "--n", "10"]
         )
         assert code == 2
         assert out == ""

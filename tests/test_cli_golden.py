@@ -53,6 +53,13 @@ GOLDEN = {
          "--budgets", "2^6,2^7,2^8,2^9", "--seed", "3"],
         "d448b2406312e89e9602ec5d664bd2ec17c867d9a5f14bd2843969818a968c03",
     ),
+    # Entries of +-60^(2/3) are not integers, so a3's sums round and their
+    # order shows in the digest (64^(2/3) = 16 would be exact in any order).
+    "estimate-a3-p1.5": (
+        ["estimate", "--family", "mu4", "--alg", "a3", "--n1", "60", "--n2",
+         "64", "--p", "1.5", "--u", "inf", "--n", "4096", "--seed", "3"],
+        "b68cab6b16a7ef857e0b0682b96b52dea796a74d210ddfd585032c39e6ab48cb",
+    ),
 }
 
 
@@ -75,3 +82,22 @@ def test_dense_input_digest(tmp_path, monkeypatch, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "b7e68390907ea2f5886a2d286088ada7f63e61a2bf92897c55b77b17f394eb3a"
     )
+
+
+@pytest.mark.parametrize(
+    "alg, digest",
+    [
+        ("a2", "279c47bf51e82174b36ecf21fb630e0b96fb1b142df50d201173b7ed0e5a594c"),
+        ("a3", "fc9ff1d98b8da70ee72f4ecabff10f2cde8893b594ffca2ffe1205b600e54470"),
+    ],
+    ids=["a2", "a3"],
+)
+def test_dense_irrational_input_digest(alg, digest, tmp_path, monkeypatch, capsys):
+    # Square roots round in every sum, so this pins the order of the
+    # estimators' reductions (means, medians, allocation) on a dense input.
+    monkeypatch.chdir(tmp_path)
+    np.save("m.npy", np.sqrt(np.arange(48.0)).reshape(6, 8) - 3)
+    assert run(["estimate", "--input", "m.npy", "--alg", alg, "--p", "1.5",
+                "--u", "inf", "--n", "64", "--seed", "3"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -61,6 +61,45 @@ class TestMedian:
         assert median(shuffled) == m
 
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n1=st.integers(1, 12),
+        m=st.integers(1, 16),
+        pool=st.lists(
+            st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+            min_size=1,
+            max_size=12,
+        ),
+        power=st.sampled_from([0, 600, -600]),
+        data=st.data(),
+    )
+    def test_rows_match_np_median(self, n1, m, pool, power, data):
+        # Entries come from a small pool, so rows are full of ties; signed
+        # zeros are in the pool too. The scaled values stay finite.
+        picks = data.draw(
+            st.lists(st.integers(0, len(pool) - 1), min_size=n1 * m, max_size=n1 * m)
+        )
+        x = np.ldexp(np.array(pool)[picks].reshape(n1, m), power)
+        assert median(x, axis=1).tobytes() == np.median(x, axis=1).tobytes()
+        assert np.float64(median(x[0])).tobytes() == np.median(x[0]).tobytes()
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[-0.0, 1.0, -1.0], [-0.0, -0.0, -0.0], [0.0, -0.0, 0.0]],
+            [[-0.0, -0.0], [-0.0, 0.0], [2.0, -0.0]],
+        ],
+    )
+    def test_signed_zeros_match_np_median(self, rows):
+        x = np.array(rows)
+        assert median(x, axis=1).tobytes() == np.median(x, axis=1).tobytes()
+
+    def test_input_is_not_reordered(self):
+        x = np.array([[3.0, 1.0, 2.0], [0.5, 9.0, -1.0]])
+        assert median(x, axis=1).tolist() == [2.0, 0.5]
+        assert x.tolist() == [[3.0, 1.0, 2.0], [0.5, 9.0, -1.0]]
+
+
 class TestNormEstA1:
     def test_constant_population_exact(self):
         pop = np.full(10, 3.0)
@@ -202,6 +241,23 @@ class TestAllocateSamples:
     def test_budget_below_rows(self):
         with pytest.raises(ValueError):
             allocate_samples([1.0, 1.0, 1.0], 1.0, 2)
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            [1.0, -1.0],
+            [-0.5],
+            [1.0, np.nan],
+            [np.nan, 1.0],
+            [1.0, np.inf],
+            [-np.inf, 1.0],
+            [],
+            [[1.0, 2.0]],
+        ],
+    )
+    def test_rejects_bad_a_tilde(self, a):
+        with pytest.raises(ValueError):
+            allocate_samples(a, 1.0, 10)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -358,6 +414,48 @@ def test_a3_is_homogeneous(n1, n2, extra, seed, power):
     assert big.value == math.ldexp(base.value, power)
     assert big.cards == base.cards and big.stage_cards == base.stage_cards
     assert big.allocation.tolist() == base.allocation.tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n1=st.integers(1, 9),
+    n2=st.integers(1, 9),
+    n=st.integers(1, 200),
+    seed=st.integers(0, 2**32),
+    sparse=st.booleans(),
+)
+def test_a2_is_invariant_under_permutations(n1, n2, n, seed, sparse):
+    # permuted[i, j] = entries[row_perm[i], col_perm[j]]; the plan is mapped
+    # through the inverse permutations, so both runs read the same values in
+    # the same order.
+    g = np.random.default_rng(seed)
+    spec = ProblemSpec(n1, n2, 1.0, INF)
+    row_perm = g.permutation(n1)
+    col_perm = g.permutation(n2)
+    inv_rows = np.argsort(row_perm)
+    inv_cols = np.argsort(col_perm)
+    if sparse:
+        ids = g.choice(n1, size=g.integers(0, n1 + 1), replace=False)
+        block = g.normal(size=(ids.size, n2))
+        f = MixedMatrix.from_rows(spec, ids, block)
+        permuted = MixedMatrix.from_rows(spec, inv_rows[ids], block[:, col_perm])
+    else:
+        entries = g.normal(size=(n1, n2))
+        f = MixedMatrix(spec, entries)
+        permuted = MixedMatrix(spec, entries[row_perm][:, col_perm])
+    assert np.array_equal(permuted.entries, f.entries[row_perm][:, col_perm])
+    rng = RngStream(seed)
+    plan = draw_indices(spec, n, rng)
+    mapped = np.column_stack(
+        [inv_rows[plan[:, 0] - 1] + 1, inv_cols[plan[:, 1] - 1] + 1]
+    )
+    tape = open_nonadaptive(f, plan)
+    tape_permuted = open_nonadaptive(permuted, mapped)
+    report = mc_mean_a2(tape, n, rng)
+    report_permuted = mc_mean_a2(tape_permuted, n, rng)
+    assert report_permuted.value == report.value
+    assert report_permuted.cards == report.cards == n
+    assert tape_permuted.card() == tape.card() == n
 
 
 def test_adaptive_beats_nonadaptive_at_equal_budget():

@@ -182,6 +182,28 @@ class TestBroadcastQueries:
             tape.query_many([1, 2], [1, 2, 1])
         assert tape.card() == 0
 
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [
+            ([1, 0], [1, 1]),  # row below the range
+            ([1, 3], [1, 1]),  # row above it
+            ([1, 1], [2, 0]),
+            ([1, 1], [3, 2]),
+            ([[1], [0]], [[1, 2]]),  # as a grid
+            ([[1], [2]], [[3, 2]]),
+        ],
+    )
+    def test_batch_outside_the_range(self, f22, rows, cols):
+        for sparse in (False, True):
+            f = MixedMatrix.from_rows(f22.spec, [1], [[3.0, 4.0]]) if sparse else f22
+            tape = open_adaptive(f)
+            with pytest.raises(IndexOutOfRange):
+                tape.query_many(rows, cols)
+            assert tape.card() == 0
+        if np.ndim(rows) == 1:
+            with pytest.raises(IndexOutOfRange):
+                open_nonadaptive(f22, list(zip(rows, cols)))
+
     def test_empty_grid_charges_nothing(self, f22):
         tape = open_adaptive(f22, budget=0)
         assert tape.query_many(np.ones((0, 1), dtype=int), [[1, 2]]).size == 0

@@ -147,6 +147,19 @@ class TestMatrixValidation:
         with pytest.raises(ValueError):
             ProblemSpec(0, 2, 2.0, 2.0)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.full((2, 2), 1 + 5j),
+            [[1 + 0j, 2.0], [0.0, 1.0]],  # a zero imaginary part too
+            np.zeros((2, 2), np.complex64),
+        ],
+    )
+    def test_complex_rejected(self, values):
+        with pytest.raises(ValueError, match="real"):
+            MixedMatrix(ProblemSpec(2, 2, 2.0, 2.0), values)
+
     def test_caller_array_stays_writable_and_detached(self):
         a = np.zeros((2, 2))
         f = MixedMatrix(ProblemSpec(2, 2, 2.0, 2.0), a)
@@ -222,6 +235,11 @@ class TestRowSparse:
     def test_rejects(self, rows, block):
         with pytest.raises(ValueError):
             MixedMatrix.from_rows(self.SPEC, rows, block)
+
+    @pytest.mark.filterwarnings("error")
+    def test_complex_block_rejected(self):
+        with pytest.raises(ValueError, match="real"):
+            MixedMatrix.from_rows(self.SPEC, [1], np.full((1, 3), 2 + 1j))
 
 
 finite_exponents = st.sampled_from([1.0, 1.5, 2.0, 4.0, INF])
