@@ -37,6 +37,8 @@ from .estimators import (
     mc_mean_a2,
     median,
     norm_est_a1,
+    run_a2,
+    run_a3,
 )
 from .hard_instances import (
     HardFamily,
@@ -50,23 +52,19 @@ from .harness import (
     EstimatorKind,
     RateFit,
     Regime,
-    TrialPlan,
     ds_experiment,
     gap_experiment,
     norm_deviation_experiment,
     rate_experiment,
     rate_fit,
     rms_error,
-    run_plan,
 )
 from .oracle import (
     Mode,
     QueryTape,
     UNBOUNDED,
-    card,
     open_adaptive,
     open_nonadaptive,
-    query,
 )
 from .rng import RngStream
 from .spaces import (

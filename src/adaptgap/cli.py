@@ -11,13 +11,15 @@ timestamps, so a rerun with the same seed reproduces the output byte for
 byte. The master seed defaults to a fixed constant, overridable by the
 ``ADAPTGAP_SEED`` environment variable and then by ``--seed``.
 
-Exit status: 0 on success, 2 on usage errors, 3 on regime or precondition
-violations.
+Exit status: 0 on success, 2 on usage errors (an ``--input`` matrix whose
+exact mean is not finite included), 3 on regime or precondition violations
+and on an estimate that is not finite.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -25,10 +27,10 @@ from pathlib import Path
 import numpy as np
 
 from . import harness
-from .errors import AdaptGapError, PreconditionViolated
-from .estimators import adaptive_mean_a3, default_probe_count, draw_indices, mc_mean_a2
+from .errors import AdaptGapError, NonfiniteError
+from .estimators import run_a2, run_a3
 from .hard_instances import HardFamily, Variant
-from .oracle import Mode, open_adaptive, open_nonadaptive
+from .oracle import Mode
 from .rng import RngStream
 from .spaces import INF, MixedMatrix, ProblemSpec, as_exponent, scalar_mean
 
@@ -275,20 +277,21 @@ def _cmd_estimate(args) -> str:
         family = HardFamily(_FAMILIES[args.family], spec)
         f = family.sample(stream.child(0))
         family_name = args.family
-    truth = scalar_mean(f)
-    est_rng = stream.child(1)
-    if args.alg == "a2":
-        tape = open_nonadaptive(f, draw_indices(spec, args.n, est_rng))
-        report = mc_mean_a2(tape, args.n, est_rng)
-    else:
-        if not (spec.p < 2.0 < spec.u):
-            raise PreconditionViolated(
-                f"the adaptive estimator requires p < 2 < u, "
-                f"got p={fmt_exponent(spec.p)}, u={fmt_exponent(spec.u)}"
-            )
-        m = args.m if args.m is not None else default_probe_count(spec.n1)
-        tape = open_adaptive(f, budget=6 * m * args.n)
-        report = adaptive_mean_a3(tape, args.n, m, spec.p, est_rng)
+    # Sums of entries near the float maximum can overflow; both results are
+    # checked below, so numpy's warnings would only repeat the error line.
+    with np.errstate(over="ignore", invalid="ignore"):
+        truth = scalar_mean(f)
+        if not math.isfinite(truth):
+            raise ValueError(f"the mean of the instance is not finite: {truth}")
+        if args.alg == "a2":
+            report = run_a2(f, args.n, stream.child(1))
+        else:
+            report = run_a3(f, args.n, args.m, stream.child(1))
+    if not math.isfinite(report.value):
+        raise NonfiniteError(
+            f"the {args.alg} estimate is not finite ({report.value}) "
+            "although the mean is; the entries are too close to overflow"
+        )
 
     lines = [f"# {h}" for h in _config_header(
         "estimate",
@@ -552,3 +555,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

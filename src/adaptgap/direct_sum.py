@@ -27,14 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameters, PreconditionViolated
-from .estimators import (
-    EstimateReport,
-    adaptive_mean_a3,
-    default_probe_count,
-    draw_indices,
-    mc_mean_a2,
-)
-from .oracle import Mode, open_adaptive, open_nonadaptive
+from .estimators import EstimateReport, require_adaptive_regime, run_a2, run_a3
+from .oracle import Mode, open_nonadaptive
 from .rng import RngStream
 from .spaces import (
     INF,
@@ -223,10 +217,8 @@ def ds_estimate(
     """
     spec = x.spec
     schedule = level_allocation(k0, spec.alpha, delta, c0)
-    if mode is Mode.ADAPTIVE and not (spec.p < 2.0 < spec.u):
-        raise PreconditionViolated(
-            f"adaptive mode requires p < 2 < u, got p={spec.p}, u={spec.u}"
-        )
+    if mode is Mode.ADAPTIVE:
+        require_adaptive_regime(spec.p, spec.u)
     value = 0.0
     cards = 0
     for k, n_k in schedule.levels:
@@ -241,20 +233,15 @@ def ds_estimate(
             value += weight * float(vals.mean())
             cards += tape.card()
             continue
-        level_rng = rng.child(k)
         if mode is Mode.NONADAPTIVE:
-            idx = draw_indices(f_k.spec, n_k, level_rng)
-            tape = open_nonadaptive(f_k, idx)
-            report = mc_mean_a2(tape, n_k, level_rng)
+            report = run_a2(f_k, n_k, rng.child(k))
         else:
             if n_k < side:
                 raise PreconditionViolated(
                     f"level {k}: scheduled budget {n_k} is below N_k = {side}; "
                     "increase k0 or decrease delta"
                 )
-            m_k = default_probe_count(side) if m is None else int(m)
-            tape = open_adaptive(f_k, budget=6 * m_k * n_k)
-            report = adaptive_mean_a3(tape, n_k, m_k, spec.p, level_rng)
+            report = run_a3(f_k, n_k, m, rng.child(k))
         value += weight * report.value
         cards += report.cards
     return EstimateReport(value=value, cards=cards)

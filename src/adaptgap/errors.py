@@ -42,7 +42,8 @@ class NonpositiveError(AdaptGapError):
 
 
 class NonfiniteError(AdaptGapError):
-    """A rate fit received an error value that is infinite or NaN."""
+    """A rate fit received an error value, or an estimator returned a value,
+    that is infinite or NaN."""
 
 
 class RegimeViolation(AdaptGapError):

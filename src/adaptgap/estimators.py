@@ -16,6 +16,10 @@ Three estimators are provided:
   to the p-th powers of those medians (never below ceil(n/N1) per row),
   estimates each row mean, and averages. Total cost is at most 6*m*n.
 
+``run_a2`` and ``run_a3`` run an estimator on a matrix: each opens the tape
+the estimator is entitled to (the declared plan, or a 6*m*n budget), and
+``run_a3`` refuses exponents outside p < 2 < u.
+
 Stage one and stage two draw from distinct child streams of the caller's
 ``RngStream``, so the two stages are independent given the master seed and
 a run is bitwise reproducible from (input, n, m, seed).
@@ -30,9 +34,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInput, InvalidExponent, PreconditionViolated
-from .oracle import Mode, QueryTape
+from .oracle import Mode, QueryTape, open_adaptive, open_nonadaptive
 from .rng import RngStream
-from .spaces import INF, ProblemSpec, as_exponent
+from .spaces import INF, MixedMatrix, ProblemSpec, as_exponent
 
 __all__ = [
     "EstimateReport",
@@ -43,15 +47,10 @@ __all__ = [
     "allocate_samples",
     "adaptive_mean_a3",
     "default_probe_count",
-    "PROOF_PROBE_CONSTANT",
+    "require_adaptive_regime",
+    "run_a2",
+    "run_a3",
 ]
-
-#: Probe-count multiplier for log2(N1 + 1) under which the stage-one medians
-#: are simultaneously reliable with high probability. Far larger than needed
-#: in practice; ``default_probe_count`` uses multiplier 1 instead. The value
-#: reads 16/log2(e) = 16*ln(2), the self-consistent resolution of an
-#: ambiguous logarithm base in the source analysis.
-PROOF_PROBE_CONSTANT = 16.0 / math.log2(math.e)
 
 # Child-stream ids for the two estimator stages.
 _STAGE_PROBE = 1
@@ -189,8 +188,7 @@ def allocate_samples(a_tilde, p, n: int) -> np.ndarray:
     if n < n1:
         raise ValueError(f"n = {n} must be at least N1 = {n1}")
     floor = -(-n // n1)  # ceil(n / N1)
-    powers = _powers(a.tolist(), p)
-    total = math.fsum(powers)
+    powers, total = _powers(a.tolist(), p, n)
     threshold = total / n1
     # Python floats round x * n / total exactly as float64 arrays do.
     return np.array(
@@ -199,27 +197,32 @@ def allocate_samples(a_tilde, p, n: int) -> np.ndarray:
     )
 
 
-def _powers(values: list[float], p: float) -> list[float]:
-    """``x**p`` for every x, scaled by one power of two if need be.
+def _powers(values: list[float], p: float, n: int) -> tuple[list[float], float]:
+    """``x**p`` for every x and their sum, scaled by one power of two if need be.
 
     Scalar powers and a correctly rounded sum keep the proportional-share
     ceilings reproducible down to the last ulp, where a pairwise-summed
     total can land a share on the wrong side of an integer. When the largest
-    power would overflow or fall below the normal range, the values are
-    first divided by a power of two that brings the largest into [1/2, 1);
-    the shares of the total are unchanged by that, and every in-range input
-    keeps its unscaled powers bit for bit.
+    power would fall below the normal range, or a power, their sum or the
+    sum times n would overflow, the values are first divided by a power of
+    two that brings the largest into [1/2, 1); the shares of the total are
+    unchanged by that, and every in-range input keeps its unscaled powers
+    bit for bit.
     """
     top = max(values)
     try:
         powers = [x**p for x in values]
-        normal = top == 0.0 or max(powers) >= sys.float_info.min
+        total = math.fsum(powers)
+        normal = top == 0.0 or (
+            max(powers) >= sys.float_info.min and total * n < INF
+        )
     except OverflowError:
         normal = False
     if not normal:
         _, exponent = math.frexp(top)
         powers = [math.ldexp(x, -exponent) ** p for x in values]
-    return powers
+        total = math.fsum(powers)
+    return powers, total
 
 
 def default_probe_count(n1: int) -> int:
@@ -288,3 +291,27 @@ def adaptive_mean_a3(
         stage_cards=(stage1, total),
         allocation=allocation,
     )
+
+
+def require_adaptive_regime(p: float, u: float) -> None:
+    """Raise ``PreconditionViolated`` unless p < 2 < u, the regime in which
+    the adaptive estimator is run."""
+    if not p < 2.0 < u:
+        raise PreconditionViolated(
+            f"the adaptive estimator requires p < 2 < u, got p={p:g}, u={u:g}"
+        )
+
+
+def run_a2(f: MixedMatrix, n: int, rng: RngStream) -> EstimateReport:
+    """Plain Monte Carlo on ``f``: a NONADAPTIVE tape opened on
+    ``draw_indices(f.spec, n, rng)``, answered by ``mc_mean_a2``."""
+    return mc_mean_a2(open_nonadaptive(f, draw_indices(f.spec, n, rng)), n, rng)
+
+
+def run_a3(f: MixedMatrix, n: int, m: int | None, rng: RngStream) -> EstimateReport:
+    """The adaptive estimator on ``f`` through an ADAPTIVE tape of budget
+    6*m*n; ``m=None`` is ``default_probe_count(N1)``. Requires p < 2 < u."""
+    require_adaptive_regime(f.spec.p, f.spec.u)
+    m = default_probe_count(f.spec.n1) if m is None else int(m)
+    tape = open_adaptive(f, budget=6 * m * n)
+    return adaptive_mean_a3(tape, n, m, f.spec.p, rng)

@@ -3,9 +3,10 @@
 Every experiment is a deterministic function of its master seed: trial t of
 an experiment draws from the stream (master_seed, ...grid indices..., t), so
 adding trials extends earlier results and worker counts never change the
-numbers. Trials are embarrassingly parallel; reductions happen in trial
-order after collection, which keeps outputs bitwise reproducible for any
-``workers`` setting.
+numbers. Trials are embarrassingly parallel: every trial of an experiment
+goes through one worker pool, and reductions happen in trial order after
+collection, which keeps outputs bitwise reproducible for any ``workers``
+setting.
 
 Ground-truth means are computed by direct summation outside the query
 oracle; they are measurement infrastructure, not algorithmic information.
@@ -18,8 +19,8 @@ from __future__ import annotations
 import enum
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -31,16 +32,9 @@ from .errors import (
     NonpositiveError,
     RegimeViolation,
 )
-from .estimators import (
-    EstimateReport,
-    adaptive_mean_a3,
-    default_probe_count,
-    draw_indices,
-    mc_mean_a2,
-    norm_est_a1,
-)
+from .estimators import norm_est_a1, run_a2, run_a3
 from .hard_instances import HardFamily, Variant
-from .oracle import Mode, open_adaptive, open_nonadaptive
+from .oracle import Mode
 from .rng import RngStream
 from .spaces import INF, ProblemSpec, row_norm, scalar_mean
 
@@ -48,12 +42,10 @@ __all__ = [
     "REGIME_GUARD_DEFAULT",
     "EstimatorKind",
     "Regime",
-    "TrialPlan",
     "TrialStats",
     "MeasurementRow",
     "RateFit",
     "rms_error",
-    "run_plan",
     "rate_fit",
     "GapRow",
     "GapResult",
@@ -78,9 +70,6 @@ REGIME_GUARD_DEFAULT = 1.0 / 21.0
 class EstimatorKind(enum.Enum):
     A2 = "a2"
     A3 = "a3"
-    DS_ADAPTIVE = "ds-adaptive"
-    DS_NONADAPTIVE = "ds-nonadaptive"
-    EXACT = "exact"
 
 
 class Regime(enum.Enum):
@@ -88,30 +77,6 @@ class Regime(enum.Enum):
     P_LT_U_LE_2 = "p-lt-u-le-2"
     TWO_LE_P_LT_U = "two-le-p-lt-u"
     P_LT_2_LT_U = "p-lt-2-lt-u"
-
-
-@dataclass(frozen=True)
-class TrialPlan:
-    """A family, an estimator, and a strictly increasing budget ladder."""
-
-    family: HardFamily
-    estimator: EstimatorKind
-    budgets: tuple[int, ...]
-    trials: int
-    master_seed: int
-    params: Mapping[str, float] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        budgets = tuple(int(b) for b in self.budgets)
-        if not budgets or any(b < 1 for b in budgets):
-            raise InvalidParameters("budgets must be positive integers")
-        if any(b2 <= b1 for b1, b2 in zip(budgets, budgets[1:])):
-            raise InvalidParameters("budgets must be strictly increasing")
-        object.__setattr__(self, "budgets", budgets)
-        if self.trials < 30:
-            raise InvalidParameters(
-                "a statistical plan needs at least 30 trials"
-            )
 
 
 @dataclass(frozen=True)
@@ -160,6 +125,27 @@ def _parallel_map(fn, items: list, workers: int) -> list:
         return list(pool.map(fn, items, chunksize=chunksize))
 
 
+def _run_trial(item):
+    fn, args, seed, stream = item
+    return fn(*args, RngStream(seed, stream))
+
+
+def _run_cells(cells, seed: int, workers: int) -> list[list]:
+    """Run every trial of every cell through one worker pool.
+
+    A cell is ``(fn, args, path, trials)``: trial t calls the module-level
+    ``fn(*args, stream)`` on the stream ``(seed, *path, t)``. Returns each
+    cell's trial results, in cell order and trial order.
+    """
+    items = [
+        (fn, args, int(seed), path + (t,))
+        for fn, args, path, trials in cells
+        for t in range(trials)
+    ]
+    results = iter(_parallel_map(_run_trial, items, workers))
+    return [[next(results) for _ in range(trials)] for *_, trials in cells]
+
+
 def _stats_from_trials(results: Sequence[tuple[float, float, int]]) -> TrialStats:
     sq = np.array([r[0] for r in results])
     ab = np.array([r[1] for r in results])
@@ -181,74 +167,22 @@ def _stats_from_trials(results: Sequence[tuple[float, float, int]]) -> TrialStat
     )
 
 
-@dataclass(frozen=True)
-class _MeasureTask:
-    family: HardFamily
-    estimator: EstimatorKind
-    n: int
-    m: int | None
-    seed: int
-    path: tuple[int, ...]
-
-
-def _run_estimator(
-    kind: EstimatorKind,
-    family: HardFamily,
-    n: int,
-    m: int | None,
-    stream: RngStream,
-) -> tuple[EstimateReport, float]:
-    """Sample one instance, run one estimator; returns (report, true mean)."""
-    f = family.sample(stream.child(0))
-    truth = scalar_mean(f)
-    est_rng = stream.child(1)
-    if kind is EstimatorKind.A2:
-        tape = open_nonadaptive(f, draw_indices(family.spec, n, est_rng))
-        report = mc_mean_a2(tape, n, est_rng)
-    elif kind is EstimatorKind.A3:
-        m_eff = default_probe_count(family.spec.n1) if m is None else int(m)
-        tape = open_adaptive(f, budget=6 * m_eff * n)
-        report = adaptive_mean_a3(tape, n, m_eff, family.spec.p, est_rng)
-    elif kind is EstimatorKind.EXACT:
-        report = EstimateReport(value=truth, cards=family.spec.n_entries)
-    else:
-        raise InvalidParameters(
-            f"estimator {kind.value} is not a per-matrix estimator; "
-            "use ds_experiment"
-        )
-    return report, truth
-
-
-def _measure_trial(args) -> tuple[float, float, int]:
-    task, t = args
-    stream = RngStream(task.seed, task.path + (t,))
-    report, truth = _run_estimator(task.estimator, task.family, task.n, task.m, stream)
-    err = report.value - truth
-    return err * err, abs(err), report.cards
-
-
-def _measure(
+def _estimator_trial(
     family: HardFamily,
     estimator: EstimatorKind,
     n: int,
-    trials: int,
-    seed: int,
-    path: tuple[int, ...],
     m: int | None,
-    workers: int,
-) -> TrialStats:
-    task = _MeasureTask(
-        family=family,
-        estimator=estimator,
-        n=int(n),
-        m=m,
-        seed=int(seed),
-        path=path,
-    )
-    results = _parallel_map(
-        _measure_trial, [(task, t) for t in range(trials)], workers
-    )
-    return _stats_from_trials(results)
+    stream: RngStream,
+) -> tuple[float, float, int]:
+    """Sample one instance and run one estimator on it."""
+    f = family.sample(stream.child(0))
+    truth = scalar_mean(f)
+    if estimator is EstimatorKind.A2:
+        report = run_a2(f, n, stream.child(1))
+    else:
+        report = run_a3(f, n, m, stream.child(1))
+    err = report.value - truth
+    return err * err, abs(err), report.cards
 
 
 def rms_error(
@@ -269,54 +203,9 @@ def rms_error(
     """
     if trials < 2:
         raise InvalidParameters("trials must be at least 2")
-    return _measure(family, estimator, n, trials, seed, (), m, workers)
-
-
-def run_plan(plan: TrialPlan, *, workers: int = 1) -> list[MeasurementRow]:
-    """Evaluate a plan across its budget ladder as long-format rows."""
-    if plan.estimator in (EstimatorKind.DS_ADAPTIVE, EstimatorKind.DS_NONADAPTIVE):
-        raise InvalidParameters(
-            "direct-sum estimators are driven by ds_experiment, not budgets"
-        )
-    m = plan.params.get("m")
-    m = int(m) if m is not None else None
-    rows = []
-    for n in plan.budgets:
-        stats = rms_error(
-            plan.family,
-            plan.estimator,
-            n,
-            plan.trials,
-            plan.master_seed,
-            m=m,
-            workers=workers,
-        )
-        rows.append(_row(plan.family, plan.estimator, n, stats, plan.master_seed))
-    return rows
-
-
-def _row(
-    family: HardFamily,
-    estimator: EstimatorKind,
-    n: int,
-    stats: TrialStats,
-    seed: int,
-) -> MeasurementRow:
-    return MeasurementRow(
-        family=family.variant.value,
-        estimator=estimator.value,
-        p=family.spec.p,
-        u=family.spec.u,
-        n1=family.spec.n1,
-        n2=family.spec.n2,
-        n=int(n),
-        trials=stats.trials,
-        rms=stats.rms,
-        stderr=stats.stderr,
-        mean_card=stats.mean_card,
-        seed=int(seed),
-        mae=stats.mae,
-    )
+    cell = (_estimator_trial, (family, estimator, int(n), m), (), trials)
+    (results,) = _run_cells([cell], seed, workers)
+    return _stats_from_trials(results)
 
 
 def rate_fit(points) -> RateFit:
@@ -393,36 +282,17 @@ class GapResult:
     m: int | None
 
 
-@dataclass(frozen=True)
-class _GapTask:
-    n: int
-    n1: int
-    n2: int
-    m: int | None
-    seed: int
-    n_index: int
-
-
-def _gap_trial(args) -> tuple[float, float, float, float, int, int]:
-    task, t = args
-    stream = RngStream(task.seed, (task.n_index, t))
-    spec = ProblemSpec(task.n1, task.n2, 1.0, INF)
-    family = HardFamily(Variant.ACTIVE_ROW_BERNOULLI, spec)
-    f = family.sample(stream.child(0))
+def _gap_trial(
+    side: int, n: int, m: int | None, stream: RngStream
+) -> tuple[float, float, float, float, int, int]:
+    spec = ProblemSpec(side, side, 1.0, INF)
+    f = HardFamily(Variant.ACTIVE_ROW_BERNOULLI, spec).sample(stream.child(0))
     truth = scalar_mean(f)
-
-    m_eff = default_probe_count(task.n1) if task.m is None else int(task.m)
-    tape3 = open_adaptive(f, budget=6 * m_eff * task.n)
-    rep3 = adaptive_mean_a3(tape3, task.n, m_eff, spec.p, stream.child(1))
+    rep3 = run_a3(f, n, m, stream.child(1))
     err3 = rep3.value - truth
-
     # The non-adaptive competitor receives the adaptive run's realized cost.
-    matched = rep3.cards
-    rng2 = stream.child(2)
-    tape2 = open_nonadaptive(f, draw_indices(spec, matched, rng2))
-    rep2 = mc_mean_a2(tape2, matched, rng2)
+    rep2 = run_a2(f, rep3.cards, stream.child(2))
     err2 = rep2.value - truth
-
     return err2 * err2, abs(err2), err3 * err3, abs(err3), rep2.cards, rep3.cards
 
 
@@ -468,12 +338,12 @@ def gap_experiment(
         check_regime(n, side, side, c0)
         dims.append(side)
 
+    cells = [
+        (_gap_trial, (side, n, m), (i,), trials)
+        for i, (n, side) in enumerate(zip(budgets, dims))
+    ]
     rows = []
-    for i, (n, side) in enumerate(zip(budgets, dims)):
-        task = _GapTask(n=n, n1=side, n2=side, m=m, seed=int(seed), n_index=i)
-        results = _parallel_map(
-            _gap_trial, [(task, t) for t in range(trials)], workers
-        )
+    for n, side, results in zip(budgets, dims, _run_cells(cells, seed, workers)):
         a2 = _stats_from_trials([(r[0], r[1], r[4]) for r in results])
         a3 = _stats_from_trials([(r[2], r[3], r[5]) for r in results])
         ratio = a2.rms / a3.rms if a3.rms > 0.0 else math.inf
@@ -534,42 +404,68 @@ class RateReport:
     trials: int
 
 
-def _rate_curve(
-    label: str,
-    variant: Variant,
-    estimator: EstimatorKind,
-    target: float,
-    configs: list[tuple[int, int, int, float, float]],
-    trials: int,
-    seed: int,
-    check_index: int,
-    c0: float,
-    workers: int,
-    predicted: tuple[float, ...] | None = None,
-) -> RateCheck:
-    rows = []
-    for j, (n, n1, n2, p, u) in enumerate(configs):
-        check_regime(n, n1, n2, c0)
-        family = HardFamily(variant, ProblemSpec(n1, n2, p, u))
-        stats = _measure(
-            family, estimator, n, trials, seed, (check_index, j), None, workers
-        )
-        rows.append(_row(family, estimator, n, stats, seed))
-    fit = _try_fit([(r.n, r.rms) for r in rows])
-    return RateCheck(
-        label=label,
-        estimator=estimator.value,
-        target_slope=target,
-        rows=tuple(rows),
-        fit=fit,
-        predicted=predicted,
-    )
-
-
 #: Trial multiplier for the saturated-regime check: a lone spike is hit with
 #: probability below 1/21 per trial under the density guard, so its RMS is a
 #: rare-event statistic and needs proportionally more trials.
 SATURATED_TRIAL_SCALE = 16
+
+
+@dataclass(frozen=True)
+class _Curve:
+    """One rate curve: its family, estimator and target exponent, the
+    dimension rule n -> (N1, N2), and an optional closed-form RMS. A curve
+    with its own ``budgets`` ignores the caller's."""
+
+    label: str
+    variant: Variant
+    estimator: EstimatorKind
+    target: float
+    p: float
+    u: float
+    shape: Callable[[int], tuple[int, int]]
+    trial_scale: int = 1
+    predict: Callable[[int], float] | None = None
+    budgets: tuple[int, ...] | None = None
+
+
+def _active_row_shape(n: int) -> tuple[int, int]:
+    n1 = math.ceil(math.sqrt(n))
+    return n1, math.ceil(21 * n / n1) + 1
+
+
+_A2, _A3 = EstimatorKind.A2, EstimatorKind.A3
+
+#: Per regime, its default budget ladder and its curves in check order.
+#: Each regime's family and dimension rule make the family-averaged error
+#: realize the regime's predicted exponent.
+_RATE_CURVES = {
+    # Per-row spikes at p = 2, u = 1, N2 = 16: the sample second moment is
+    # exactly N2, so the closed-form RMS is 4/sqrt(n) for any N1.
+    Regime.P_GE_U: ((64, 128, 256, 512, 1024, 2048), (
+        _Curve("row-spike mean, p>=u", Variant.ROW_SPIKES, _A2, -0.5, 2.0, 1.0,
+               lambda n: (math.ceil(21 * n / 16) + 1, 16),
+               predict=lambda n: 4.0 / math.sqrt(n)),
+    )),
+    Regime.P_LT_U_LE_2: ((64, 128, 256, 512, 1024, 2048, 4096), (
+        _Curve("row-spike mean, p<u<=2", Variant.ROW_SPIKES, _A2, -0.5, 1.0, 2.0,
+               lambda n: (32, math.ceil(21 * n / 32) + 1)),
+    )),
+    Regime.TWO_LE_P_LT_U: ((64, 128, 256, 512, 1024, 2048, 4096), (
+        _Curve("full-sign mean, 2<=p<u", Variant.FULL_BERNOULLI, _A2, -0.5, 2.0, INF,
+               lambda n: (math.ceil(math.sqrt(21 * n)) + 1,) * 2),
+    )),
+    Regime.P_LT_2_LT_U: ((1024, 4096, 16384, 65536), (
+        _Curve("active-row mean, non-adaptive, n>=N1", Variant.ACTIVE_ROW_BERNOULLI,
+               _A2, -0.25, 1.0, INF, _active_row_shape),
+        _Curve("active-row mean, adaptive, n>=N1", Variant.ACTIVE_ROW_BERNOULLI,
+               _A3, -0.5, 1.0, INF, _active_row_shape),
+        # Saturated regime n < N1: a spike instance with N1 proportional to
+        # n pins the non-adaptive error to a constant.
+        _Curve("single-spike mean, n<N1", Variant.SINGLE_SPIKE, _A2, 0.0, 1.0, INF,
+               lambda n: (math.ceil(21.5 * n / 16) + 1, 16),
+               trial_scale=SATURATED_TRIAL_SCALE, budgets=(16, 32, 64, 128, 256)),
+    )),
+}
 
 
 def rate_experiment(
@@ -591,122 +487,58 @@ def rate_experiment(
     regime = Regime(regime)
     if trials < 2:
         raise InvalidParameters("trials must be at least 2")
-    checks: list[RateCheck] = []
+    default_budgets, curves = _RATE_CURVES[regime]
+    grids = []
+    cells = []
+    for check, curve in enumerate(curves):
+        ns = [int(b) for b in (curve.budgets or budgets or default_budgets)]
+        grid = []
+        for j, n in enumerate(ns):
+            n1, n2 = curve.shape(n)
+            check_regime(n, n1, n2, c0)
+            family = HardFamily(curve.variant, ProblemSpec(n1, n2, curve.p, curve.u))
+            grid.append((n, family))
+            args = (family, curve.estimator, n, None)
+            cells.append((_estimator_trial, args, (check, j), trials * curve.trial_scale))
+        grids.append(grid)
 
-    if regime is Regime.P_GE_U:
-        ns = [int(b) for b in (budgets or (64, 128, 256, 512, 1024, 2048))]
-        # Per-row spikes at p = 2, u = 1, N2 = 16: the sample second moment
-        # is exactly N2, so the closed-form RMS is 4/sqrt(n) for any N1.
-        configs = [(n, math.ceil(21 * n / 16) + 1, 16, 2.0, 1.0) for n in ns]
-        predicted = tuple(4.0 / math.sqrt(n) for n in ns)
+    results = iter(_run_cells(cells, seed, workers))
+    checks = []
+    for curve, grid in zip(curves, grids):
+        rows = []
+        for n, family in grid:
+            stats = _stats_from_trials(next(results))
+            spec = family.spec
+            rows.append(
+                MeasurementRow(
+                    family=family.variant.value,
+                    estimator=curve.estimator.value,
+                    p=spec.p,
+                    u=spec.u,
+                    n1=spec.n1,
+                    n2=spec.n2,
+                    n=n,
+                    trials=stats.trials,
+                    rms=stats.rms,
+                    stderr=stats.stderr,
+                    mean_card=stats.mean_card,
+                    seed=int(seed),
+                    mae=stats.mae,
+                )
+            )
+        predicted = None
+        if curve.predict is not None:
+            predicted = tuple(curve.predict(n) for n, _ in grid)
         checks.append(
-            _rate_curve(
-                "row-spike mean, p>=u",
-                Variant.ROW_SPIKES,
-                EstimatorKind.A2,
-                -0.5,
-                configs,
-                trials,
-                seed,
-                0,
-                c0,
-                workers,
-                predicted,
+            RateCheck(
+                label=curve.label,
+                estimator=curve.estimator.value,
+                target_slope=curve.target,
+                rows=tuple(rows),
+                fit=_try_fit([(r.n, r.rms) for r in rows]),
+                predicted=predicted,
             )
         )
-    elif regime is Regime.P_LT_U_LE_2:
-        ns = [int(b) for b in (budgets or (64, 128, 256, 512, 1024, 2048, 4096))]
-        configs = [(n, 32, math.ceil(21 * n / 32) + 1, 1.0, 2.0) for n in ns]
-        checks.append(
-            _rate_curve(
-                "row-spike mean, p<u<=2",
-                Variant.ROW_SPIKES,
-                EstimatorKind.A2,
-                -0.5,
-                configs,
-                trials,
-                seed,
-                0,
-                c0,
-                workers,
-            )
-        )
-    elif regime is Regime.TWO_LE_P_LT_U:
-        ns = [int(b) for b in (budgets or (64, 128, 256, 512, 1024, 2048, 4096))]
-        configs = [
-            (n, s, s, 2.0, INF)
-            for n in ns
-            for s in (math.ceil(math.sqrt(21 * n)) + 1,)
-        ]
-        checks.append(
-            _rate_curve(
-                "full-sign mean, 2<=p<u",
-                Variant.FULL_BERNOULLI,
-                EstimatorKind.A2,
-                -0.5,
-                configs,
-                trials,
-                seed,
-                0,
-                c0,
-                workers,
-            )
-        )
-    else:  # Regime.P_LT_2_LT_U
-        ns = [int(b) for b in (budgets or (1024, 4096, 16384, 65536))]
-        configs = []
-        for n in ns:
-            n1 = math.ceil(math.sqrt(n))
-            configs.append((n, n1, math.ceil(21 * n / n1) + 1, 1.0, INF))
-        checks.append(
-            _rate_curve(
-                "active-row mean, non-adaptive, n>=N1",
-                Variant.ACTIVE_ROW_BERNOULLI,
-                EstimatorKind.A2,
-                -0.25,
-                configs,
-                trials,
-                seed,
-                0,
-                c0,
-                workers,
-            )
-        )
-        checks.append(
-            _rate_curve(
-                "active-row mean, adaptive, n>=N1",
-                Variant.ACTIVE_ROW_BERNOULLI,
-                EstimatorKind.A3,
-                -0.5,
-                configs,
-                trials,
-                seed,
-                1,
-                c0,
-                workers,
-            )
-        )
-        # Saturated regime n < N1: a spike instance with N1 proportional to
-        # n pins the non-adaptive error to a constant.
-        ns_small = [16, 32, 64, 128, 256]
-        configs_small = [
-            (n, math.ceil(21.5 * n / 16) + 1, 16, 1.0, INF) for n in ns_small
-        ]
-        checks.append(
-            _rate_curve(
-                "single-spike mean, n<N1",
-                Variant.SINGLE_SPIKE,
-                EstimatorKind.A2,
-                0.0,
-                configs_small,
-                trials * SATURATED_TRIAL_SCALE,
-                seed,
-                2,
-                c0,
-                workers,
-            )
-        )
-
     return RateReport(
         regime=regime, checks=tuple(checks), seed=int(seed), trials=trials
     )
@@ -742,21 +574,6 @@ class DsResult:
     trials: int
 
 
-@dataclass(frozen=True)
-class _DsTask:
-    alpha: float
-    p: float
-    u: float
-    p1: float
-    k_max: int
-    k0_values: tuple[int, ...]
-    modes: tuple[Mode, ...]
-    delta: float
-    c0: float
-    m: int | None
-    seed: int
-
-
 def sample_ds_input(
     spec: DirectSumSpec, rng: RngStream, variant: Variant = Variant.ACTIVE_ROW_BERNOULLI
 ) -> DirectSumElement:
@@ -768,28 +585,25 @@ def sample_ds_input(
     return DirectSumElement(spec, levels)
 
 
-def _ds_trial(args) -> list[tuple[float, float, int]]:
-    task, t = args
-    spec = DirectSumSpec(task.alpha, task.p, task.u, task.p1, task.k_max)
-    stream = RngStream(task.seed, (t,))
+def _ds_trial(
+    spec: DirectSumSpec,
+    k0_values: tuple[int, ...],
+    modes: tuple[Mode, ...],
+    delta: float,
+    c0: float,
+    m: int | None,
+    stream: RngStream,
+) -> list[tuple[float, float, int]]:
     x = sample_ds_input(spec, stream.child(0))
     truth = ds_integral(x)
     out = []
-    for i, k0 in enumerate(task.k0_values):
-        for mode in task.modes:
+    for i, k0 in enumerate(k0_values):
+        for mode in modes:
             # Stream ids are fixed per (k0, mode), not per position in the
             # requested mode list, so single-mode runs reproduce the
             # corresponding rows of a both-mode run.
             j = 0 if mode is Mode.ADAPTIVE else 1
-            rep = ds_estimate(
-                x,
-                k0,
-                task.delta,
-                mode,
-                task.m,
-                stream.child(1 + i * 2 + j),
-                c0=task.c0,
-            )
+            rep = ds_estimate(x, k0, delta, mode, m, stream.child(1 + i * 2 + j), c0=c0)
             err = rep.value - truth
             out.append((err * err, abs(err), rep.cards))
     return out
@@ -837,20 +651,9 @@ def ds_experiment(
             f"k_max = {k_max} truncates below the largest estimated level {needed}"
         )
 
-    task = _DsTask(
-        alpha=float(alpha),
-        p=float(p),
-        u=float(u),
-        p1=float(p1),
-        k_max=k_max,
-        k0_values=k0_values,
-        modes=modes,
-        delta=float(delta),
-        c0=float(c0),
-        m=m,
-        seed=int(seed),
-    )
-    per_trial = _parallel_map(_ds_trial, [(task, t) for t in range(trials)], workers)
+    spec = DirectSumSpec(float(alpha), float(p), float(u), float(p1), k_max)
+    args = (spec, k0_values, modes, float(delta), float(c0), m)
+    (per_trial,) = _run_cells([(_ds_trial, args, (), trials)], seed, workers)
 
     rows = []
     ratios = []
@@ -912,25 +715,12 @@ class NormEstResult:
     trials: int
 
 
-@dataclass(frozen=True)
-class _NormTask:
-    population: tuple[float, ...]
-    v: float
-    n: int
-    true_norm: float
-    seed: int
-    n_index: int
-
-
-def _norm_trial(args) -> tuple[float, float, int]:
-    task, t = args
-    pop = np.asarray(task.population)
-    stream = RngStream(task.seed, (task.n_index, t))
-    est = norm_est_a1(
-        lambda idx: pop[idx - 1], pop.size, task.v, task.n, stream
-    )
-    dev = est - task.true_norm
-    return dev * dev, abs(dev), task.n
+def _norm_trial(
+    pop: np.ndarray, v: float, n: int, true_norm: float, stream: RngStream
+) -> tuple[float, float, int]:
+    est = norm_est_a1(lambda idx: pop[idx - 1], pop.size, v, n, stream)
+    dev = est - true_norm
+    return dev * dev, abs(dev), n
 
 
 def norm_deviation_experiment(
@@ -955,19 +745,12 @@ def norm_deviation_experiment(
         raise InvalidParameters("trials must be at least 2")
     budgets = [int(b) for b in budgets]
     true_norm = row_norm(pop, v)
+    cells = [
+        (_norm_trial, (pop, float(v), n, true_norm), (i,), trials)
+        for i, n in enumerate(budgets)
+    ]
     rows = []
-    for i, n in enumerate(budgets):
-        task = _NormTask(
-            population=tuple(pop.tolist()),
-            v=float(v),
-            n=n,
-            true_norm=true_norm,
-            seed=int(seed),
-            n_index=i,
-        )
-        results = _parallel_map(
-            _norm_trial, [(task, t) for t in range(trials)], workers
-        )
+    for n, results in zip(budgets, _run_cells(cells, seed, workers)):
         stats = _stats_from_trials(results)
         rows.append(NormRow(n=n, trials=trials, rms_dev=stats.rms, stderr=stats.stderr))
     fit = _try_fit([(r.n, r.rms_dev) for r in rows])

@@ -39,8 +39,6 @@ __all__ = [
     "QueryTape",
     "open_adaptive",
     "open_nonadaptive",
-    "query",
-    "card",
 ]
 
 
@@ -259,12 +257,3 @@ def open_nonadaptive(f: MixedMatrix, queries) -> QueryTape:
         )
     return QueryTape(f, Mode.NONADAPTIVE, rows.size, declared=(rows, cols))
 
-
-def query(tape: QueryTape, i: int, j: int) -> float:
-    """Functional form of :meth:`QueryTape.query`."""
-    return tape.query(i, j)
-
-
-def card(tape: QueryTape) -> int:
-    """Functional form of :meth:`QueryTape.card`."""
-    return tape.card()

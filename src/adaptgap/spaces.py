@@ -34,9 +34,7 @@ from .errors import InvalidExponent
 
 __all__ = [
     "INF",
-    "Extended",
     "as_exponent",
-    "bar",
     "inverse_power",
     "ProblemSpec",
     "MixedMatrix",
@@ -49,9 +47,6 @@ __all__ = [
 
 INF = math.inf
 
-# An extended exponent: a float in [1, inf) or INF.
-Extended = float
-
 
 def as_exponent(value) -> float:
     """Validate and return an extended exponent.
@@ -63,11 +58,6 @@ def as_exponent(value) -> float:
     if math.isnan(x) or x < 1.0:
         raise InvalidExponent(f"exponent must be >= 1 or INF, got {value!r}")
     return x
-
-
-def bar(e: float) -> float:
-    """min(e, 2): the exponent that governs Monte Carlo rates."""
-    return min(as_exponent(e), 2.0)
 
 
 def inverse_power(base: float, e: float) -> float:

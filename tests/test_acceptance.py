@@ -14,13 +14,11 @@ from adaptgap.direct_sum import level_allocation
 from adaptgap.estimators import adaptive_mean_a3, allocate_samples, mc_mean_a2
 from adaptgap.harness import (
     EstimatorKind,
-    TrialPlan,
     ds_experiment,
     gap_experiment,
     norm_deviation_experiment,
     rate_fit,
     rms_error,
-    run_plan,
 )
 from adaptgap.hard_instances import HardFamily, Variant
 from adaptgap.oracle import open_adaptive
@@ -53,12 +51,10 @@ def sqrt_grid_family(n: int) -> HardFamily:
 
 def test_criterion_01_baseline_mc_rate():
     family = HardFamily(Variant.FULL_BERNOULLI, ProblemSpec(64, 64, 2.0, 2.0))
-    plan = TrialPlan(
-        family, EstimatorKind.A2, (2**6, 2**8, 2**10, 2**12), 500, SEED
-    )
-    rows = run_plan(plan)
-    fit = rate_fit([(r.n, r.rms) for r in rows])
-    at_1024 = next(r.rms for r in rows if r.n == 2**10)
+    budgets = (2**6, 2**8, 2**10, 2**12)
+    rows = [rms_error(family, EstimatorKind.A2, n, 500, SEED) for n in budgets]
+    fit = rate_fit([(n, r.rms) for n, r in zip(budgets, rows)])
+    at_1024 = rows[budgets.index(2**10)].rms
     ok_slope = -0.57 <= fit.slope <= -0.43
     ok_value = abs(at_1024 - 0.03125) <= 0.15 * 0.03125
     report(

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +14,9 @@ from adaptgap.cli import (
     parse_budgets,
     run,
 )
+from adaptgap.estimators import run_a2
+from adaptgap.rng import RngStream
+from adaptgap.spaces import MixedMatrix, ProblemSpec, scalar_mean
 
 
 def capture(capsys, argv):
@@ -160,6 +167,53 @@ class TestEstimate:
         assert code == 0, err
         values = dict(l.split("=", 1) for l in out.splitlines() if l[0] != "#")
         assert math.isfinite(float(values["value"]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_input_whose_mean_overflows_is_usage_error(self, capsys, tmp_path):
+        # The exact mean of these entries overflows, so there is nothing to
+        # measure an estimate against.
+        entries = np.where(np.arange(64).reshape(8, 8) % 2 == 0, 1.7e308, -1.7e308)
+        path = tmp_path / "f.npy"
+        np.save(path, entries)
+        code, out, err = capture(
+            capsys,
+            ["estimate", "--input", str(path), "--alg", "a3", "--p", "1",
+             "--u", "inf", "--n", "64"],
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.filterwarnings("error")
+    def test_estimate_that_overflows_is_reported(self, capsys, tmp_path):
+        entries = np.array([[1.7e308, -1.7e308], [1.7e308, -1.7e308]])
+        path = tmp_path / "f.npy"
+        np.save(path, entries)
+        f = MixedMatrix(ProblemSpec(2, 2, 2.0, 2.0), entries)
+        assert scalar_mean(f) == 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = run_a2(f, 64, RngStream(1).child(1))
+        assert not math.isfinite(report.value)
+        code, out, err = capture(
+            capsys,
+            ["estimate", "--input", str(path), "--alg", "a2", "--n", "64",
+             "--seed", "1"],
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_module_runs_as_a_script():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "adaptgap.cli", "estimate", "--n", "16",
+         "--n1", "4", "--n2", "4"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert any(line.startswith("value=") for line in proc.stdout.splitlines())
 
 
 class TestGap:

@@ -60,6 +60,18 @@ GOLDEN = {
          "64", "--p", "1.5", "--u", "inf", "--n", "4096", "--seed", "3"],
         "b68cab6b16a7ef857e0b0682b96b52dea796a74d210ddfd585032c39e6ab48cb",
     ),
+    # The two regimes with one a2 curve each, so every row of the rates
+    # table is pinned.
+    "rates-p-lt-u-le-2": (
+        ["rates", "--regime", "p-lt-u-le-2", "--trials", "4",
+         "--budgets", "2^6,2^7,2^8,2^9", "--seed", "3"],
+        "4a15abb8d1e26f7f96f59813d728f3ca98f426a6fb2a3f8ebc51202839e9660f",
+    ),
+    "rates-two-le-p-lt-u": (
+        ["rates", "--regime", "two-le-p-lt-u", "--trials", "4",
+         "--budgets", "2^6,2^7,2^8,2^9", "--seed", "3"],
+        "6d41cc30bc98ffcdadb302703679dc470fa15b5dec5ba74af6992e05e09e300b",
+    ),
 }
 
 
@@ -69,6 +81,20 @@ def test_stdout_digest(name, capsys):
     assert run(argv) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", ["rates", "ds"])
+def test_worker_count_keeps_the_bytes(name, capsys):
+    # Every trial of every cell goes through one pool; its chunking must not
+    # reach the output. The rates case holds the saturated check, whose
+    # cells run 16x the trials of the others.
+    argv, _ = GOLDEN[name]
+    outputs = []
+    for workers in ("1", "2"):
+        assert run([*argv, "--workers", workers]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        outputs.append([line for line in lines if not line.startswith("# workers=")])
+    assert outputs[0] == outputs[1]
 
 
 def test_dense_input_digest(tmp_path, monkeypatch, capsys):

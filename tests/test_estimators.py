@@ -300,6 +300,11 @@ class TestAllocationOutOfRange:
         counts = allocate_samples([np.finfo(float).max, 1.0], 1.9, 10)
         assert counts.tolist() == [10, 5]
 
+    def test_sum_of_powers_overflows(self):
+        # Every power is finite, their sum is not.
+        assert allocate_samples([1.7e308] * 8, 1.0, 64).tolist() == [8] * 8
+        assert allocate_samples([1e308, 0.0], 1.0, 64).tolist() == [64, 32]
+
     @settings(max_examples=100, deadline=None)
     @given(
         a=st.lists(st.floats(min_value=0.0, max_value=1e100), min_size=1, max_size=8),

@@ -4,25 +4,24 @@ import numpy as np
 import pytest
 
 from adaptgap import cli, direct_sum, estimators, harness
-from adaptgap.direct_sum import DirectSumSpec
+from adaptgap.direct_sum import DirectSumElement, DirectSumSpec
 from adaptgap.errors import (
     InsufficientPoints,
     InvalidParameters,
     NonfiniteError,
     NonpositiveError,
+    PreconditionViolated,
     RegimeViolation,
 )
 from adaptgap.harness import (
     EstimatorKind,
     Regime,
-    TrialPlan,
     ds_experiment,
     gap_experiment,
     norm_deviation_experiment,
     rate_experiment,
     rate_fit,
     rms_error,
-    run_plan,
 )
 from adaptgap.hard_instances import HardFamily, Variant
 from adaptgap.oracle import Mode, open_adaptive
@@ -49,12 +48,6 @@ def bernoulli_family(side=64):
 
 
 class TestRmsError:
-    def test_exact_estimator_rms_zero(self):
-        stats = rms_error(bernoulli_family(8), EstimatorKind.EXACT, 4, 50, seed=1)
-        assert stats.rms == 0.0
-        assert stats.stderr == 0.0
-        assert stats.mean_card == 64.0
-
     def test_zero_family_rms_zero(self):
         for kind in (EstimatorKind.A2, EstimatorKind.A3):
             stats = rms_error(ZeroFamily(), kind, 8, 40, seed=2)
@@ -96,32 +89,6 @@ class TestRmsError:
         b = rms_error(fam, EstimatorKind.A2, 32, 80, seed=7)
         assert a.trials == 40 and b.trials == 80
         assert a != b  # genuinely different summaries
-
-
-class TestTrialPlan:
-    def test_budgets_must_increase(self):
-        with pytest.raises(InvalidParameters):
-            TrialPlan(bernoulli_family(8), EstimatorKind.A2, (64, 64), 100, 0)
-
-    def test_minimum_trials(self):
-        with pytest.raises(InvalidParameters):
-            TrialPlan(bernoulli_family(8), EstimatorKind.A2, (64,), 10, 0)
-
-    def test_run_plan_rows(self):
-        plan = TrialPlan(
-            bernoulli_family(16), EstimatorKind.A2, (64, 128, 256), 50, 11
-        )
-        rows = run_plan(plan)
-        assert [r.n for r in rows] == [64, 128, 256]
-        assert all(r.trials == 50 and r.seed == 11 for r in rows)
-        assert all(r.mean_card == r.n for r in rows)
-
-    def test_ds_kinds_rejected(self):
-        plan = TrialPlan(
-            bernoulli_family(8), EstimatorKind.DS_ADAPTIVE, (64,), 50, 0
-        )
-        with pytest.raises(InvalidParameters):
-            run_plan(plan)
 
 
 class TestRateFit:
@@ -270,21 +237,22 @@ class TestA2DrawsItsPlanOnce:
             sizes.append(int(n))
             return real(spec, n, rng)
 
-        for module in (estimators, harness, cli, direct_sum):
-            monkeypatch.setattr(module, "draw_indices", counting)
+        # Every a2 run goes through run_a2, which looks the name up here.
+        monkeypatch.setattr(estimators, "draw_indices", counting)
         return sizes
 
     def test_gap_trial(self, draws):
-        task = harness._GapTask(n=256, n1=80, n2=80, m=None, seed=1, n_index=0)
-        result = harness._gap_trial((task, 0))
-        assert draws == [result[4]]
+        # Each trial's a2 run is granted the a3 run's realized cost.
+        (row,) = gap_experiment([256], 5.0, trials=2, seed=1).rows
+        assert len(draws) == 2
+        assert sum(draws) / 2 == row.mean_card_a2 == row.mean_card_a3
 
     def test_run_estimator(self, draws):
         family = HardFamily(Variant.FULL_BERNOULLI, ProblemSpec(6, 7, 2.0, 2.0))
-        report, _ = harness._run_estimator(
-            EstimatorKind.A2, family, 50, None, RngStream(4)
-        )
-        assert draws == [50] and report.cards == 50
+        stats = rms_error(family, EstimatorKind.A2, 50, 2, seed=4)
+        assert draws == [50, 50] and stats.mean_card == 50
+        report = estimators.run_a2(family.sample(RngStream(4)), 50, RngStream(5))
+        assert draws == [50, 50, 50] and report.cards == 50
 
     def test_cli_estimate(self, draws, capsys):
         code = cli.run(["estimate", "--alg", "a2", "--n1", "8", "--n2", "8",
@@ -314,8 +282,7 @@ class TestRowSparsePathsStaySparse:
         monkeypatch.setattr(MixedMatrix, "entries", property(refuse))
 
     def test_gap_trial(self):
-        task = harness._GapTask(n=256, n1=80, n2=80, m=None, seed=1, n_index=0)
-        harness._gap_trial((task, 0))
+        gap_experiment([256], 5.0, trials=2, seed=1)
 
     @pytest.mark.parametrize(
         "variant", [Variant.SINGLE_SPIKE, Variant.ACTIVE_ROW_BERNOULLI]
@@ -338,3 +305,20 @@ class TestRowSparsePathsStaySparse:
         tape = open_adaptive(f)
         values = [tape.query(i, j) for i in (1, 2, 3) for j in (1, 2, 3, 4)]
         assert sum(v != 0.0 for v in values) == 4
+
+
+@pytest.mark.parametrize("p, u", [(1.0, 2.0), (2.0, INF)])
+def test_adaptive_regime_is_enforced_at_every_entry_point(p, u, capsys):
+    family = HardFamily(Variant.ACTIVE_ROW_BERNOULLI, ProblemSpec(8, 8, p, u))
+    with pytest.raises(PreconditionViolated, match="p < 2 < u"):
+        estimators.run_a3(family.sample(RngStream(1)), 64, None, RngStream(2))
+    with pytest.raises(PreconditionViolated, match="p < 2 < u"):
+        rms_error(family, EstimatorKind.A3, 64, 2, seed=3)
+    # Checked before the level loop, so an element without levels is refused.
+    x = DirectSumElement(DirectSumSpec(1.5, p, u, 1.0, 6), [])
+    with pytest.raises(PreconditionViolated, match="p < 2 < u"):
+        direct_sum.ds_estimate(x, 4, 0.2, Mode.ADAPTIVE, None, RngStream(4))
+    code = cli.run(["estimate", "--family", "mu4", "--alg", "a3", "--n1", "8",
+                    "--n2", "8", "--p", str(p), "--u", str(u), "--n", "64"])
+    assert code == 3
+    assert "p < 2 < u" in capsys.readouterr().err

@@ -7,10 +7,8 @@ from adaptgap.errors import BudgetExceeded, DisciplineViolation, IndexOutOfRange
 from adaptgap.oracle import (
     Mode,
     UNBOUNDED,
-    card,
     open_adaptive,
     open_nonadaptive,
-    query,
 )
 from adaptgap.hard_instances import HardFamily, Variant
 from adaptgap.rng import RngStream
@@ -30,21 +28,21 @@ def f22():
 class TestOpenAdaptive:
     def test_fresh_card_zero(self, f22):
         tape = open_adaptive(f22)
-        assert card(tape) == 0
+        assert tape.card() == 0
         assert tape.mode is Mode.ADAPTIVE
         assert tape.budget is UNBOUNDED
 
     def test_budget_five_allows_five(self, f22):
         tape = open_adaptive(f22, budget=5)
         for _ in range(5):
-            query(tape, 1, 1)
-        assert card(tape) == 5
+            tape.query(1, 1)
+        assert tape.card() == 5
 
     def test_budget_zero_rejects(self, f22):
         tape = open_adaptive(f22, budget=0)
         with pytest.raises(BudgetExceeded):
-            query(tape, 1, 1)
-        assert card(tape) == 0
+            tape.query(1, 1)
+        assert tape.card() == 0
 
 
 class TestOpenNonadaptive:
@@ -59,44 +57,44 @@ class TestOpenNonadaptive:
 
     def test_empty_declaration(self, f22):
         tape = open_nonadaptive(f22, [])
-        assert card(tape) == 0
+        assert tape.card() == 0
         assert tape.budget == 0
         with pytest.raises(BudgetExceeded):
-            query(tape, 1, 1)
-        assert card(tape) == 0
+            tape.query(1, 1)
+        assert tape.card() == 0
 
 
 class TestQuery:
     def test_answers_value(self):
         tape = open_adaptive(matrix([[7.0]]))
-        assert query(tape, 1, 1) == 7.0
-        assert card(tape) == 1
+        assert tape.query(1, 1) == 7.0
+        assert tape.card() == 1
 
     def test_repeats_counted(self, f22):
         tape = open_adaptive(f22)
-        assert query(tape, 2, 1) == query(tape, 2, 1) == 3.0
-        assert card(tape) == 2
+        assert tape.query(2, 1) == tape.query(2, 1) == 3.0
+        assert tape.card() == 2
 
     def test_discipline_violation(self, f22):
         tape = open_nonadaptive(f22, [(1, 1)])
         with pytest.raises(DisciplineViolation):
-            query(tape, 1, 2)
-        assert card(tape) == 0
+            tape.query(1, 2)
+        assert tape.card() == 0
 
     def test_out_of_range(self, f22):
         tape = open_adaptive(f22)
         with pytest.raises(IndexOutOfRange):
-            query(tape, 0, 1)
+            tape.query(0, 1)
         with pytest.raises(IndexOutOfRange):
-            query(tape, 1, 3)
-        assert card(tape) == 0
+            tape.query(1, 3)
+        assert tape.card() == 0
 
     def test_failed_budget_query_uncharged(self, f22):
         tape = open_adaptive(f22, budget=1)
-        query(tape, 1, 1)
+        tape.query(1, 1)
         with pytest.raises(BudgetExceeded):
-            query(tape, 1, 2)
-        assert card(tape) == 1
+            tape.query(1, 2)
+        assert tape.card() == 1
 
 
 class TestQueryMany:
@@ -132,8 +130,8 @@ def test_replay_is_deterministic(f22):
     declared = [(2, 2), (1, 1), (2, 2), (1, 2)]
     first = open_nonadaptive(f22, declared)
     second = open_nonadaptive(f22, declared)
-    answers1 = [query(first, i, j) for i, j in declared]
-    answers2 = [query(second, i, j) for i, j in declared]
+    answers1 = [first.query(i, j) for i, j in declared]
+    answers2 = [second.query(i, j) for i, j in declared]
     assert answers1 == answers2 == [4.0, 1.0, 4.0, 2.0]
 
 
@@ -157,11 +155,11 @@ def test_random_deviation_detected(data):
     for k, (i, j) in enumerate(declared):
         if k == deviate_at and wrong != (i, j):
             with pytest.raises(DisciplineViolation):
-                query(tape, *wrong)
-            assert card(tape) == k
+                tape.query(*wrong)
+            assert tape.card() == k
             return
-        query(tape, i, j)
-    assert card(tape) == length
+        tape.query(i, j)
+    assert tape.card() == length
 
 
 class TestBroadcastQueries:

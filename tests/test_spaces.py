@@ -12,7 +12,6 @@ from adaptgap.spaces import (
     MixedMatrix,
     ProblemSpec,
     as_exponent,
-    bar,
     inverse_power,
     mixed_norm,
     mixed_norm_many,
@@ -39,11 +38,6 @@ class TestExponents:
     def test_invalid(self, bad):
         with pytest.raises(InvalidExponent):
             as_exponent(bad)
-
-    def test_bar(self):
-        assert bar(1.5) == 1.5
-        assert bar(2.0) == 2.0
-        assert bar(INF) == 2.0
 
     def test_inverse_power(self):
         assert inverse_power(16, 2.0) == 4.0
