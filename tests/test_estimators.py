@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -275,14 +276,40 @@ class TestAllocateSamples:
         counts = allocate_samples(a, p, n)
         floor = -(-n // n1)
         assert (counts >= floor).all()
-        # Heavy rows receive at most their proportional share plus one.
-        powers = np.asarray(a) ** p
-        total = powers.sum()
+        # Heavy rows receive at most their proportional share, rounded up.
+        powers, total = reference_powers(a, p, n)
         if total > 0:
-            heavy = powers > total / n1
-            assert (
-                counts[heavy] <= np.ceil(powers[heavy] * n / total) + 0
-            ).all()
+            for x, count in zip(powers, counts):
+                if x > total / n1:
+                    assert count <= math.ceil(x * n / total) + 0
+
+    def test_share_that_rounds_just_above_an_integer(self):
+        # The heavy row holds the whole total, and 125 * x / x rounds to
+        # 125.00000000000001 at this x, so its ceiling is 126.
+        counts = allocate_samples([0.0, 24.78293102596541], 1.5, 125)
+        assert counts.tolist() == [63, 126]
+
+    def test_share_of_a_subnormal_power_is_taken_after_rescaling(self):
+        # 1e-200 ** 1.6 is a subnormal of a few bits, on which 25 * x / x is
+        # exactly 25. The powers are rescaled first, and on the rescaled
+        # power the share rounds just above 25, so its ceiling is 26.
+        assert (1e-200) ** 1.6 < sys.float_info.min
+        counts = allocate_samples([0.0, 1e-200], 1.6, 25)
+        assert counts.tolist() == [13, 26]
+
+
+def reference_powers(a, p, n):
+    """The powers and total that allocation documents: scalar ``x**p`` and a
+    correctly rounded sum (numpy's array ``**`` can land one ulp away),
+    rescaled by ``2**-e`` with ``max(a) = m * 2**e`` when the largest power
+    is not a normal float or the total times n overflows."""
+    powers = [x**p for x in a]
+    total = math.fsum(powers)
+    if max(a) > 0 and (max(powers) < sys.float_info.min or total * n == math.inf):
+        _, exponent = math.frexp(max(a))
+        powers = [math.ldexp(x, -exponent) ** p for x in a]
+        total = math.fsum(powers)
+    return powers, total
 
 
 class TestAllocationOutOfRange:
