@@ -34,6 +34,7 @@ from .estimators import (
     allocate_samples,
     default_probe_count,
     draw_indices,
+    draw_plan,
     mc_mean_a2,
     median,
     norm_est_a1,
@@ -61,6 +62,7 @@ from .harness import (
 )
 from .oracle import (
     Mode,
+    Plan,
     QueryTape,
     UNBOUNDED,
     open_adaptive,

@@ -7,8 +7,13 @@ Three estimators are provided:
 * ``mc_mean_a2`` -- plain Monte Carlo: the average of n uniform
   with-replacement entry samples. Non-adaptive (the sample positions never
   depend on answers) and unbiased, with cost exactly n. On a NONADAPTIVE
-  tape it answers the tape's declared plan, normally ``draw_indices`` for
-  the same stream, so the plan is drawn once.
+  tape it answers the tape's declared plan, normally ``draw_plan`` for the
+  same stream, so the plan is drawn once. It answers the plan block by
+  block and sums the block sums, so it holds the plan's compact rows
+  (2 bytes per query up to N1 = 65535) and one block of int64 indices and
+  answers, not n-length index and answer arrays. At integer entries, and
+  whenever n <= ``PLAN_BLOCK``, the value equals the mean of all n answers
+  at once bit for bit; otherwise it may differ in the last bits.
 * ``adaptive_mean_a3`` -- two-stage adaptive estimator for 1 <= p < 2.
   Stage one probes every row with m independent empirical L_2 norms of
   ceil(n/N1) samples each and takes the per-row median as a robust row-size
@@ -17,7 +22,7 @@ Three estimators are provided:
   estimates each row mean, and averages. Total cost is at most 6*m*n.
 
 ``run_a2`` and ``run_a3`` run an estimator on a matrix: each opens the tape
-the estimator is entitled to (the declared plan, or a 6*m*n budget), and
+the estimator is entitled to (the drawn plan, or a 6*m*n budget), and
 ``run_a3`` refuses exponents outside p < 2 < u.
 
 Stage one and stage two draw from distinct child streams of the caller's
@@ -34,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyInput, InvalidExponent, PreconditionViolated
-from .oracle import Mode, QueryTape, open_adaptive, open_nonadaptive
+from .oracle import Mode, Plan, QueryTape, open_adaptive, open_nonadaptive
 from .rng import RngStream
 from .spaces import INF, MixedMatrix, ProblemSpec, as_exponent
 
@@ -43,6 +48,7 @@ __all__ = [
     "median",
     "norm_est_a1",
     "draw_indices",
+    "draw_plan",
     "mc_mean_a2",
     "allocate_samples",
     "adaptive_mean_a3",
@@ -127,11 +133,12 @@ def norm_est_a1(sample_access, population_size: int, v, n: int, rng: RngStream) 
 
 
 def draw_indices(spec: ProblemSpec, n: int, rng: RngStream) -> np.ndarray:
-    """The n uniform (i, j) pairs that ``mc_mean_a2`` queries for ``rng``.
+    """The n uniform (i, j) pairs that ``mc_mean_a2`` queries for ``rng``,
+    as one ``(n, 2)`` array: the same pairs as ``draw_plan``.
 
-    Exposed so callers can pre-declare the sequence on a non-adaptive tape.
-    The ``(n, 2)`` result has contiguous columns, so ``open_nonadaptive``
-    keeps it without a copy.
+    Exposed so callers can declare the sequence explicitly on a
+    non-adaptive tape. The result has contiguous columns, so
+    ``open_nonadaptive`` keeps it without a copy.
     """
     n = int(n)
     if n < 1:
@@ -142,28 +149,42 @@ def draw_indices(spec: ProblemSpec, n: int, rng: RngStream) -> np.ndarray:
     return np.array([rows, cols]).T
 
 
+def draw_plan(spec: ProblemSpec, n: int, rng: RngStream) -> Plan:
+    """The n uniform (i, j) pairs that ``mc_mean_a2`` queries for ``rng``,
+    as a drawn ``Plan``: the pairs of ``draw_indices(spec, n, rng)``, with
+    the rows held compact and the columns drawn block by block."""
+    n = int(n)
+    if n < 1:
+        raise ValueError("n must be positive")
+    return Plan.drawn(n, spec.n1, spec.n2, rng.generator())
+
+
 def mc_mean_a2(tape: QueryTape, n: int, rng: RngStream) -> EstimateReport:
     """Average of n uniform with-replacement entry samples; cost exactly n.
 
-    On an ADAPTIVE tape the samples are ``draw_indices(tape.spec, n, rng)``.
+    On an ADAPTIVE tape the samples are ``draw_plan(tape.spec, n, rng)``.
     On a NONADAPTIVE tape they are the tape's declared plan, which must hold
-    exactly n pairs, and ``rng`` is not drawn from.
+    exactly n pairs, and ``rng`` is not drawn from. Either plan is answered
+    in the blocks it hands out, and the value is the sum of the block sums
+    over n.
     """
     n = int(n)
     if n < 1:
         raise ValueError("n must be positive")
     if tape.mode is Mode.NONADAPTIVE:
-        rows, cols = tape.declared
-        if rows.size != n:
+        plan = tape.plan
+        if plan.size != n:
             raise PreconditionViolated(
-                f"the declared plan holds {rows.size} queries, not n = {n}"
+                f"the declared plan holds {plan.size} queries, not n = {n}"
             )
     else:
-        idx = draw_indices(tape.spec, n, rng)
-        rows, cols = idx[:, 0], idx[:, 1]
-    vals = tape.query_many(rows, cols)
-    # np.add.reduce(x) / len(x) is what x.mean() computes.
-    return EstimateReport(value=float(np.add.reduce(vals) / n), cards=n)
+        plan = draw_plan(tape.spec, n, rng)
+    total = None
+    for rows, cols in plan.blocks():
+        block = np.add.reduce(tape.query_many(rows, cols))
+        total = block if total is None else total + block
+    # With one block this is np.add.reduce(x) / len(x), what x.mean() computes.
+    return EstimateReport(value=float(total / n), cards=n)
 
 
 def allocate_samples(a_tilde, p, n: int) -> np.ndarray:
@@ -304,8 +325,8 @@ def require_adaptive_regime(p: float, u: float) -> None:
 
 def run_a2(f: MixedMatrix, n: int, rng: RngStream) -> EstimateReport:
     """Plain Monte Carlo on ``f``: a NONADAPTIVE tape opened on
-    ``draw_indices(f.spec, n, rng)``, answered by ``mc_mean_a2``."""
-    return mc_mean_a2(open_nonadaptive(f, draw_indices(f.spec, n, rng)), n, rng)
+    ``draw_plan(f.spec, n, rng)``, answered by ``mc_mean_a2``."""
+    return mc_mean_a2(open_nonadaptive(f, draw_plan(f.spec, n, rng)), n, rng)
 
 
 def run_a3(f: MixedMatrix, n: int, m: int | None, rng: RngStream) -> EstimateReport:

@@ -6,12 +6,23 @@ optional budget, and enforces the access discipline:
 
 * ADAPTIVE tapes answer any in-range query, so later queries may depend on
   earlier answers.
-* NONADAPTIVE tapes fix the whole query sequence up front; any deviation from
-  the declared order raises :class:`DisciplineViolation`. Non-adaptivity is
-  thereby machine-checked structurally instead of audited after the fact.
-  The declared plan is kept as two contiguous 1-based index arrays, exposed
-  read-only as :attr:`QueryTape.declared`, so a non-adaptive estimator can
-  answer the plan it was opened on without drawing it again.
+* NONADAPTIVE tapes fix the whole query sequence up front, as a
+  :class:`Plan`; any deviation from the declared order raises
+  :class:`DisciplineViolation`. Non-adaptivity is thereby machine-checked
+  structurally instead of audited after the fact. A plan hands itself out in
+  order, in blocks of at most ``PLAN_BLOCK`` queries, so a non-adaptive
+  estimator answers the plan it was opened on without drawing it again, and
+  answers a block handed out at the cursor without comparing it pair by pair.
+
+A plan is explicit or drawn. An explicit plan is kept as two contiguous
+1-based int64 index arrays, exposed read-only as :attr:`QueryTape.declared`:
+16 bytes per query. A drawn plan (:meth:`Plan.drawn`) holds only its rows, in
+the narrowest unsigned dtype that fits N1 (2 bytes per query up to
+N1 = 65535), and draws each block's columns from its generator as it hands
+the block out. Its values equal one draw of all the rows followed by one draw
+of all the columns, because numpy's ``Generator.integers`` drawn in pieces
+continues the same stream; so it never holds more than a block of int64
+indices, however long the plan.
 
 Indices are 1-based, matching (i, j) in [1, N1] x [1, N2]. Failed queries
 (budget or discipline errors) are not charged: the run is aborted, not billed.
@@ -27,6 +38,7 @@ zeros elsewhere, so no query ever builds the dense array.
 from __future__ import annotations
 
 import enum
+import functools
 
 import numpy as np
 
@@ -36,6 +48,8 @@ from .spaces import MixedMatrix, ProblemSpec
 __all__ = [
     "Mode",
     "UNBOUNDED",
+    "PLAN_BLOCK",
+    "Plan",
     "QueryTape",
     "open_adaptive",
     "open_nonadaptive",
@@ -50,6 +64,14 @@ class Mode(enum.Enum):
 #: Sentinel budget: the tape never refuses a query on budget grounds.
 UNBOUNDED = None
 
+#: Queries per block in which a plan is drawn and handed out: 256 KiB per
+#: int64 array. Temporaries of this size stay on the allocator's heap from
+#: block to block, while n-length ones are mapped, faulted in and unmapped on
+#: every call: about 10 against 25k minor faults per 32-trial ``gap`` run.
+PLAN_BLOCK = 1 << 15
+
+_NO_BLOCK = np.empty(0, dtype=np.int64)
+
 
 def _within(index: np.ndarray, high: int) -> bool:
     """Whether every entry of a nonempty integer array lies in [1, high]."""
@@ -58,6 +80,66 @@ def _within(index: np.ndarray, high: int) -> bool:
         np.minimum.reduce(index, axis=None) >= 1
         and np.maximum.reduce(index, axis=None) <= high
     )
+
+
+class Plan:
+    """The declared query sequence of a NONADAPTIVE tape.
+
+    Build an explicit plan with :func:`open_nonadaptive` and a drawn one with
+    :meth:`Plan.drawn`. ``rows`` holds every row index; ``cols`` every column
+    index of an explicit plan, and None for a drawn one, whose columns exist
+    only a block at a time. :meth:`blocks` hands the plan out, and
+    ``handed`` is the block it handed out last as (rows, cols, position),
+    which a tape at that position answers without comparing pair by pair.
+    """
+
+    def __init__(self, rows: np.ndarray, cols: np.ndarray | None, draw=None) -> None:
+        self.rows = rows
+        self.cols = cols
+        self.size = rows.size
+        self._draw = draw
+        # The block handed out last and its position in the plan. Before
+        # any, an explicit plan counts as handed out whole.
+        self.handed = (rows, cols, 0) if draw is None else (_NO_BLOCK, _NO_BLOCK, 0)
+
+    @classmethod
+    def drawn(cls, n: int, n1: int, n2: int, generator) -> Plan:
+        """n uniform pairs in [1, N1] x [1, N2] from a numpy ``Generator``:
+        the same values as ``generator.integers(1, N1 + 1, size=n)``
+        followed by ``generator.integers(1, N2 + 1, size=n)``.
+
+        The rows are drawn now, block by block, into the narrowest unsigned
+        dtype that holds N1; each column block is drawn when ``blocks``
+        hands it out.
+        """
+        rows = np.empty(n, dtype=np.min_scalar_type(n1))
+        for start in range(0, n, PLAN_BLOCK):
+            end = min(start + PLAN_BLOCK, n)
+            rows[start:end] = generator.integers(1, n1 + 1, size=end - start)
+        return cls(rows, None, functools.partial(generator.integers, 1, n2 + 1))
+
+    def blocks(self):
+        """Yield the plan in order as read-only int64 (rows, cols) blocks of
+        at most ``PLAN_BLOCK`` queries.
+
+        An explicit plan's blocks are views of its arrays. A drawn plan
+        draws each block's columns as it yields the block, so it can be
+        handed out only once.
+        """
+        draw, self._draw = self._draw, None
+        if draw is None and self.cols is None:
+            raise DisciplineViolation("a drawn plan is handed out only once")
+        for start in range(0, self.size, PLAN_BLOCK):
+            end = min(start + PLAN_BLOCK, self.size)
+            if draw is None:
+                rows, cols = self.rows[start:end], self.cols[start:end]
+            else:
+                rows = self.rows[start:end].astype(np.int64)
+                cols = draw(end - start)
+                rows.setflags(write=False)
+                cols.setflags(write=False)
+            self.handed = (rows, cols, start)
+            yield rows, cols
 
 
 class QueryTape:
@@ -71,7 +153,7 @@ class QueryTape:
         target: MixedMatrix,
         mode: Mode,
         budget: int | None,
-        declared: tuple[np.ndarray, np.ndarray] | None,
+        plan: Plan | None,
     ) -> None:
         self._target = target
         # The stored rows: the whole C-ordered matrix when dense.
@@ -83,7 +165,7 @@ class QueryTape:
             if budget < 0:
                 raise ValueError("budget must be nonnegative or UNBOUNDED")
         self._budget = budget
-        self._declared = declared
+        self._plan = plan
         self._cursor = 0
         self._issued = 0
 
@@ -100,9 +182,17 @@ class QueryTape:
         return self._budget
 
     @property
+    def plan(self) -> Plan | None:
+        """The declared plan; None when ADAPTIVE."""
+        return self._plan
+
+    @property
     def declared(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """Read-only (rows, cols) of the declared plan; None when ADAPTIVE."""
-        return self._declared
+        """Read-only (rows, cols) of an explicit declared plan; None when
+        ADAPTIVE or when the plan is drawn."""
+        if self._plan is None or self._plan.cols is None:
+            return None
+        return self._plan.rows, self._plan.cols
 
     def card(self) -> int:
         """Number of queries answered so far (repeats counted)."""
@@ -125,16 +215,23 @@ class QueryTape:
     def _check_declared(
         self, rows: np.ndarray, cols: np.ndarray, count: int, shape=None
     ) -> None:
-        declared_rows, declared_cols = self._declared
-        if self._cursor == 0 and rows is declared_rows and cols is declared_cols:
-            return  # the whole plan, asked with the tape's own arrays
-        end = self._cursor + count
-        if end > declared_rows.size:
+        plan = self._plan
+        known_rows, known_cols, start = plan.handed
+        if self._cursor == start and rows is known_rows and cols is known_cols:
+            return  # a block asked at the cursor with the arrays the plan handed out
+        if plan.cols is not None:
+            known_rows, known_cols, start = plan.rows, plan.cols, 0
+        # else a drawn plan, whose columns are known for its last block only
+        begin = self._cursor - start
+        end = begin + count
+        if begin < 0 or end > known_rows.size:
             raise DisciplineViolation(
                 "query past the end of the declared sequence"
+                if plan.cols is not None
+                else "query outside the block the drawn plan handed out last"
             )
-        want_rows = declared_rows[self._cursor : end]
-        want_cols = declared_cols[self._cursor : end]
+        want_rows = known_rows[begin:end]
+        want_cols = known_cols[begin:end]
         if shape is not None:
             want_rows = want_rows.reshape(shape)
             want_cols = want_cols.reshape(shape)
@@ -230,17 +327,21 @@ class QueryTape:
 
 def open_adaptive(f: MixedMatrix, budget: int | None = UNBOUNDED) -> QueryTape:
     """Open a tape whose queries may depend on earlier answers."""
-    return QueryTape(f, Mode.ADAPTIVE, budget, declared=None)
+    return QueryTape(f, Mode.ADAPTIVE, budget, plan=None)
 
 
 def open_nonadaptive(f: MixedMatrix, queries) -> QueryTape:
     """Open a tape that will answer exactly ``queries``, in order.
 
-    ``queries`` is a sequence of 1-based (i, j) pairs; the budget equals its
-    length. Out-of-range pairs are rejected here, before any query is made.
-    An ``(n, 2)`` array with contiguous columns, as ``draw_indices`` returns,
-    is stored without a copy.
+    ``queries`` is a :class:`Plan` or a sequence of 1-based (i, j) pairs;
+    the budget equals its length. Out-of-range pairs of a sequence are
+    rejected here, before any query is made; a plan's are rejected block by
+    block, as ``query_many`` checks every batch. An ``(n, 2)`` array
+    with contiguous columns, as ``draw_indices`` returns, is stored without a
+    copy.
     """
+    if isinstance(queries, Plan):
+        return QueryTape(f, Mode.NONADAPTIVE, queries.size, queries)
     declared = np.asarray(queries, dtype=np.int64)
     if declared.size == 0:
         declared = declared.reshape(0, 2)
@@ -255,5 +356,5 @@ def open_nonadaptive(f: MixedMatrix, queries) -> QueryTape:
         raise IndexOutOfRange(
             f"declared indices outside [1, {spec.n1}] x [1, {spec.n2}]"
         )
-    return QueryTape(f, Mode.NONADAPTIVE, rows.size, declared=(rows, cols))
+    return QueryTape(f, Mode.NONADAPTIVE, rows.size, Plan(rows, cols))
 

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,10 +18,13 @@ from adaptgap.estimators import (
     allocate_samples,
     default_probe_count,
     draw_indices,
+    draw_plan,
     mc_mean_a2,
     median,
     norm_est_a1,
+    run_a2,
 )
+from adaptgap import oracle
 from adaptgap.hard_instances import HardFamily, Variant, sample_mu4
 from adaptgap.oracle import open_adaptive, open_nonadaptive
 from adaptgap.rng import RngStream
@@ -221,6 +225,145 @@ class TestA2DeclaredPlan:
         with pytest.raises(PreconditionViolated):
             mc_mean_a2(tape, 20, RngStream(1))
         assert tape.card() == 0
+
+
+def drawn_pairs(spec, n, rng):
+    """Every (row, col) pair of ``draw_plan``, concatenated from its blocks."""
+    blocks = list(draw_plan(spec, n, rng).blocks())
+    return np.column_stack(
+        [np.concatenate([r for r, _ in blocks]), np.concatenate([c for _, c in blocks])]
+    )
+
+
+class TestA2Blocks:
+    """a2 across several plan blocks: blocks of 7 queries instead of 2^15."""
+
+    BLOCK = 7
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(oracle, "PLAN_BLOCK", self.BLOCK)
+
+    @pytest.mark.parametrize("n1", [1, 255, 256, 70_000])
+    @pytest.mark.parametrize("n2", [1, 255, 256, 300])
+    @pytest.mark.parametrize("n", [1, 6, 7, 8, 14, 15, 50])
+    def test_drawn_pairs_equal_draw_indices(self, n1, n2, n):
+        spec = ProblemSpec(n1, n2, 1.0, INF)
+        rng = RngStream(n1 * n2 + n, (3,))
+        assert drawn_pairs(spec, n, rng).tolist() == draw_indices(spec, n, rng).tolist()
+        rows = draw_plan(spec, n, rng).rows
+        assert rows.dtype == np.min_scalar_type(n1) and rows.dtype.kind == "u"
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n1=st.integers(1, 2**20),
+        n2=st.integers(1, 2**20),
+        n=st.integers(1, 200),
+        block=st.integers(1, 64),
+        seed=st.integers(0, 2**32),
+    )
+    def test_any_block_cut_draws_the_same_pairs(self, n1, n2, n, block, seed):
+        spec = ProblemSpec(n1, n2, 1.0, INF)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(oracle, "PLAN_BLOCK", block)
+            got = drawn_pairs(spec, n, RngStream(seed))
+        assert got.tolist() == draw_indices(spec, n, RngStream(seed)).tolist()
+
+    @staticmethod
+    def instances(seed, n1=9, n2=11):
+        """A dense and a row-sparse (mu4) matrix, both of integer entries."""
+        spec = ProblemSpec(n1, n2, 1.0, INF)
+        g = np.random.default_rng(seed)
+        dense = MixedMatrix(spec, g.integers(-9, 10, size=(n1, n2)).astype(float))
+        return dense, sample_mu4(spec, RngStream(seed, (0,)))
+
+    @staticmethod
+    def reference(f, n, rng):
+        """The whole-plan mean: every answer at once, as x.mean() sums."""
+        plan = draw_indices(f.spec, n, rng)
+        vals = f.entries[plan[:, 0] - 1, plan[:, 1] - 1]
+        return float(np.add.reduce(vals) / n), vals
+
+    @pytest.mark.parametrize("n", [6, 7, 8, 14, 50, 301])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_bitwise_at_integer_entries(self, n, seed):
+        for f in self.instances(seed):
+            rng = RngStream(seed, (2,))
+            want, _ = self.reference(f, n, rng)
+            explicit = open_nonadaptive(f, draw_indices(f.spec, n, rng))
+            assert run_a2(f, n, rng).value == want
+            assert mc_mean_a2(explicit, n, rng).value == want
+            assert mc_mean_a2(open_adaptive(f), n, rng).value == want
+
+    @pytest.mark.parametrize("n", [8, 50, 301, 2000])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_within_the_summation_bound_otherwise(self, n, seed):
+        # Two summation orders of the same n answers each lie within
+        # (n - 1) * eps/2 * sum|x| of the exact sum, and each division by n
+        # adds half an ulp; so the means differ by at most
+        # (n + 1) * eps * mean|x|.
+        spec = ProblemSpec(13, 17, 2.0, 2.0)
+        f = MixedMatrix(spec, np.random.default_rng(seed).normal(size=(13, 17)) * 1e3)
+        rng = RngStream(seed, (2,))
+        want, vals = self.reference(f, n, rng)
+        got = run_a2(f, n, rng).value
+        assert abs(got - want) <= (n + 1) * np.finfo(float).eps * np.abs(vals).mean()
+        # Explicit, drawn and adaptive runs sum the same blocks.
+        explicit = open_nonadaptive(f, draw_indices(spec, n, rng))
+        assert mc_mean_a2(explicit, n, rng).value == got
+        assert mc_mean_a2(open_adaptive(f), n, rng).value == got
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 21, 22])
+    def test_cards_equal_n(self, n):
+        f = constant_matrix(1.5, 3, 5)
+        rng = RngStream(n)
+        for tape in (
+            open_nonadaptive(f, draw_plan(f.spec, n, rng)),
+            open_nonadaptive(f, draw_indices(f.spec, n, rng)),
+            open_adaptive(f),
+        ):
+            report = mc_mean_a2(tape, n, rng)
+            assert report.cards == tape.card() == n and report.value == 1.5
+
+    @pytest.mark.parametrize("length", [13, 15])
+    def test_plan_of_the_wrong_length(self, length):
+        f = constant_matrix(1.0, 3, 5)
+        for plan in (
+            draw_indices(f.spec, length, RngStream(1)),
+            draw_plan(f.spec, length, RngStream(1)),
+        ):
+            tape = open_nonadaptive(f, plan)
+            with pytest.raises(PreconditionViolated):
+                mc_mean_a2(tape, 14, RngStream(1))
+            assert tape.card() == 0
+
+
+class TestA2Memory:
+    """a2 holds its plan's rows and one block, not n-length index arrays."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: sample_mu4(ProblemSpec(1280, 1280, 1.0, INF), RngStream(1)),
+            lambda: MixedMatrix(
+                ProblemSpec(512, 512, 2.0, 2.0),
+                np.random.default_rng(1).normal(size=(512, 512)),
+            ),
+        ],
+        ids=["mu4-1280", "dense-512"],
+    )
+    def test_peak_at_2_to_the_20(self, make):
+        f = make()
+        tracemalloc.start()
+        try:
+            report = run_a2(f, 2**20, RngStream(3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.cards == 2**20
+        # 2 MiB of uint16 rows plus one block's temporaries; a whole-plan
+        # draw holds 32 MiB of int64 indices.
+        assert peak < 8e6
 
 
 class TestAllocateSamples:

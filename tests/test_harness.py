@@ -231,14 +231,14 @@ class TestA2DrawsItsPlanOnce:
     @pytest.fixture
     def draws(self, monkeypatch):
         sizes = []
-        real = estimators.draw_indices
+        real = estimators.draw_plan
 
         def counting(spec, n, rng):
             sizes.append(int(n))
             return real(spec, n, rng)
 
         # Every a2 run goes through run_a2, which looks the name up here.
-        monkeypatch.setattr(estimators, "draw_indices", counting)
+        monkeypatch.setattr(estimators, "draw_plan", counting)
         return sizes
 
     def test_gap_trial(self, draws):

@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adaptgap.errors import BudgetExceeded, DisciplineViolation, IndexOutOfRange
+from adaptgap import oracle
 from adaptgap.oracle import (
     Mode,
     UNBOUNDED,
+    Plan,
     open_adaptive,
     open_nonadaptive,
 )
@@ -222,6 +224,101 @@ class TestBroadcastQueries:
         with pytest.raises(IndexOutOfRange):
             tape.query_many(*tape.declared)
         assert tape.card() == 0
+
+
+class TestDrawnPlan:
+    """A drawn plan holds its rows and draws each column block as it hands
+    the block out; here blocks hold 3 queries."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(oracle, "PLAN_BLOCK", 3)
+
+    @staticmethod
+    def drawn(n, n1=2, n2=2, seed=4):
+        return Plan.drawn(n, n1, n2, np.random.default_rng(seed))
+
+    def test_values_rows_dtype_and_budget(self, f22):
+        plan = self.drawn(8)
+        assert plan.rows.dtype == np.uint8 and plan.cols is None
+        g = np.random.default_rng(4)
+        want_rows, want_cols = g.integers(1, 3, size=8), g.integers(1, 3, size=8)
+        tape = open_nonadaptive(f22, plan)
+        assert tape.budget == 8 and tape.plan is plan and tape.declared is None
+        blocks = list(plan.blocks())
+        assert [r.size for r, _ in blocks] == [3, 3, 2]
+        assert all(r.dtype == c.dtype == np.int64 for r, c in blocks)
+        assert not any(r.flags.writeable or c.flags.writeable for r, c in blocks)
+        assert np.concatenate([r for r, _ in blocks]).tolist() == want_rows.tolist()
+        assert np.concatenate([c for _, c in blocks]).tolist() == want_cols.tolist()
+
+    def test_blocks_answered_as_handed_out(self, f22):
+        tape = open_nonadaptive(f22, self.drawn(8))
+        answers = [tape.query_many(r, c) for r, c in tape.plan.blocks()]
+        entries = np.array([[1.0, 2.0], [3.0, 4.0]])
+        g = np.random.default_rng(4)
+        want = entries[g.integers(0, 2, size=8), g.integers(0, 2, size=8)]
+        assert np.concatenate(answers).tolist() == want.tolist()
+        assert tape.card() == 8
+
+    def test_copies_of_the_handed_block_are_compared(self, f22):
+        tape = open_nonadaptive(f22, self.drawn(8))
+        rows, cols = next(tape.plan.blocks())
+        tape.query(rows[0], cols[0])
+        tape.query_many(rows[1:].tolist(), cols[1:].tolist())
+        assert tape.card() == 3
+
+    def test_queries_outside_the_handed_block_fail(self, f22):
+        tape = open_nonadaptive(f22, self.drawn(8))
+        with pytest.raises(DisciplineViolation):
+            tape.query(1, 1)  # nothing handed out yet
+        blocks = tape.plan.blocks()
+        rows, cols = next(blocks)
+        with pytest.raises(DisciplineViolation):
+            tape.query_many(np.append(rows, 1), np.append(cols, 1))
+        tape.query_many(rows, cols)
+        with pytest.raises(DisciplineViolation):
+            tape.query_many(rows, cols)  # answered already
+        rows, cols = next(blocks)
+        with pytest.raises(DisciplineViolation):
+            tape.query_many(3 - rows, cols)
+        assert tape.card() == 3
+
+    def test_skipped_block_fails(self, f22):
+        tape = open_nonadaptive(f22, self.drawn(8))
+        blocks = tape.plan.blocks()
+        next(blocks)
+        rows, cols = next(blocks)
+        with pytest.raises(DisciplineViolation):
+            tape.query_many(rows, cols)
+        assert tape.card() == 0
+
+    def test_handed_out_once(self, f22):
+        plan = self.drawn(4)
+        assert len(list(plan.blocks())) == 2
+        with pytest.raises(DisciplineViolation):
+            next(plan.blocks())
+
+    def test_every_block_is_range_checked(self, f22):
+        # Columns drawn from [1, 40] on a 2 x 2 matrix: the first block
+        # holding a column above 2 is refused and charged nothing.
+        tape = open_nonadaptive(f22, self.drawn(30, n2=40))
+        answered = 0
+        with pytest.raises(IndexOutOfRange):
+            for rows, cols in tape.plan.blocks():
+                tape.query_many(rows, cols)
+                answered += rows.size
+        assert 0 <= answered == tape.card() < 30
+
+    def test_explicit_plan_blocks_are_views(self, f22):
+        tape = open_nonadaptive(f22, [(1, 1), (1, 2), (2, 1), (2, 2), (1, 1)])
+        rows, cols = tape.declared
+        blocks = list(tape.plan.blocks())
+        assert [r.tolist() for r, _ in blocks] == [[1, 1, 2], [2, 1]]
+        assert all(np.shares_memory(r, rows) and np.shares_memory(c, cols) for r, c in blocks)
+        for r, c in blocks:
+            tape.query_many(r, c)
+        assert tape.card() == 5
 
 
 @settings(max_examples=150, deadline=None)
