@@ -28,11 +28,13 @@ Indices are 1-based, matching (i, j) in [1, N1] x [1, N2]. Failed queries
 (budget or discipline errors) are not charged: the run is aborted, not billed.
 ``query_many`` answers a batch with exactly the semantics of issuing its
 queries one at a time, but at vectorized cost. Its row and column arrays
-broadcast against each other, so a grid of every row against a few columns
-is one ``(N1, 1) x (1, k)`` query; the answers come back flat in C order.
-A dense matrix is answered by one flat gather from its row-major entries;
-a row-sparse one (see ``MixedMatrix.from_rows``) from its stored rows, with
-zeros elsewhere, so no query ever builds the dense array.
+broadcast against each other, so a grid of a block of rows against a few
+columns is one ``(r, 1) x (1, k)`` query, or ``(1, r, 1) x (q, 1, m)``
+probe-major; the answers come back flat in C order. A dense matrix is
+answered by one flat gather from its row-major entries; a row-sparse one
+(see ``MixedMatrix.from_rows``) from its stored rows, with zeros elsewhere,
+so no query ever builds the dense array; a grid looks only at the stored
+rows between the least and the greatest row it asks.
 """
 
 from __future__ import annotations
@@ -64,10 +66,12 @@ class Mode(enum.Enum):
 #: Sentinel budget: the tape never refuses a query on budget grounds.
 UNBOUNDED = None
 
-#: Queries per block in which a plan is drawn and handed out: 256 KiB per
-#: int64 array. Temporaries of this size stay on the allocator's heap from
-#: block to block, while n-length ones are mapped, faulted in and unmapped on
-#: every call: about 10 against 25k minor faults per 32-trial ``gap`` run.
+#: Queries per block in which a plan is drawn and handed out, and about the
+#: answers per block in which the adaptive estimator asks: 256 KiB per int64
+#: or float64 array. Temporaries of this size stay on the allocator's heap
+#: from block to block, while n-length ones are mapped, faulted in and
+#: unmapped on every call: about 10 against 25k minor faults per 32-trial
+#: ``gap`` run.
 PLAN_BLOCK = 1 << 15
 
 _NO_BLOCK = np.empty(0, dtype=np.int64)
@@ -155,7 +159,7 @@ class QueryTape:
         budget: int | None,
         plan: Plan | None,
     ) -> None:
-        self._target = target
+        self._spec = target.spec
         # The stored rows: the whole C-ordered matrix when dense.
         self._row_ids = target.row_ids
         self._block = target.block
@@ -171,7 +175,7 @@ class QueryTape:
 
     @property
     def spec(self) -> ProblemSpec:
-        return self._target.spec
+        return self._spec
 
     @property
     def mode(self) -> Mode:
@@ -198,14 +202,22 @@ class QueryTape:
         """Number of queries answered so far (repeats counted)."""
         return self._issued
 
-    def _check_range(self, rows: np.ndarray, cols: np.ndarray) -> None:
-        spec = self._target.spec
-        if not (_within(rows, spec.n1) and _within(cols, spec.n2)):
+    def _check_range(self, rows: np.ndarray, cols: np.ndarray) -> tuple:
+        """Raise ``IndexOutOfRange`` unless nonempty rows and cols are in
+        range; return the least and the greatest row."""
+        spec = self._spec
+        low = np.minimum.reduce(rows, axis=None)
+        top = np.maximum.reduce(rows, axis=None)
+        if not (low >= 1 and top <= spec.n1 and _within(cols, spec.n2)):
             raise IndexOutOfRange(
                 f"query indices outside [1, {spec.n1}] x [1, {spec.n2}]"
             )
+        return low, top
 
-    def _check_budget(self, count: int) -> None:
+    def check_budget(self, count: int) -> None:
+        """Raise ``BudgetExceeded`` unless ``count`` more queries fit in the
+        budget. Charges nothing, so a caller that asks in several batches can
+        refuse the whole before answering any of them."""
         if self._budget is not UNBOUNDED and self._issued + count > self._budget:
             raise BudgetExceeded(
                 f"{self._issued} issued + {count} requested exceeds "
@@ -244,12 +256,12 @@ class QueryTape:
         """Answer f(i, j) and charge one query."""
         i = int(i)
         j = int(j)
-        spec = self._target.spec
+        spec = self._spec
         if not (1 <= i <= spec.n1 and 1 <= j <= spec.n2):
             raise IndexOutOfRange(
                 f"({i}, {j}) outside [1, {spec.n1}] x [1, {spec.n2}]"
             )
-        self._check_budget(1)
+        self.check_budget(1)
         if self._mode is Mode.NONADAPTIVE:
             self._check_declared(
                 np.array([i], dtype=np.int64), np.array([j], dtype=np.int64), 1
@@ -284,22 +296,21 @@ class QueryTape:
             grid = np.broadcast(rows, cols)
             shape = grid.shape
             count = grid.size
-        if count:
-            self._check_range(rows, cols)
-        self._check_budget(count)
+        asked = self._check_range(rows, cols) if count else (1, 0)
+        self.check_budget(count)
         if self._mode is Mode.NONADAPTIVE:
             self._check_declared(rows, cols, count, shape)
             self._cursor += count
         self._issued += count
         if shape is None:
             return self._gather(rows, cols, count)
-        return self._gather_grid(rows, cols, shape)
+        return self._gather_grid(rows, cols, shape, asked)
 
     def _gather(self, rows: np.ndarray, cols: np.ndarray, count: int) -> np.ndarray:
         """Answers to equally shaped 1-D rows and cols, unchecked."""
         if self._row_ids is None:
             # Row-major offset (rows-1)*N2 + (cols-1), built in one buffer.
-            n2 = self._target.spec.n2
+            n2 = self._spec.n2
             flat = np.multiply(rows, n2)
             flat += cols
             flat -= n2 + 1
@@ -311,17 +322,23 @@ class QueryTape:
             out[hit] = values.take(cols.take(hit) - 1)
         return out
 
-    def _gather_grid(self, rows: np.ndarray, cols: np.ndarray, shape) -> np.ndarray:
-        """Answers to rows and cols broadcast to ``shape``, flat, unchecked."""
+    def _gather_grid(
+        self, rows: np.ndarray, cols: np.ndarray, shape, asked: tuple
+    ) -> np.ndarray:
+        """Answers to rows and cols broadcast to ``shape``, flat, unchecked.
+        ``asked`` is the least and the greatest row in ``rows``: a stored row
+        outside them is skipped, not compared against the whole grid."""
         if self._row_ids is None:
-            n2 = self._target.spec.n2
+            n2 = self._spec.n2
             flat = np.multiply(rows, n2) + cols
             flat -= n2 + 1
             return self._block.take(flat.reshape(-1))
+        low, top = asked
         out = np.zeros(shape)
         cols0 = cols - 1
         for i, values in zip(self._row_ids, self._block):
-            np.copyto(out, values.take(cols0), where=rows == i + 1)
+            if low <= i + 1 <= top:
+                np.copyto(out, values.take(cols0), where=rows == i + 1)
         return out.reshape(-1)
 
 

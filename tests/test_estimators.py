@@ -1,6 +1,8 @@
 import math
 import sys
 import tracemalloc
+from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -23,9 +25,10 @@ from adaptgap.estimators import (
     median,
     norm_est_a1,
     run_a2,
+    run_a3,
 )
-from adaptgap import oracle
-from adaptgap.hard_instances import HardFamily, Variant, sample_mu4
+from adaptgap import estimators, oracle
+from adaptgap.hard_instances import HardFamily, Variant, sample_mu1, sample_mu4
 from adaptgap.oracle import open_adaptive, open_nonadaptive
 from adaptgap.rng import RngStream
 from adaptgap.spaces import INF, MixedMatrix, ProblemSpec, scalar_mean
@@ -561,10 +564,210 @@ class TestAdaptiveMeanA3:
         with pytest.raises(BudgetExceeded):
             adaptive_mean_a3(tape, 4, 2, 1.0, RngStream(0))
 
+    @pytest.mark.parametrize("block", [7, 1 << 15])
+    def test_a_failing_stage_charges_nothing(self, monkeypatch, block):
+        # N1 = 6, n = 12, m = 3: stage 1 asks 6 x 6 = 36 probes, in 6 blocks
+        # of one row when PLAN_BLOCK is 7; a constant matrix gives every row
+        # the floor of 2 samples, so stage 2 asks 12, in 2 blocks.
+        monkeypatch.setattr(oracle, "PLAN_BLOCK", block)
+        f = constant_matrix(1.0, 6, 5)
+        for budget, charged in ((35, 0), (36 + 11, 36)):
+            tape = open_adaptive(f, budget=budget)
+            with pytest.raises(BudgetExceeded):
+                adaptive_mean_a3(tape, 12, 3, 1.0, RngStream(0))
+            assert tape.card() == charged
+        tape = open_adaptive(f, budget=36 + 12)
+        report = adaptive_mean_a3(tape, 12, 3, 1.0, RngStream(0))
+        assert report.stage_cards == (36, 12) and tape.card() == 48
+
     def test_default_probe_count(self):
         assert default_probe_count(1) == 1
         assert default_probe_count(64) == 7
         assert default_probe_count(256) == 9
+
+
+def whole_grid_a3(tape, n, m, p, rng):
+    """a3 as it was before blocks: the whole stage-1 grid asked row-major at
+    once and scaled by its largest answer, then the whole stage 2 at once.
+    Returns the report's fields, the stage-1 row sizes ``a_tilde``, whether
+    its scaled squares were ``normal``, the stage-2 answers ``vals2`` and the
+    row ends ``ends``."""
+    n1, n2 = tape.spec.n1, tape.spec.n2
+    per_probe = -(-n // n1)
+    k = per_probe * m
+    # Child streams 1 and 2 are the estimator's stage-1 and stage-2 streams.
+    cols1 = rng.child(1).generator().integers(1, n2 + 1, size=k).reshape(1, k)
+    row_ids = np.arange(1, n1 + 1, dtype=np.int64)
+    vals1 = tape.query_many(row_ids.reshape(n1, 1), cols1)
+    _, exponent = math.frexp(max(vals1.max(), -vals1.min()))
+    scaled = np.ldexp(vals1, -exponent)
+    squares = np.square(scaled)
+    means = np.add.reduce(squares.reshape(n1, per_probe, m), 1) / per_probe
+    a_tilde = np.ldexp(np.median(np.sqrt(means), axis=1), exponent)
+    # Whether every nonzero scaled square and mean square is a normal float;
+    # a per-block scale then gives the same bits.
+    tiny = np.finfo(float).tiny
+    normal = bool(
+        np.all((scaled == 0.0) | (squares >= tiny))
+        and np.all((means == 0.0) | (means >= tiny))
+    )
+    allocation = allocate_samples(a_tilde, p, n)
+    ends = np.cumsum(allocation)
+    cols2 = rng.child(2).generator().integers(1, n2 + 1, size=int(ends[-1]))
+    vals2 = tape.query_many(np.repeat(row_ids, allocation), cols2)
+    row_means = np.add.reduceat(vals2, ends - allocation) / allocation
+    return SimpleNamespace(
+        value=float(np.add.reduce(row_means) / n1),
+        cards=n1 * k + int(ends[-1]),
+        stage_cards=(n1 * k, int(ends[-1])),
+        allocation=allocation,
+        a_tilde=a_tilde,
+        normal=normal,
+        vals2=vals2,
+        ends=ends,
+    )
+
+
+def a3_row_sizes(monkeypatch, f, n, m, rng):
+    """The blocked a3's report and the row sizes it allocated from."""
+    seen = []
+
+    def recording(a_tilde, p, n):
+        seen.append(np.array(a_tilde))
+        return allocate_samples(a_tilde, p, n)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(estimators, "allocate_samples", recording)
+        tape = open_adaptive(f)
+        report = adaptive_mean_a3(tape, n, m, f.spec.p, rng)
+    assert report.cards == tape.card()
+    return report, seen[0]
+
+
+class TestA3Blocks:
+    """a3 across several blocks: PLAN_BLOCK 7 and 64 instead of 2^15."""
+
+    @pytest.fixture(autouse=True, params=[7, 64])
+    def block(self, request, monkeypatch):
+        monkeypatch.setattr(oracle, "PLAN_BLOCK", request.param)
+        return request.param
+
+    # (N1, N2, n, m): several row blocks and several sample blocks; N1 = 1;
+    # m = 1; and k = m * ceil(n/N1) above either block size, one row a block.
+    SHAPES = [(9, 11, 40, 4), (13, 7, 200, 3), (1, 9, 50, 1), (1, 5, 300, 2),
+              (10, 6, 30, 1), (10, 6, 300, 1), (3, 17, 60, 5), (20, 30, 500, 5)]
+
+    @staticmethod
+    def instances(n1, n2, seed):
+        """Integer dense; non-integer dense, of standard normal entries and
+        with row magnitudes 2^-400 to 2^400; and row-sparse mu1 and mu4
+        samples at p = 1 and p = 1.5."""
+        g = np.random.default_rng(seed)
+        integer = g.integers(-9, 10, size=(n1, n2)).astype(float)
+        scales = np.ldexp(1.0, g.integers(-400, 401, size=(n1, 1)))
+        spec = ProblemSpec(n1, n2, 1.5, 3.0)
+        yield True, MixedMatrix(ProblemSpec(n1, n2, 1.0, INF), integer)
+        yield False, MixedMatrix(spec, g.normal(size=(n1, n2)))
+        yield False, MixedMatrix(spec, g.normal(size=(n1, n2)) * scales)
+        for p in (1.0, 1.5):
+            spec = ProblemSpec(n1, n2, p, INF)
+            for sample in (sample_mu1, sample_mu4):
+                f = sample(spec, RngStream(seed, (0,)))
+                yield bool(np.all(f.block == np.round(f.block))), f
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_whole_grid(self, monkeypatch, block, shape, seed):
+        n1, n2, n, m = shape
+        for integer, f in self.instances(n1, n2, seed):
+            rng = RngStream(seed, (1,))
+            got, a_tilde = a3_row_sizes(monkeypatch, f, n, m, rng)
+            want = whole_grid_a3(open_adaptive(f), n, m, f.spec.p, rng)
+            if want.normal:
+                assert a_tilde.tobytes() == want.a_tilde.tobytes()
+            assert got.allocation.tolist() == want.allocation.tolist()
+            assert got.cards == want.cards and got.stage_cards == want.stage_cards
+            starts = want.ends - want.allocation
+            if integer or np.array_equal(starts // block, (want.ends - 1) // block):
+                # Exact row sums, or every row summed in one block as before.
+                assert got.value == want.value
+            else:
+                # Per row, the two sums of its a_i answers differ by at most
+                # (a_i - 1) * eps * sum|x|, and each row mean by at most
+                # (a_i + 1) * eps * mean|x| after its division; the outer
+                # sum of the N1 means, taken in one order from two inputs,
+                # adds at most (N1 - 1) * eps * sum_i mean_i|x|, and the
+                # division by N1 half an ulp.
+                mean_abs = np.add.reduceat(np.abs(want.vals2), starts) / want.allocation
+                eps = np.finfo(float).eps
+                bound = eps * ((want.allocation + n1) * mean_abs).sum() / n1
+                assert abs(got.value - want.value) <= bound + eps * abs(want.value)
+
+    def test_scale_is_taken_per_block(self, monkeypatch, block):
+        # Row 1 is 2^-600 throughout and row 0 is zero but for 2^600 in the
+        # first probe column, so the grid spans 2^1200. Scaled by 2^601, the
+        # whole grid's largest answer, row 1's squares fall below 2^-1022 and
+        # vanish; scaled per block, with one row a block, they are exact.
+        n1, n2, n, m = 2, 50, 2, 5  # one sample per probe, k = 5
+        rng = RngStream(4, (1,))
+        cols = rng.child(1).generator().integers(1, n2 + 1, size=n // n1 * m)
+        assert cols[0] not in cols[1:]
+        entries = np.zeros((n1, n2))
+        entries[0, cols[0] - 1] = 2.0**600
+        entries[1] = 2.0**-600
+        f = MixedMatrix(ProblemSpec(n1, n2, 1.0, INF), entries)
+        # The exact row sizes: the median of each row's m root-mean-square
+        # probes, taken exactly (m is odd, so the median is one probe).
+        exact = []
+        for row in entries:
+            squares = sorted(
+                sum(Fraction(row[c - 1]) ** 2 for c in probe) / (n // n1)
+                for probe in cols.reshape(n // n1, m).T
+            )
+            middle = squares[m // 2]
+            top, bottom = middle.numerator, middle.denominator
+            root = Fraction(math.isqrt(top), math.isqrt(bottom))
+            assert root * root == middle  # a power of two here
+            exact.append(float(root))
+        assert exact == [0.0, 2.0**-600]
+        got, a_tilde = a3_row_sizes(monkeypatch, f, n, m, rng)
+        whole = whole_grid_a3(open_adaptive(f), n, m, 1.0, rng)
+        assert whole.a_tilde.tolist() == [0.0, 0.0]
+        assert whole.allocation.tolist() == [1, 1]
+        if block < 2 * len(cols):  # one row a block: exact
+            assert a_tilde.tolist() == exact
+            assert got.allocation.tolist() == [1, 2]
+        else:  # both rows in one block, scaled as the whole grid
+            assert a_tilde.tolist() == whole.a_tilde.tolist()
+            assert got.allocation.tolist() == whole.allocation.tolist()
+
+
+class TestA3Memory:
+    """a3 holds one block of answers, not its whole stage-1 grid."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: sample_mu4(ProblemSpec(5120, 5120, 1.0, INF), RngStream(1)),
+            lambda: MixedMatrix(
+                ProblemSpec(1024, 1024, 1.5, 3.0),
+                np.random.default_rng(1).normal(size=(1024, 1024)),
+            ),
+        ],
+        ids=["mu4-5120", "dense-1024"],
+    )
+    def test_peak_at_2_to_the_20(self, make):
+        f = make()
+        tracemalloc.start()
+        try:
+            report = run_a3(f, 2**20, None, RngStream(3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.stage_cards[0] >= 2**20
+        # A few blocks of float64 answers and int64 indices; the whole
+        # stage-1 grid alone takes over 100 MB here.
+        assert peak < 8e6
 
 
 @settings(max_examples=40, deadline=None)

@@ -361,6 +361,40 @@ def test_row_sparse_and_dense_answer_alike(variant, n1, n2, p, u, seed, data):
     assert count == 2 * length + grid_rows.size * grid_cols.size
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    n1=st.integers(1, 9),
+    n2=st.integers(1, 9),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+def test_row_sparse_blocks_answer_their_rows(n1, n2, seed, data):
+    # Any number of stored rows, asked a block of consecutive rows at a
+    # time, as a3 asks them: stored rows outside the block are skipped.
+    g = np.random.default_rng(seed)
+    ids = g.choice(n1, size=g.integers(0, n1 + 1), replace=False)
+    block_of_rows = g.normal(size=(ids.size, n2))
+    f = MixedMatrix.from_rows(ProblemSpec(n1, n2, 2.0, 2.0), ids, block_of_rows)
+    first = data.draw(st.integers(1, n1))
+    block = np.arange(first, data.draw(st.integers(first, n1)) + 1)
+    cols = np.array(data.draw(st.lists(st.integers(1, n2), min_size=1, max_size=6)))
+    counts = st.lists(st.integers(1, 3), min_size=block.size, max_size=block.size)
+    rows = block.repeat(data.draw(counts))
+    flat_cols = g.integers(1, n2 + 1, size=rows.size)
+    # Probe-major (probes, rows, m) and row-major (rows, k) grids, and the
+    # flat row-ordered pairs of a3's second stage.
+    probes = cols.reshape(-1, 1, 2 - cols.size % 2)
+    grids = [(block.reshape(1, -1, 1), probes), (block[:, None], cols[None, :])]
+    tape = open_adaptive(f)
+    entries = f.entries
+    for grid_rows, grid_cols in grids:
+        want = entries[grid_rows - 1, grid_cols - 1].ravel()
+        assert tape.query_many(grid_rows, grid_cols).tolist() == want.tolist()
+    want = entries[rows - 1, flat_cols - 1]
+    assert tape.query_many(rows, flat_cols).tolist() == want.tolist()
+    assert tape.card() == 2 * block.size * cols.size + rows.size
+
+
 def grid_case(data, n1, n2):
     """A (k1, 1) x (1, k2) grid; a quarter of the time one index lies one
     past either side of its range."""
