@@ -72,6 +72,34 @@ GOLDEN = {
          "--budgets", "2^6,2^7,2^8,2^9", "--seed", "3"],
         "6d41cc30bc98ffcdadb302703679dc470fa15b5dec5ba74af6992e05e09e300b",
     ),
+    # One case per remaining branch of the table output: TSV with the
+    # default budget ladder, fits that are not available with an explicit
+    # m, a single ds mode (no ratio lines), a3's allocation summary, and a
+    # norm-est population given on the command line.
+    "rates-tsv": (
+        ["rates", "--regime", "p-ge-u", "--trials", "4", "--seed", "3",
+         "--format", "tsv"],
+        "700ede1a8231bc495ab4ea741967b6d780425afeae208b05692c6ce8ecfa6951",
+    ),
+    "gap-no-fit": (
+        ["gap", "--budgets", "256,512", "--m", "3", "--trials", "4", "--seed", "3"],
+        "c20f4c011d556cdbbb3f5d0ab60e699afee6b8260354eda09525dea535ad864c",
+    ),
+    "ds-nonadaptive": (
+        ["ds", "--k0", "4", "--delta", "0.2", "--trials", "4", "--mode",
+         "nonadaptive", "--m", "3", "--k-max", "8", "--seed", "3"],
+        "f5716e9aa93f8cd36b28799ac1d82cd99d5857f0010e2257213731fd6be2ba7d",
+    ),
+    "estimate-allocation-summary": (
+        ["estimate", "--family", "mu4", "--alg", "a3", "--n1", "80", "--n2",
+         "16", "--p", "1", "--u", "inf", "--n", "1024", "--seed", "3"],
+        "824bd3ebe7a2be79ce950372937ea1002ceecdf4a3bd57f48fcb8c879a4f0ee4",
+    ),
+    "norm-est-population": (
+        ["norm-est", "--population", "1,2", "--v", "1.5", "--budgets",
+         "16,32,64,128", "--trials", "10", "--seed", "3"],
+        "3cc5844f89055a01580cefd2bc42936fa782acb4041280cc0785d2aa04444c19",
+    ),
 }
 
 
