@@ -8,12 +8,15 @@ at matched budgets), ``ds`` (direct-sum composites), and ``norm-est``
 Outputs are plot-ready CSV (or TSV) on stdout or ``--out``; every run echoes
 its full effective configuration as ``#`` header lines and contains no
 timestamps, so a rerun with the same seed reproduces the output byte for
-byte. The master seed defaults to a fixed constant, overridable by the
-``ADAPTGAP_SEED`` environment variable and then by ``--seed``.
+byte. The four experiments return a :class:`harness.Table`, which one
+function, :func:`render`, prints. The master seed defaults to a fixed
+constant, overridable by the ``ADAPTGAP_SEED`` environment variable and then
+by ``--seed``.
 
 Exit status: 0 on success, 2 on usage errors (an ``--input`` matrix whose
-exact mean is not finite included), 3 on regime or precondition violations
-and on an estimate that is not finite.
+exact mean is not finite, an ``--out`` path that cannot be written and an
+allocation that fails included), 3 on regime or precondition violations and
+on an estimate that is not finite.
 """
 
 from __future__ import annotations
@@ -34,24 +37,16 @@ from .oracle import Mode
 from .rng import RngStream
 from .spaces import INF, MixedMatrix, ProblemSpec, as_exponent, scalar_mean
 
-__all__ = ["DEFAULT_SEED", "run", "main"]
+__all__ = ["DEFAULT_SEED", "render", "run", "main"]
 
 #: Published default master seed; see module docstring for overrides.
 DEFAULT_SEED = 0x5EED
 
-MEASUREMENT_COLUMNS = (
-    "family", "estimator", "p", "u", "n1", "n2", "n", "trials",
-    "rms", "stderr", "mean_card", "seed", "mae",
-)
+#: Header parameters and columns that hold an exponent.
+_EXPONENT_KEYS = frozenset({"p", "u", "v", "p1"})
 
-GAP_COLUMNS = (
-    "n", "n1", "n2", "trials", "rms_a2", "stderr_a2", "rms_a3", "stderr_a3",
-    "ratio", "mean_card_a2", "mean_card_a3", "seed",
-)
-
-DS_COLUMNS = ("k0", "mode", "trials", "rms", "stderr", "mean_card", "seed")
-
-NORM_COLUMNS = ("v", "u", "pop_size", "n", "trials", "rms_dev", "stderr", "seed")
+#: Parsed options that are not part of a run's configuration header.
+_NOT_ECHOED = frozenset({"command", "func", "out", "format"})
 
 
 def fmt_float(x: float) -> str:
@@ -117,135 +112,49 @@ def resolve_seed(explicit: int | None) -> int:
     return DEFAULT_SEED
 
 
-def _render(columns, data_rows, header_lines, footer_lines, sep) -> str:
-    lines = [f"# {h}" for h in header_lines]
-    lines.append(sep.join(columns))
-    lines.extend(sep.join(row) for row in data_rows)
-    lines.extend(f"# {f}" for f in footer_lines)
-    return "\n".join(lines) + "\n"
+def fmt(key: str, value) -> str:
+    """A header parameter or table cell as printed."""
+    if value is None:
+        return "default"
+    if isinstance(value, list):
+        return ",".join(fmt(key, v) for v in value)
+    if key in _EXPONENT_KEYS:
+        return fmt_exponent(value)
+    if isinstance(value, float):
+        return fmt_float(value)
+    return str(value)
 
 
 def _config_header(command: str, params: dict) -> list[str]:
     lines = [f"adaptgap {command}"]
-    for key in sorted(params):
-        lines.append(f"{key}={params[key]}")
+    lines.extend(f"{key}={fmt(key, params[key])}" for key in sorted(params))
     return lines
 
 
-def _fit_lines(label: str, fit, target=None) -> list[str]:
-    if fit is None:
-        return [f"fit {label}: not available"]
-    line = (
-        f"fit {label}: slope={fmt_float(fit.slope)} "
-        f"intercept={fmt_float(fit.intercept)} r2={fmt_float(fit.r_squared)}"
-    )
-    if target is not None:
-        line += f" target={fmt_float(target)}"
-    return [line]
-
-
-def measurement_data_rows(rows) -> list[list[str]]:
-    return [
-        [
-            r.family,
-            r.estimator,
-            fmt_exponent(r.p),
-            fmt_exponent(r.u),
-            str(r.n1),
-            str(r.n2),
-            str(r.n),
-            str(r.trials),
-            fmt_float(r.rms),
-            fmt_float(r.stderr),
-            fmt_float(r.mean_card),
-            str(r.seed),
-            fmt_float(r.mae),
-        ]
-        for r in rows
-    ]
-
-
-def render_rates(report: harness.RateReport, header: list[str], sep: str) -> str:
-    rows = []
-    footer = []
-    for check in report.checks:
-        rows.extend(measurement_data_rows(check.rows))
-        footer.extend(
-            _fit_lines(
-                f"{check.label} [{check.estimator}]", check.fit, check.target_slope
-            )
+def _footer_line(kind: str, label: str, value) -> str:
+    if kind == "fit":
+        fit, target = value
+        text = "not available" if fit is None else (
+            f"slope={fmt_float(fit.slope)} intercept={fmt_float(fit.intercept)} "
+            f"r2={fmt_float(fit.r_squared)} target={fmt_float(target)}"
         )
-        if check.predicted is not None:
-            pairs = " ".join(
-                f"n={r.n}:{fmt_float(pred)}"
-                for r, pred in zip(check.rows, check.predicted)
-            )
-            footer.append(f"predicted {check.label}: {pairs}")
-    return _render(MEASUREMENT_COLUMNS, rows, header, footer, sep)
+    elif kind == "predicted":
+        text = " ".join(f"n={n}:{fmt_float(rms)}" for n, rms in value)
+    elif kind == "ratio":
+        text = f"nonadaptive/adaptive={fmt_float(value)}"
+    else:
+        text = fmt_float(value)
+    return f"{kind} {label}".rstrip() + f": {text}"
 
 
-def render_gap(result: harness.GapResult, header: list[str], sep: str) -> str:
-    rows = [
-        [
-            str(r.n),
-            str(r.n1),
-            str(r.n2),
-            str(r.trials),
-            fmt_float(r.rms_a2),
-            fmt_float(r.stderr_a2),
-            fmt_float(r.rms_a3),
-            fmt_float(r.stderr_a3),
-            fmt_float(r.ratio),
-            fmt_float(r.mean_card_a2),
-            fmt_float(r.mean_card_a3),
-            str(result.seed),
-        ]
-        for r in result.rows
-    ]
-    footer = []
-    footer.extend(_fit_lines("ratio rms_a2/rms_a3", result.ratio_fit, 0.25))
-    footer.extend(_fit_lines("rms_a2", result.a2_fit, -0.25))
-    footer.extend(_fit_lines("rms_a3", result.a3_fit, -0.5))
-    return _render(GAP_COLUMNS, rows, header, footer, sep)
-
-
-def render_ds(result: harness.DsResult, header: list[str], sep: str) -> str:
-    rows = [
-        [
-            str(r.k0),
-            r.mode,
-            str(r.trials),
-            fmt_float(r.rms),
-            fmt_float(r.stderr),
-            fmt_float(r.mean_card),
-            str(result.seed),
-        ]
-        for r in result.rows
-    ]
-    footer = [
-        f"ratio k0={k0}: nonadaptive/adaptive={fmt_float(ratio)}"
-        for k0, ratio in result.ratios
-    ]
-    return _render(DS_COLUMNS, rows, header, footer, sep)
-
-
-def render_norm(result: harness.NormEstResult, header: list[str], sep: str) -> str:
-    rows = [
-        [
-            fmt_exponent(result.v),
-            fmt_exponent(result.u),
-            str(result.population_size),
-            str(r.n),
-            str(r.trials),
-            fmt_float(r.rms_dev),
-            fmt_float(r.stderr),
-            str(result.seed),
-        ]
-        for r in result.rows
-    ]
-    footer = _fit_lines("rms deviation", result.fit, result.target_slope)
-    footer.append(f"true norm: {fmt_float(result.true_norm)}")
-    return _render(NORM_COLUMNS, rows, header, footer, sep)
+def render(table: harness.Table, header: list[str], sep: str) -> str:
+    """The header lines, the column line, the rows and the footer lines."""
+    lines = [f"# {h}" for h in header]
+    lines.append(sep.join(table.columns))
+    for row in table.rows:
+        lines.append(sep.join(fmt(key, v) for key, v in zip(table.columns, row)))
+    lines.extend(f"# {_footer_line(*item)}" for item in table.footer)
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +168,15 @@ _FAMILIES = {
     "mu4": Variant.ACTIVE_ROW_BERNOULLI,
 }
 
+_MODES = {
+    "adaptive": (Mode.ADAPTIVE,),
+    "nonadaptive": (Mode.NONADAPTIVE,),
+    "both": (Mode.ADAPTIVE, Mode.NONADAPTIVE),
+}
+
 
 def _cmd_estimate(args) -> str:
-    seed = resolve_seed(args.seed)
-    stream = RngStream(seed)
+    stream = RngStream(args.seed)
     if args.input:
         entries = np.load(args.input)
         if entries.ndim != 2:
@@ -293,19 +207,17 @@ def _cmd_estimate(args) -> str:
             "although the mean is; the entries are too close to overflow"
         )
 
-    lines = [f"# {h}" for h in _config_header(
-        "estimate",
-        {
-            "alg": args.alg,
-            "family": family_name,
-            "n": args.n,
-            "n1": spec.n1,
-            "n2": spec.n2,
-            "p": fmt_exponent(spec.p),
-            "u": fmt_exponent(spec.u),
-            "seed": seed,
-        },
-    )]
+    params = {
+        "alg": args.alg,
+        "family": family_name,
+        "n": args.n,
+        "n1": spec.n1,
+        "n2": spec.n2,
+        "p": spec.p,
+        "u": spec.u,
+        "seed": args.seed,
+    }
+    lines = [f"# {h}" for h in _config_header("estimate", params)]
     lines.append(f"value={fmt_float(report.value)}")
     lines.append(f"true_mean={fmt_float(truth)}")
     lines.append(f"abs_error={fmt_float(abs(report.value - truth))}")
@@ -324,67 +236,34 @@ def _cmd_estimate(args) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cmd_rates(args) -> str:
-    seed = resolve_seed(args.seed)
-    report = harness.rate_experiment(
+def _cmd_rates(args) -> harness.Table:
+    return harness.rate_experiment(
         harness.Regime(args.regime),
         budgets=args.budgets,
         trials=args.trials,
-        seed=seed,
+        seed=args.seed,
         c0=args.c0,
         workers=args.workers,
     )
-    header = _config_header(
-        "rates",
-        {
-            "budgets": ",".join(str(b) for b in (args.budgets or [])) or "default",
-            "c0": fmt_float(args.c0),
-            "regime": args.regime,
-            "seed": seed,
-            "trials": args.trials,
-            "workers": args.workers,
-        },
-    )
-    return render_rates(report, header, args.sep)
 
 
-def _cmd_gap(args) -> str:
-    seed = resolve_seed(args.seed)
-    result = harness.gap_experiment(
+def _cmd_gap(args) -> harness.Table:
+    return harness.gap_experiment(
         args.budgets,
         args.c3,
         args.trials,
-        seed,
+        args.seed,
         m=args.m,
         c0=args.c0,
         workers=args.workers,
     )
-    header = _config_header(
-        "gap",
-        {
-            "budgets": ",".join(str(b) for b in args.budgets),
-            "c0": fmt_float(args.c0),
-            "c3": fmt_float(args.c3),
-            "m": "default" if args.m is None else args.m,
-            "seed": seed,
-            "trials": args.trials,
-            "workers": args.workers,
-        },
-    )
-    return render_gap(result, header, args.sep)
 
 
-def _cmd_ds(args) -> str:
-    seed = resolve_seed(args.seed)
-    modes = {
-        "adaptive": (Mode.ADAPTIVE,),
-        "nonadaptive": (Mode.NONADAPTIVE,),
-        "both": (Mode.ADAPTIVE, Mode.NONADAPTIVE),
-    }[args.mode]
-    result = harness.ds_experiment(
+def _cmd_ds(args) -> harness.Table:
+    return harness.ds_experiment(
         k0_values=args.k0,
         trials=args.trials,
-        seed=seed,
+        seed=args.seed,
         alpha=args.alpha,
         p=args.p,
         u=args.u,
@@ -393,54 +272,21 @@ def _cmd_ds(args) -> str:
         c0=args.c0,
         m=args.m,
         k_max=args.k_max,
-        modes=modes,
+        modes=_MODES[args.mode],
         workers=args.workers,
     )
-    header = _config_header(
-        "ds",
-        {
-            "alpha": fmt_float(result.alpha),
-            "c0": fmt_float(result.c0),
-            "delta": fmt_float(result.delta),
-            "k0": ",".join(str(k) for k in args.k0),
-            "k_max": result.k_max,
-            "m": "default" if result.m is None else result.m,
-            "mode": args.mode,
-            "p": fmt_exponent(result.p),
-            "p1": fmt_exponent(args.p1),
-            "seed": seed,
-            "trials": args.trials,
-            "u": fmt_exponent(result.u),
-            "workers": args.workers,
-        },
-    )
-    return render_ds(result, header, args.sep)
 
 
-def _cmd_norm_est(args) -> str:
-    seed = resolve_seed(args.seed)
-    result = harness.norm_deviation_experiment(
+def _cmd_norm_est(args) -> harness.Table:
+    return harness.norm_deviation_experiment(
         args.population,
         args.v,
         args.budgets,
         args.trials,
-        seed,
+        args.seed,
         u=args.u,
         workers=args.workers,
     )
-    header = _config_header(
-        "norm-est",
-        {
-            "budgets": ",".join(str(b) for b in args.budgets),
-            "population": ",".join(fmt_float(x) for x in args.population),
-            "seed": seed,
-            "trials": args.trials,
-            "u": fmt_exponent(args.u),
-            "v": fmt_exponent(args.v),
-            "workers": args.workers,
-        },
-    )
-    return render_norm(result, header, args.sep)
 
 
 # ---------------------------------------------------------------------------
@@ -534,22 +380,29 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if hasattr(args, "format"):
-        args.sep = "\t" if args.format == "tsv" else ","
+    """Run one command; return its exit status.
+
+    A table command's header echoes every option it parsed, with the seed
+    resolved and the settings the experiment resolved itself.
+    """
+    args = build_parser().parse_args(argv)
     try:
+        args.seed = resolve_seed(args.seed)
         output = args.func(args)
+        if isinstance(output, harness.Table):
+            params = {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED}
+            header = _config_header(args.command, params | output.settings)
+            output = render(output, header, "\t" if args.format == "tsv" else ",")
+        if args.out is not None:
+            args.out.write_text(output)
+        else:
+            sys.stdout.write(output)
     except AdaptGapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.out is not None:
-        args.out.write_text(output)
-    else:
-        sys.stdout.write(output)
     return 0
 
 

@@ -12,14 +12,18 @@ Ground-truth means are computed by direct summation outside the query
 oracle; they are measurement infrastructure, not algorithmic information.
 The error metric is RMS over trials (the mean absolute error rides along as
 a secondary statistic), with a delta-method standard error.
+
+Each experiment returns one :class:`Table`: its rows as printed, one
+namedtuple type per experiment, and the footer items that follow them.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -43,21 +47,13 @@ __all__ = [
     "EstimatorKind",
     "Regime",
     "TrialStats",
-    "MeasurementRow",
     "RateFit",
+    "Table",
     "rms_error",
     "rate_fit",
-    "GapRow",
-    "GapResult",
     "gap_experiment",
-    "RateCheck",
-    "RateReport",
     "rate_experiment",
-    "DsRow",
-    "DsResult",
     "ds_experiment",
-    "NormRow",
-    "NormEstResult",
     "norm_deviation_experiment",
 ]
 
@@ -89,25 +85,6 @@ class TrialStats:
 
 
 @dataclass(frozen=True)
-class MeasurementRow:
-    """One line of the long-format experiment table."""
-
-    family: str
-    estimator: str
-    p: float
-    u: float
-    n1: int
-    n2: int
-    n: int
-    trials: int
-    rms: float
-    stderr: float
-    mean_card: float
-    seed: int
-    mae: float
-
-
-@dataclass(frozen=True)
 class RateFit:
     """Least-squares line through (log2 n, log2 error)."""
 
@@ -115,6 +92,28 @@ class RateFit:
     intercept: float
     r_squared: float
     points: tuple[tuple[float, float], ...]
+
+
+@dataclass(frozen=True)
+class Table:
+    """One experiment's result, as it is printed.
+
+    ``rows`` are namedtuples whose fields are ``columns``. ``footer`` holds
+    ``(kind, label, value)`` items in print order: ``("fit", label, (fit,
+    target))``, ``("predicted", label, ((n, rms), ...))``, ``("ratio",
+    label, ratio)`` and ``("true norm", "", norm)``. ``settings`` holds the
+    parameters the experiment resolved itself.
+    """
+
+    columns: tuple[str, ...]
+    rows: tuple
+    footer: tuple = ()
+    settings: dict = field(default_factory=dict)
+
+    @property
+    def fits(self) -> dict[str, RateFit | None]:
+        """The footer's fits by label."""
+        return {label: value[0] for kind, label, value in self.footer if kind == "fit"}
 
 
 def _parallel_map(fn, items: list, workers: int) -> list:
@@ -249,37 +248,21 @@ def _try_fit(points) -> RateFit | None:
         return None
 
 
+def _fit_item(label: str, rows, column: str, target: float) -> tuple:
+    """The footer item fitting ``column`` against ``n``, with its target."""
+    return "fit", label, (_try_fit([(r.n, getattr(r, column)) for r in rows]), target)
+
+
 # ---------------------------------------------------------------------------
 # Adaption-gap experiment
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GapRow:
-    n: int
-    n1: int
-    n2: int
-    trials: int
-    rms_a2: float
-    stderr_a2: float
-    rms_a3: float
-    stderr_a3: float
-    ratio: float
-    mean_card_a2: float
-    mean_card_a3: float
-
-
-@dataclass(frozen=True)
-class GapResult:
-    rows: tuple[GapRow, ...]
-    ratio_fit: RateFit | None
-    a2_fit: RateFit | None
-    a3_fit: RateFit | None
-    seed: int
-    c3: float
-    c0: float
-    trials: int
-    m: int | None
+_GapRow = namedtuple(
+    "GapRow",
+    "n n1 n2 trials rms_a2 stderr_a2 rms_a3 stderr_a3 ratio mean_card_a2 "
+    "mean_card_a3 seed",
+)
 
 
 def _gap_trial(
@@ -314,7 +297,7 @@ def gap_experiment(
     m: int | None = None,
     c0: float = REGIME_GUARD_DEFAULT,
     workers: int = 1,
-) -> GapResult:
+) -> Table:
     """Adaptive vs non-adaptive RMS at matched realized budgets.
 
     For each budget n the instance is the active-row family at
@@ -328,6 +311,8 @@ def gap_experiment(
         raise InvalidParameters("budgets must be strictly increasing")
     if not c3 > 0.0:
         raise InvalidParameters("c3 must be positive")
+    if not math.isfinite(c3):
+        raise InvalidParameters("c3 must be finite")
     if trials < 2:
         raise InvalidParameters("trials must be at least 2")
     dims = []
@@ -348,35 +333,15 @@ def gap_experiment(
         a3 = _stats_from_trials([(r[2], r[3], r[5]) for r in results])
         ratio = a2.rms / a3.rms if a3.rms > 0.0 else math.inf
         rows.append(
-            GapRow(
-                n=n,
-                n1=side,
-                n2=side,
-                trials=trials,
-                rms_a2=a2.rms,
-                stderr_a2=a2.stderr,
-                rms_a3=a3.rms,
-                stderr_a3=a3.stderr,
-                ratio=ratio,
-                mean_card_a2=a2.mean_card,
-                mean_card_a3=a3.mean_card,
-            )
+            _GapRow(n, side, side, trials, a2.rms, a2.stderr, a3.rms, a3.stderr,
+                    ratio, a2.mean_card, a3.mean_card, int(seed))
         )
-
-    ratio_fit = _try_fit([(r.n, r.ratio) for r in rows])
-    a2_fit = _try_fit([(r.n, r.rms_a2) for r in rows])
-    a3_fit = _try_fit([(r.n, r.rms_a3) for r in rows])
-    return GapResult(
-        rows=tuple(rows),
-        ratio_fit=ratio_fit,
-        a2_fit=a2_fit,
-        a3_fit=a3_fit,
-        seed=int(seed),
-        c3=float(c3),
-        c0=float(c0),
-        trials=trials,
-        m=m,
+    footer = (
+        _fit_item("ratio rms_a2/rms_a3", rows, "ratio", 0.25),
+        _fit_item("rms_a2", rows, "rms_a2", -0.25),
+        _fit_item("rms_a3", rows, "rms_a3", -0.5),
     )
+    return Table(_GapRow._fields, tuple(rows), footer)
 
 
 # ---------------------------------------------------------------------------
@@ -384,24 +349,10 @@ def gap_experiment(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RateCheck:
-    """One measured curve plus its theoretical exponent."""
-
-    label: str
-    estimator: str
-    target_slope: float
-    rows: tuple[MeasurementRow, ...]
-    fit: RateFit | None
-    predicted: tuple[float, ...] | None = None
-
-
-@dataclass(frozen=True)
-class RateReport:
-    regime: Regime
-    checks: tuple[RateCheck, ...]
-    seed: int
-    trials: int
+_RateRow = namedtuple(
+    "RateRow",
+    "family estimator p u n1 n2 n trials rms stderr mean_card seed mae",
+)
 
 
 #: Trial multiplier for the saturated-regime check: a lone spike is hit with
@@ -476,13 +427,13 @@ def rate_experiment(
     *,
     c0: float = REGIME_GUARD_DEFAULT,
     workers: int = 1,
-) -> RateReport:
+) -> Table:
     """Measure estimator RMS curves in one exponent regime.
 
     Each regime carries a preset adversarial family and dimension rule whose
     family-averaged error realizes the regime's predicted exponent; the
-    report pairs fitted slopes with those targets. Grids are guarded by
-    ``check_regime`` with constant ``c0``.
+    footer pairs each curve's fitted slope with that target. Grids are
+    guarded by ``check_regime`` with constant ``c0``.
     """
     regime = Regime(regime)
     if trials < 2:
@@ -503,45 +454,25 @@ def rate_experiment(
         grids.append(grid)
 
     results = iter(_run_cells(cells, seed, workers))
-    checks = []
+    rows = []
+    footer = []
     for curve, grid in zip(curves, grids):
-        rows = []
+        curve_rows = []
         for n, family in grid:
             stats = _stats_from_trials(next(results))
             spec = family.spec
-            rows.append(
-                MeasurementRow(
-                    family=family.variant.value,
-                    estimator=curve.estimator.value,
-                    p=spec.p,
-                    u=spec.u,
-                    n1=spec.n1,
-                    n2=spec.n2,
-                    n=n,
-                    trials=stats.trials,
-                    rms=stats.rms,
-                    stderr=stats.stderr,
-                    mean_card=stats.mean_card,
-                    seed=int(seed),
-                    mae=stats.mae,
-                )
+            curve_rows.append(
+                _RateRow(family.variant.value, curve.estimator.value, spec.p, spec.u,
+                         spec.n1, spec.n2, n, stats.trials, stats.rms, stats.stderr,
+                         stats.mean_card, int(seed), stats.mae)
             )
-        predicted = None
+        rows.extend(curve_rows)
+        label = f"{curve.label} [{curve.estimator.value}]"
+        footer.append(_fit_item(label, curve_rows, "rms", curve.target))
         if curve.predict is not None:
-            predicted = tuple(curve.predict(n) for n, _ in grid)
-        checks.append(
-            RateCheck(
-                label=curve.label,
-                estimator=curve.estimator.value,
-                target_slope=curve.target,
-                rows=tuple(rows),
-                fit=_try_fit([(r.n, r.rms) for r in rows]),
-                predicted=predicted,
-            )
-        )
-    return RateReport(
-        regime=regime, checks=tuple(checks), seed=int(seed), trials=trials
-    )
+            predicted = tuple((n, curve.predict(n)) for n, _ in grid)
+            footer.append(("predicted", curve.label, predicted))
+    return Table(_RateRow._fields, tuple(rows), tuple(footer))
 
 
 # ---------------------------------------------------------------------------
@@ -549,29 +480,7 @@ def rate_experiment(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DsRow:
-    k0: int
-    mode: str
-    trials: int
-    rms: float
-    stderr: float
-    mean_card: float
-
-
-@dataclass(frozen=True)
-class DsResult:
-    rows: tuple[DsRow, ...]
-    ratios: tuple[tuple[int, float], ...]
-    seed: int
-    alpha: float
-    p: float
-    u: float
-    delta: float
-    c0: float
-    m: int | None
-    k_max: int
-    trials: int
+_DsRow = namedtuple("DsRow", "k0 mode trials rms stderr mean_card seed")
 
 
 def sample_ds_input(
@@ -624,14 +533,15 @@ def ds_experiment(
     k_max: int | None = None,
     modes: tuple[Mode, ...] = (Mode.ADAPTIVE, Mode.NONADAPTIVE),
     workers: int = 1,
-) -> DsResult:
+) -> Table:
     """Adaptive vs non-adaptive composite estimation on random sum inputs.
 
     Each trial samples one active-row instance per level up to ``k_max``
     (default: the largest level any tested k0 estimates) and runs the
     requested composites on the same input. ``delta`` defaults to the
     midpoint (alpha - 1) / 2 of its admissible interval. Ratios are
-    reported when both modes run.
+    reported when both modes run. The settings hold ``alpha``, ``p``,
+    ``u``, and ``delta`` and ``k_max`` as resolved.
     """
     k0_values = tuple(int(k) for k in k0_values)
     if not k0_values or any(k < 1 for k in k0_values):
@@ -656,37 +566,23 @@ def ds_experiment(
     (per_trial,) = _run_cells([(_ds_trial, args, (), trials)], seed, workers)
 
     rows = []
-    ratios = []
+    footer = []
     for i, k0 in enumerate(k0_values):
-        by_mode = {}
+        rms = {}
         for j, mode in enumerate(modes):
             stats = _stats_from_trials(
                 [trial[i * len(modes) + j] for trial in per_trial]
             )
-            by_mode[mode] = stats
-            rows.append(
-                DsRow(k0, mode.value, trials, stats.rms, stats.stderr,
-                      stats.mean_card)
-            )
-        if Mode.ADAPTIVE in by_mode and Mode.NONADAPTIVE in by_mode:
-            adaptive = by_mode[Mode.ADAPTIVE]
-            nonadaptive = by_mode[Mode.NONADAPTIVE]
-            ratios.append(
-                (k0, nonadaptive.rms / adaptive.rms if adaptive.rms > 0 else math.inf)
-            )
-    return DsResult(
-        rows=tuple(rows),
-        ratios=tuple(ratios),
-        seed=int(seed),
-        alpha=float(alpha),
-        p=float(p),
-        u=float(u),
-        delta=float(delta),
-        c0=float(c0),
-        m=m,
-        k_max=k_max,
-        trials=trials,
-    )
+            rms[mode] = stats.rms
+            rows.append(_DsRow(k0, mode.value, trials, stats.rms, stats.stderr,
+                               stats.mean_card, int(seed)))
+        if Mode.ADAPTIVE in rms and Mode.NONADAPTIVE in rms:
+            adaptive = rms[Mode.ADAPTIVE]
+            ratio = rms[Mode.NONADAPTIVE] / adaptive if adaptive > 0 else math.inf
+            footer.append(("ratio", f"k0={k0}", ratio))
+    settings = {"alpha": float(alpha), "delta": float(delta), "k_max": k_max,
+                "p": float(p), "u": float(u)}
+    return Table(_DsRow._fields, tuple(rows), tuple(footer), settings)
 
 
 # ---------------------------------------------------------------------------
@@ -694,25 +590,7 @@ def ds_experiment(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NormRow:
-    n: int
-    trials: int
-    rms_dev: float
-    stderr: float
-
-
-@dataclass(frozen=True)
-class NormEstResult:
-    rows: tuple[NormRow, ...]
-    fit: RateFit | None
-    target_slope: float
-    true_norm: float
-    v: float
-    u: float
-    population_size: int
-    seed: int
-    trials: int
+_NormRow = namedtuple("NormRow", "v u pop_size n trials rms_dev stderr seed")
 
 
 def _norm_trial(
@@ -732,7 +610,7 @@ def norm_deviation_experiment(
     *,
     u: float = INF,
     workers: int = 1,
-) -> NormEstResult:
+) -> Table:
     """RMS deviation of the sampled L_v norm from the exact one.
 
     ``u`` only sets the reported target exponent max(1/u - 1/v, -1/2); the
@@ -741,6 +619,8 @@ def norm_deviation_experiment(
     pop = np.asarray(population, dtype=np.float64)
     if pop.ndim != 1 or pop.size < 1:
         raise InvalidParameters("population must be a nonempty vector")
+    if not np.isfinite(pop).all():
+        raise InvalidParameters("population entries must be finite")
     if trials < 2:
         raise InvalidParameters("trials must be at least 2")
     budgets = [int(b) for b in budgets]
@@ -749,21 +629,13 @@ def norm_deviation_experiment(
         (_norm_trial, (pop, float(v), n, true_norm), (i,), trials)
         for i, n in enumerate(budgets)
     ]
+    u = float(u)
     rows = []
     for n, results in zip(budgets, _run_cells(cells, seed, workers)):
         stats = _stats_from_trials(results)
-        rows.append(NormRow(n=n, trials=trials, rms_dev=stats.rms, stderr=stats.stderr))
-    fit = _try_fit([(r.n, r.rms_dev) for r in rows])
-    u = float(u)
+        rows.append(_NormRow(float(v), u, pop.size, n, trials, stats.rms, stats.stderr,
+                             int(seed)))
     target = max(1.0 / u - 1.0 / float(v), -0.5)
-    return NormEstResult(
-        rows=tuple(rows),
-        fit=fit,
-        target_slope=target,
-        true_norm=true_norm,
-        v=float(v),
-        u=u,
-        population_size=pop.size,
-        seed=int(seed),
-        trials=trials,
-    )
+    footer = (_fit_item("rms deviation", rows, "rms_dev", target),
+              ("true norm", "", true_norm))
+    return Table(_NormRow._fields, tuple(rows), footer)

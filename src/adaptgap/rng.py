@@ -59,8 +59,8 @@ class RngStream:
         Each call builds its own bit generator, so two generators of one
         stream never share state.
         """
-        generator_cls, philox_cls = _numpy_random()
-        return generator_cls(philox_cls(_Key(_philox_key(self.seed, self.stream))))
+        generator_cls, philox_cls, key_cls = _numpy_random()
+        return generator_cls(philox_cls(key_cls(_philox_key(self.seed, self.stream))))
 
 
 # The constants of numpy's seed-sequence hash (numpy/random/bit_generator.pyx).
@@ -158,27 +158,39 @@ def _philox_key(seed: int, path: tuple[int, ...]) -> tuple[int, int]:
     return out[0] | out[1] << 32, out[2] | out[3] << 32
 
 
-class _Key:
-    """A seed sequence that hands Philox one precomputed 2-word key.
-
-    Registered as numpy's ``ISeedSequence`` on first use.
-    """
-
-    __slots__ = ("key",)
-
-    def __init__(self, key: tuple[int, int]) -> None:
-        self.key = key
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 2 or dtype is not np.uint64:
-            raise NotImplementedError("only a Philox key (2 uint64 words) is stored")
-        return self.key
-
-
 @cache
 def _numpy_random():
+    """numpy's ``Generator`` and ``Philox``, and the key class Philox seeds from."""
     from numpy.random import Generator, Philox
     from numpy.random.bit_generator import ISeedSequence
 
-    ISeedSequence.register(_Key)
-    return Generator, Philox
+    class _Key(ISeedSequence):
+        """A seed sequence that hands Philox one precomputed 2-word key.
+
+        A real subclass, not a registered one: Philox's ``isinstance`` check
+        then stays on the C fast path instead of ``ABCMeta.__subclasscheck__``.
+        """
+
+        __slots__ = ("key",)
+
+        def __init__(self, key: tuple[int, int]) -> None:
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 2 or dtype is not np.uint64:
+                raise NotImplementedError(
+                    "only a Philox key (2 uint64 words) is stored"
+                )
+            return self.key
+
+    # Pickles name the class ``adaptgap.rng._Key``; see ``__getattr__``.
+    _Key.__qualname__ = "_Key"
+    return Generator, Philox, _Key
+
+
+def __getattr__(name: str):
+    # The key class is built with numpy.random, on first use, so a pickle
+    # that names it builds it here.
+    if name == "_Key":
+        return _numpy_random()[2]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -142,7 +142,7 @@ def measure_04(seed: int) -> list[Check]:
     # condition, so the guard constant is relaxed for this measurement.
     result = gap_experiment(list(SQRT_GRID), 1.0, trials=300, seed=seed, c0=2.0)
     return [
-        Check("ratio slope", result.ratio_fit.slope, 0.15, 0.35),
+        Check("ratio slope", result.fits["ratio rms_a2/rms_a3"].slope, 0.15, 0.35),
         Check("ratio(2^16)", result.rows[-1].ratio, 1.0, strict=True),
     ]
 
@@ -265,7 +265,8 @@ def measure_08(seed: int) -> list[Check]:
         trials=2000,
         seed=seed,
     )
-    slope = math.nan if result.fit is None else result.fit.slope
+    fit = result.fits["rms deviation"]
+    slope = math.nan if fit is None else fit.slope
     return [Check("slope", slope, -0.60, -0.40)]
 
 
@@ -351,7 +352,7 @@ def test_criterion_10_direct_sum_budget_and_direction():
 
     result = ds_direct_sum(SEED + 15)
     direction = direction_checks(result)
-    ratios = [ratio for _, ratio in result.ratios]
+    ratios = [ratio for kind, _, ratio in result.footer if kind == "ratio"]
     monotone_ok = all(r2 >= r1 for r1, r2 in zip(ratios, ratios[1:]))
     ok = bound_violations == 0 and all(c.ok for c in direction) and monotone_ok
     report(

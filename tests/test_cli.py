@@ -204,6 +204,14 @@ class TestEstimate:
         assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_budget_beyond_memory_is_usage_error(capsys):
+    # 2^62 plan entries exceed any address space, so the allocation fails at
+    # once without asking the OS for pages.
+    code, out, err = capture(capsys, ["estimate", "--n", str(2**62)])
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_module_runs_as_a_script():
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
@@ -257,6 +265,21 @@ class TestGap:
         text = path.read_text()
         assert text.startswith("# adaptgap gap")
 
+    def test_unwritable_out_is_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "gap.csv"
+        code, out, err = capture(
+            capsys, ["gap", "--trials", "2", "--budgets", "256", "--out", str(path)]
+        )
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+    def test_infinite_c3_is_precondition_violation(self, capsys):
+        code, _, err = capture(
+            capsys, ["gap", "--trials", "2", "--budgets", "256", "--c3", "inf"]
+        )
+        assert code == 3
+        assert err == "error: c3 must be finite\n"
+
 
 class TestOtherCommands:
     def test_rates_smoke(self, capsys):
@@ -297,6 +320,15 @@ class TestOtherCommands:
         assert code == 0
         assert "rms_dev" in out
         assert "true norm: 1.0" in out
+
+    @pytest.mark.parametrize("population", ["nan,1", "inf,1"])
+    def test_norm_est_nonfinite_population(self, population, capsys):
+        code, out, err = capture(
+            capsys, ["norm-est", "--population", population, "--trials", "2",
+                     "--budgets", "16"],
+        )
+        assert code == 3
+        assert out == "" and err == "error: population entries must be finite\n"
 
 
 class TestSeedResolution:

@@ -134,7 +134,7 @@ class TestGapExperiment:
             assert row.ratio == pytest.approx(row.rms_a2 / row.rms_a3)
             assert row.mean_card_a2 == row.mean_card_a3
         # Too few budgets for a fit.
-        assert result.ratio_fit is None
+        assert result.fits["ratio rms_a2/rms_a3"] is None
 
     def test_workers_bitwise_equal(self):
         a = gap_experiment([256], 5.0, trials=30, seed=10, workers=1)
@@ -149,6 +149,10 @@ class TestGapExperiment:
         with pytest.raises(RegimeViolation):
             gap_experiment([64], 40.0, trials=30, seed=0)
 
+    def test_c3_must_be_finite(self):
+        with pytest.raises(InvalidParameters, match="c3 must be finite"):
+            gap_experiment([256], math.inf, trials=2, seed=0)
+
     def test_relaxed_guard_accepts_square_grid(self):
         result = gap_experiment([1024], 1.0, trials=30, seed=1, c0=2.0)
         assert result.rows[0].n1 == 32
@@ -159,11 +163,11 @@ class TestRateExperiment:
         report = rate_experiment(
             Regime.P_GE_U, budgets=(64, 128, 256, 512), trials=120, seed=12
         )
-        (check,) = report.checks
-        assert check.fit is not None
-        assert check.predicted is not None
+        assert report.fits["row-spike mean, p>=u [a2]"] is not None
+        ((_, _, predicted),) = [f for f in report.footer if f[0] == "predicted"]
         # Closed form 4/sqrt(n), asserted within a factor of 2.
-        for row, predicted in zip(check.rows, check.predicted):
+        for row, (n, predicted) in zip(report.rows, predicted, strict=True):
+            assert n == row.n
             assert predicted / 2.0 <= row.rms <= predicted * 2.0
 
     def test_guard_rejects_dense_grid(self):
@@ -175,10 +179,12 @@ class TestRateExperiment:
 
     def test_small_budget_regime_flat(self):
         report = rate_experiment(Regime.P_LT_2_LT_U, trials=150, seed=13)
-        flat = report.checks[2]
-        assert flat.target_slope == 0.0
-        assert flat.fit is not None
-        assert abs(flat.fit.slope) <= 0.1
+        ((_, _, (fit, target)),) = [
+            f for f in report.footer if f[1] == "single-spike mean, n<N1 [a2]"
+        ]
+        assert target == 0.0
+        assert fit is not None
+        assert abs(fit.slope) <= 0.1
 
 
 class TestDsExperiment:
@@ -187,8 +193,8 @@ class TestDsExperiment:
             k0_values=(4,), trials=30, seed=14, alpha=1.5, delta=0.2
         )
         assert len(result.rows) == 2
-        (k0, ratio) = result.ratios[0]
-        assert k0 == 4
+        ((kind, label, ratio),) = result.footer
+        assert (kind, label) == ("ratio", "k0=4")
         assert ratio > 0.0
 
     def test_single_mode(self):
@@ -200,7 +206,7 @@ class TestDsExperiment:
         )
         assert len(result.rows) == 1
         assert result.rows[0].mode == "nonadaptive"
-        assert result.ratios == ()
+        assert result.footer == ()
 
     def test_k_max_floor_checked(self):
         with pytest.raises(InvalidParameters):
@@ -213,10 +219,16 @@ class TestNormDeviationExperiment:
             [2.0, 0.0, 0.0, 0.0], 2.0, [2**k for k in range(4, 11)],
             trials=300, seed=16,
         )
-        assert result.true_norm == pytest.approx(1.0)
-        assert result.target_slope == -0.5
-        assert result.fit is not None
-        assert -0.6 <= result.fit.slope <= -0.4
+        (_, _, (fit, target)), (_, _, true_norm) = result.footer
+        assert true_norm == pytest.approx(1.0)
+        assert target == -0.5
+        assert fit is not None
+        assert -0.6 <= fit.slope <= -0.4
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_population_must_be_finite(self, bad):
+        with pytest.raises(InvalidParameters, match="must be finite"):
+            norm_deviation_experiment([bad, 1.0], 2.0, [16], trials=2, seed=0)
 
     def test_workers_bitwise_equal(self):
         kwargs = dict(trials=40, seed=17)

@@ -118,3 +118,31 @@ def test_import_leaves_numpy_random_unloaded():
     code = "import sys, adaptgap; assert 'numpy.random' not in sys.modules"
     env = dict(os.environ, PYTHONPATH=src)
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_key_is_a_real_seed_sequence_subclass():
+    # A registered virtual subclass would send Philox's isinstance check
+    # through ABCMeta.__subclasscheck__ on every generator() call.
+    from numpy.random.bit_generator import ISeedSequence
+
+    from adaptgap import rng
+
+    key = rng._Key((1, 2))
+    assert type(key) in ISeedSequence.__subclasses__()
+    assert type(RngStream(3).generator().bit_generator.seed_seq) is rng._Key
+
+
+def test_generator_unpickles_in_a_fresh_process():
+    # The pickle names the key class, which is built on first use; loading
+    # it must build the class before anything has drawn.
+    g = RngStream(5, (1,)).generator()
+    g.random(2)
+    src = os.path.dirname(os.path.dirname(adaptgap.__file__))
+    code = (
+        "import pickle, sys; g = pickle.loads(sys.stdin.buffer.read()); "
+        "print(g.random(3).tolist())"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         input=pickle.dumps(g), capture_output=True).stdout
+    assert out.decode().strip() == str(g.random(3).tolist())
