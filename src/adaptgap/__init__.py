@@ -1,9 +1,9 @@
 """Randomized mean computation on mixed-norm spaces and its adaption gap.
 
 The package provides the mixed-norm spaces themselves, a counting query
-oracle that machine-checks adaptive vs non-adaptive access, the randomized
-estimators, adversarial instance samplers, weighted direct sums, and a
-seeded experiment harness with a CLI front end.
+oracle on which a non-adaptive run answers only its fixed plan, the
+randomized estimators, adversarial instance samplers, weighted direct sums,
+and a seeded experiment harness with a CLI front end.
 """
 
 from .direct_sum import (

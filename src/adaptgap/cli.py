@@ -294,11 +294,16 @@ def _cmd_norm_est(args) -> harness.Table:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_seed_and_out(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--seed", type=int, default=None,
                      help="master seed (default: ADAPTGAP_SEED or %(default)s)")
     sub.add_argument("--out", type=Path, default=None,
                      help="write output to this path instead of stdout")
+
+
+def _add_table_options(sub: argparse.ArgumentParser) -> None:
+    """The options of the four table commands."""
+    _add_seed_and_out(sub)
     sub.add_argument("--format", choices=("csv", "tsv"), default="csv")
     sub.add_argument("--workers", type=parse_workers, default=1,
                      help="parallel trial workers (any count is bitwise equivalent)")
@@ -323,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="stage-one repetitions (a3 only; default log2(N1+1))")
     est.add_argument("--input", type=Path, default=None,
                      help="load the instance from a .npy matrix instead of sampling")
-    _add_common(est)
+    _add_seed_and_out(est)
     est.set_defaults(func=_cmd_estimate)
 
     rates = subs.add_parser("rates", help="rate curves per exponent regime")
@@ -333,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     rates.add_argument("--trials", type=int, default=300)
     rates.add_argument("--c0", type=float, default=harness.REGIME_GUARD_DEFAULT,
                        help="regime guard constant in n < c0*N1*N2")
-    _add_common(rates)
+    _add_table_options(rates)
     rates.set_defaults(func=_cmd_rates)
 
     gap = subs.add_parser("gap", help="adaption-gap experiment (p=1, u=inf)")
@@ -344,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     gap.add_argument("--trials", type=int, default=200)
     gap.add_argument("--m", type=int, default=None)
     gap.add_argument("--c0", type=float, default=harness.REGIME_GUARD_DEFAULT)
-    _add_common(gap)
+    _add_table_options(gap)
     gap.set_defaults(func=_cmd_gap)
 
     ds = subs.add_parser("ds", help="direct-sum composite experiment")
@@ -362,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     ds.add_argument("--mode", choices=("adaptive", "nonadaptive", "both"),
                     default="both")
     ds.add_argument("--trials", type=int, default=200)
-    _add_common(ds)
+    _add_table_options(ds)
     ds.set_defaults(func=_cmd_ds)
 
     ne = subs.add_parser("norm-est", help="norm-estimation deviation curve")
@@ -373,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     ne.add_argument("--budgets", type=parse_budgets,
                     default=[2**k for k in range(4, 13)])
     ne.add_argument("--trials", type=int, default=1000)
-    _add_common(ne)
+    _add_table_options(ne)
     ne.set_defaults(func=_cmd_norm_est)
 
     return parser

@@ -70,8 +70,10 @@ class DirectSumSpec:
     k_max: int
 
     def __post_init__(self) -> None:
-        if not self.alpha > 1.0:
-            raise InvalidParameters(f"alpha must exceed 1, got {self.alpha}")
+        if not 1.0 < self.alpha < INF:
+            raise InvalidParameters(
+                f"alpha must be finite and exceed 1, got {self.alpha}"
+            )
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "p", as_exponent(self.p))
         object.__setattr__(self, "u", as_exponent(self.u))
@@ -158,8 +160,8 @@ def level_allocation(
     Requires alpha > 1, 0 < delta < alpha - 1, and 0 < c0 < 1. The reported
     ``budget_constant`` certifies total <= budget_constant * 2^(2*k0).
     """
-    if not alpha > 1.0:
-        raise InvalidParameters(f"alpha must exceed 1, got {alpha}")
+    if not 1.0 < alpha < INF:
+        raise InvalidParameters(f"alpha must be finite and exceed 1, got {alpha}")
     if not 0.0 < delta < alpha - 1.0:
         raise InvalidParameters(
             f"delta must lie strictly inside (0, alpha - 1), got {delta}"
@@ -228,8 +230,9 @@ def ds_estimate(
         weight = 2.0 ** (-spec.alpha * k)
         side = level_size(k)
         if k < k0:
+            # Every entry once, as a non-adaptive plan; one mean of all answers.
             tape = open_nonadaptive(f_k, _full_readout_indices(side))
-            vals = tape.query_many(*tape.declared)
+            vals = np.concatenate(list(tape.answers()))
             value += weight * float(vals.mean())
             cards += tape.card()
             continue

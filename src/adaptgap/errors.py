@@ -18,7 +18,9 @@ class BudgetExceeded(AdaptGapError):
 
 
 class DisciplineViolation(AdaptGapError):
-    """A non-adaptive tape saw a query that differs from the declared plan."""
+    """A tape was used outside its discipline: a query on a non-adaptive
+    tape, which only answers its plan, a plan answered twice, or a plan
+    asked of an adaptive tape."""
 
 
 class EmptyInput(AdaptGapError):

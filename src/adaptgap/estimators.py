@@ -7,13 +7,13 @@ Three estimators are provided:
 * ``mc_mean_a2`` -- plain Monte Carlo: the average of n uniform
   with-replacement entry samples. Non-adaptive (the sample positions never
   depend on answers) and unbiased, with cost exactly n. On a NONADAPTIVE
-  tape it answers the tape's declared plan, normally ``draw_plan`` for the
-  same stream, so the plan is drawn once. It answers the plan block by
-  block and sums the block sums, so it holds the plan's compact rows
-  (2 bytes per query up to N1 = 65535) and one block of int64 indices and
-  answers, not n-length index and answer arrays. At integer entries, and
-  whenever n <= ``PLAN_BLOCK``, the value equals the mean of all n answers
-  at once bit for bit; otherwise it may differ in the last bits.
+  tape it takes the answers to the tape's plan, normally ``draw_plan`` for
+  the same stream, so the plan is drawn once. It sums the plan's answers
+  block by block, so it holds the plan's compact rows (2 bytes per query up
+  to N1 = 65535) and one block of int64 indices and answers, not n-length
+  index and answer arrays. At integer entries, and whenever
+  n <= ``PLAN_BLOCK``, the value equals the mean of all n answers at once
+  bit for bit; otherwise it may differ in the last bits.
 * ``adaptive_mean_a3`` -- two-stage adaptive estimator for 1 <= p < 2.
   Stage one probes every row with m independent empirical L_2 norms of
   ceil(n/N1) samples each and takes the per-row median as a robust row-size
@@ -52,7 +52,7 @@ from .errors import EmptyInput, InvalidExponent, PreconditionViolated
 from . import oracle
 from .oracle import Mode, Plan, QueryTape, open_adaptive, open_nonadaptive
 from .rng import RngStream
-from .spaces import INF, MixedMatrix, ProblemSpec, as_exponent
+from .spaces import INF, MixedMatrix, ProblemSpec, as_exponent, row_norm
 
 __all__ = [
     "EstimateReport",
@@ -121,7 +121,8 @@ def norm_est_a1(sample_access, population_size: int, v, n: int, rng: RngStream) 
 
     ``sample_access`` maps an array of 1-based population indices to their
     values (it is applied once to the whole draw array). Returns
-    ((1/n) * sum |value|^v)^(1/v). The expected deviation from the true
+    ((1/n) * sum |value|^v)^(1/v), as ``row_norm`` of the sampled values
+    computes it. The expected deviation from the true
     averaged L_v norm decays like n^max(1/u - 1/v, -1/2) for populations
     bounded in L_u.
     """
@@ -136,12 +137,10 @@ def norm_est_a1(sample_access, population_size: int, v, n: int, rng: RngStream) 
         raise ValueError("n must be positive")
     g = rng.generator()
     idx = g.integers(1, population_size + 1, size=n)
-    vals = np.abs(np.asarray(sample_access(idx), dtype=np.float64))
+    vals = np.asarray(sample_access(idx), dtype=np.float64)
     if vals.shape != (n,):
         raise ValueError("sample_access must return one value per index")
-    if v == 2.0:
-        return float(np.sqrt((vals * vals).mean()))
-    return float((vals**v).mean() ** (1.0 / v))
+    return row_norm(vals, v)
 
 
 def draw_indices(spec: ProblemSpec, n: int, rng: RngStream) -> np.ndarray:
@@ -174,26 +173,26 @@ def draw_plan(spec: ProblemSpec, n: int, rng: RngStream) -> Plan:
 def mc_mean_a2(tape: QueryTape, n: int, rng: RngStream) -> EstimateReport:
     """Average of n uniform with-replacement entry samples; cost exactly n.
 
-    On an ADAPTIVE tape the samples are ``draw_plan(tape.spec, n, rng)``.
-    On a NONADAPTIVE tape they are the tape's declared plan, which must hold
-    exactly n pairs, and ``rng`` is not drawn from. Either plan is answered
-    in the blocks it hands out, and the value is the sum of the block sums
-    over n.
+    On an ADAPTIVE tape the samples are ``draw_plan(tape.spec, n, rng)``,
+    asked block by block. On a NONADAPTIVE tape they are the tape's plan,
+    which must hold exactly n pairs, answered by ``tape.answers()``, and
+    ``rng`` is not drawn from. The value is the sum of the block sums over n.
     """
     n = int(n)
     if n < 1:
         raise ValueError("n must be positive")
     if tape.mode is Mode.NONADAPTIVE:
-        plan = tape.plan
-        if plan.size != n:
+        if tape.plan.size != n:
             raise PreconditionViolated(
-                f"the declared plan holds {plan.size} queries, not n = {n}"
+                f"the declared plan holds {tape.plan.size} queries, not n = {n}"
             )
+        answers = tape.answers()
     else:
         plan = draw_plan(tape.spec, n, rng)
+        answers = (tape.query_many(rows, cols) for rows, cols in plan.blocks())
     total = None
-    for rows, cols in plan.blocks():
-        block = np.add.reduce(tape.query_many(rows, cols))
+    for vals in answers:
+        block = np.add.reduce(vals)
         total = block if total is None else total + block
     # With one block this is np.add.reduce(x) / len(x), what x.mean() computes.
     return EstimateReport(value=float(total / n), cards=n)

@@ -551,6 +551,9 @@ def ds_experiment(
     modes = tuple(Mode(mm) for mm in modes)
     if not modes:
         raise InvalidParameters("at least one mode is required")
+    # A NaN or infinite alpha would reach math.floor through beta.
+    if not 1.0 < alpha < INF:
+        raise InvalidParameters(f"alpha must be finite and exceed 1, got {alpha}")
     if delta is None:
         delta = (alpha - 1.0) / 2.0
     beta = (alpha + 1.0) / alpha

@@ -1,28 +1,25 @@
 """Counted, budgeted access to matrix entries.
 
-Algorithms never touch a matrix directly: they read single entries through a
+Algorithms never touch a matrix directly: they read entries through a
 :class:`QueryTape`, which counts every query (repeats included), enforces an
 optional budget, and enforces the access discipline:
 
-* ADAPTIVE tapes answer any in-range query, so later queries may depend on
-  earlier answers.
+* ADAPTIVE tapes answer any in-range query through ``query`` and
+  ``query_many``, so later queries may depend on earlier answers.
 * NONADAPTIVE tapes fix the whole query sequence up front, as a
-  :class:`Plan`; any deviation from the declared order raises
-  :class:`DisciplineViolation`. Non-adaptivity is thereby machine-checked
-  structurally instead of audited after the fact. A plan hands itself out in
-  order, in blocks of at most ``PLAN_BLOCK`` queries, so a non-adaptive
-  estimator answers the plan it was opened on without drawing it again, and
-  answers a block handed out at the cursor without comparing it pair by pair.
+  :class:`Plan`, and only answer it: ``answers`` yields the answers to the
+  plan in order, once, in blocks of at most ``PLAN_BLOCK`` queries. Any
+  other query raises :class:`DisciplineViolation`. Non-adaptivity thereby
+  holds by construction: no answer can reach the choice of a query.
 
 A plan is explicit or drawn. An explicit plan is kept as two contiguous
-1-based int64 index arrays, exposed read-only as :attr:`QueryTape.declared`:
-16 bytes per query. A drawn plan (:meth:`Plan.drawn`) holds only its rows, in
-the narrowest unsigned dtype that fits N1 (2 bytes per query up to
-N1 = 65535), and draws each block's columns from its generator as it hands
-the block out. Its values equal one draw of all the rows followed by one draw
-of all the columns, because numpy's ``Generator.integers`` drawn in pieces
-continues the same stream; so it never holds more than a block of int64
-indices, however long the plan.
+1-based int64 index arrays: 16 bytes per query. A drawn plan
+(:meth:`Plan.drawn`) holds only its rows, in the narrowest unsigned dtype
+that fits N1 (2 bytes per query up to N1 = 65535), and draws each block's
+columns from its generator as it hands the block out. Its values equal one
+draw of all the rows followed by one draw of all the columns, because
+numpy's ``Generator.integers`` drawn in pieces continues the same stream; so
+it never holds more than a block of int64 indices, however long the plan.
 
 Indices are 1-based, matching (i, j) in [1, N1] x [1, N2]. Failed queries
 (budget or discipline errors) are not charged: the run is aborted, not billed.
@@ -74,8 +71,6 @@ UNBOUNDED = None
 #: ``gap`` run.
 PLAN_BLOCK = 1 << 15
 
-_NO_BLOCK = np.empty(0, dtype=np.int64)
-
 
 def _within(index: np.ndarray, high: int) -> bool:
     """Whether every entry of a nonempty integer array lies in [1, high]."""
@@ -92,9 +87,7 @@ class Plan:
     Build an explicit plan with :func:`open_nonadaptive` and a drawn one with
     :meth:`Plan.drawn`. ``rows`` holds every row index; ``cols`` every column
     index of an explicit plan, and None for a drawn one, whose columns exist
-    only a block at a time. :meth:`blocks` hands the plan out, and
-    ``handed`` is the block it handed out last as (rows, cols, position),
-    which a tape at that position answers without comparing pair by pair.
+    only a block at a time. :meth:`blocks` hands the plan out, once.
     """
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray | None, draw=None) -> None:
@@ -102,9 +95,7 @@ class Plan:
         self.cols = cols
         self.size = rows.size
         self._draw = draw
-        # The block handed out last and its position in the plan. Before
-        # any, an explicit plan counts as handed out whole.
-        self.handed = (rows, cols, 0) if draw is None else (_NO_BLOCK, _NO_BLOCK, 0)
+        self._handed = False
 
     @classmethod
     def drawn(cls, n: int, n1: int, n2: int, generator) -> Plan:
@@ -127,29 +118,31 @@ class Plan:
         at most ``PLAN_BLOCK`` queries.
 
         An explicit plan's blocks are views of its arrays. A drawn plan
-        draws each block's columns as it yields the block, so it can be
-        handed out only once.
+        draws each block's columns as it yields the block. Either is handed
+        out only once: iterating a second ``blocks()`` raises
+        ``DisciplineViolation``.
         """
-        draw, self._draw = self._draw, None
-        if draw is None and self.cols is None:
-            raise DisciplineViolation("a drawn plan is handed out only once")
+        if self._handed:
+            raise DisciplineViolation("a plan is handed out only once")
+        self._handed = True
         for start in range(0, self.size, PLAN_BLOCK):
             end = min(start + PLAN_BLOCK, self.size)
-            if draw is None:
-                rows, cols = self.rows[start:end], self.cols[start:end]
-            else:
+            if self.cols is None:
                 rows = self.rows[start:end].astype(np.int64)
-                cols = draw(end - start)
+                cols = self._draw(end - start)
                 rows.setflags(write=False)
                 cols.setflags(write=False)
-            self.handed = (rows, cols, start)
+            else:
+                rows, cols = self.rows[start:end], self.cols[start:end]
             yield rows, cols
 
 
 class QueryTape:
     """Single-owner handle mediating all entry access to one matrix.
 
-    Construct via :func:`open_adaptive` or :func:`open_nonadaptive`.
+    Construct via :func:`open_adaptive`, whose tape answers ``query`` and
+    ``query_many``, or :func:`open_nonadaptive`, whose tape only answers its
+    plan, through ``answers``.
     """
 
     def __init__(
@@ -170,7 +163,6 @@ class QueryTape:
                 raise ValueError("budget must be nonnegative or UNBOUNDED")
         self._budget = budget
         self._plan = plan
-        self._cursor = 0
         self._issued = 0
 
     @property
@@ -189,14 +181,6 @@ class QueryTape:
     def plan(self) -> Plan | None:
         """The declared plan; None when ADAPTIVE."""
         return self._plan
-
-    @property
-    def declared(self) -> tuple[np.ndarray, np.ndarray] | None:
-        """Read-only (rows, cols) of an explicit declared plan; None when
-        ADAPTIVE or when the plan is drawn."""
-        if self._plan is None or self._plan.cols is None:
-            return None
-        return self._plan.rows, self._plan.cols
 
     def card(self) -> int:
         """Number of queries answered so far (repeats counted)."""
@@ -224,55 +208,9 @@ class QueryTape:
                 f"budget {self._budget}"
             )
 
-    def _check_declared(
-        self, rows: np.ndarray, cols: np.ndarray, count: int, shape=None
-    ) -> None:
-        plan = self._plan
-        known_rows, known_cols, start = plan.handed
-        if self._cursor == start and rows is known_rows and cols is known_cols:
-            return  # a block asked at the cursor with the arrays the plan handed out
-        if plan.cols is not None:
-            known_rows, known_cols, start = plan.rows, plan.cols, 0
-        # else a drawn plan, whose columns are known for its last block only
-        begin = self._cursor - start
-        end = begin + count
-        if begin < 0 or end > known_rows.size:
-            raise DisciplineViolation(
-                "query past the end of the declared sequence"
-                if plan.cols is not None
-                else "query outside the block the drawn plan handed out last"
-            )
-        want_rows = known_rows[begin:end]
-        want_cols = known_cols[begin:end]
-        if shape is not None:
-            want_rows = want_rows.reshape(shape)
-            want_cols = want_cols.reshape(shape)
-        if not ((want_rows == rows).all() and (want_cols == cols).all()):
-            raise DisciplineViolation(
-                "query differs from the next declared index pair"
-            )
-
     def query(self, i: int, j: int) -> float:
-        """Answer f(i, j) and charge one query."""
-        i = int(i)
-        j = int(j)
-        spec = self._spec
-        if not (1 <= i <= spec.n1 and 1 <= j <= spec.n2):
-            raise IndexOutOfRange(
-                f"({i}, {j}) outside [1, {spec.n1}] x [1, {spec.n2}]"
-            )
-        self.check_budget(1)
-        if self._mode is Mode.NONADAPTIVE:
-            self._check_declared(
-                np.array([i], dtype=np.int64), np.array([j], dtype=np.int64), 1
-            )
-            self._cursor += 1
-        self._issued += 1
-        if self._row_ids is None:
-            return float(self._block[i - 1, j - 1])
-        if i - 1 in self._row_ids:
-            return float(self._block[self._row_ids.index(i - 1), j - 1])
-        return 0.0
+        """Answer f(i, j) and charge one query; ADAPTIVE only."""
+        return float(self.query_many(i, j)[0])
 
     def query_many(self, rows, cols) -> np.ndarray:
         """Answer a batch of queries; equivalent to issuing them in order.
@@ -282,8 +220,30 @@ class QueryTape:
         the 1-D answers. The ranges of ``rows`` and ``cols`` are checked as
         given, and the broadcast size is charged. The whole batch is
         validated first, so a failing batch charges nothing and leaves the
-        tape unchanged.
+        tape unchanged. A NONADAPTIVE tape answers only its plan, through
+        :meth:`answers`, and raises ``DisciplineViolation`` here.
         """
+        if self._mode is Mode.NONADAPTIVE:
+            raise DisciplineViolation(
+                "a NONADAPTIVE tape answers only its plan, through answers()"
+            )
+        return self._answer(rows, cols)
+
+    def answers(self):
+        """Yield the answers to the tape's plan in order, as one float64
+        array per block of at most ``PLAN_BLOCK`` queries.
+
+        Each block is checked and charged as a ``query_many`` batch is, so a
+        block out of range or over the budget raises before it is charged.
+        The plan is answered once: iterating a second ``answers()`` raises
+        ``DisciplineViolation``, and so does calling it on an ADAPTIVE tape.
+        """
+        if self._mode is not Mode.NONADAPTIVE:
+            raise DisciplineViolation("an ADAPTIVE tape has no plan to answer")
+        return (self._answer(rows, cols) for rows, cols in self._plan.blocks())
+
+    def _answer(self, rows, cols) -> np.ndarray:
+        """``query_many`` without the discipline check."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         if rows.shape == cols.shape:
@@ -298,9 +258,6 @@ class QueryTape:
             count = grid.size
         asked = self._check_range(rows, cols) if count else (1, 0)
         self.check_budget(count)
-        if self._mode is Mode.NONADAPTIVE:
-            self._check_declared(rows, cols, count, shape)
-            self._cursor += count
         self._issued += count
         if shape is None:
             return self._gather(rows, cols, count)
@@ -348,13 +305,14 @@ def open_adaptive(f: MixedMatrix, budget: int | None = UNBOUNDED) -> QueryTape:
 
 
 def open_nonadaptive(f: MixedMatrix, queries) -> QueryTape:
-    """Open a tape that will answer exactly ``queries``, in order.
+    """Open a tape that answers exactly ``queries``, in order, through
+    :meth:`QueryTape.answers`, and nothing else.
 
     ``queries`` is a :class:`Plan` or a sequence of 1-based (i, j) pairs;
     the budget equals its length. Out-of-range pairs of a sequence are
     rejected here, before any query is made; a plan's are rejected block by
-    block, as ``query_many`` checks every batch. An ``(n, 2)`` array
-    with contiguous columns, as ``draw_indices`` returns, is stored without a
+    block, as ``answers`` checks every block. An ``(n, 2)`` array with
+    contiguous columns, as ``draw_indices`` returns, is stored without a
     copy.
     """
     if isinstance(queries, Plan):

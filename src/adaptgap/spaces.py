@@ -26,6 +26,7 @@ the supremum norm; finite exponents must lie in [1, inf).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -200,11 +201,27 @@ def _vector_norm(values: np.ndarray, e: float, axis: int) -> np.ndarray:
 
 
 def row_norm(row, u) -> float:
-    """Averaged L_u norm of a single row vector."""
+    """Averaged L_u norm of a single row vector.
+
+    When the direct power mean is not finite, or the largest power falls
+    below the normal range, the row is first divided by its largest
+    magnitude, so the largest power is 1: at u = 1e308 the row 2, 0, 0, 0
+    has norm about 2, not inf. Every in-range row keeps its direct value bit
+    for bit.
+    """
     arr = np.asarray(row, dtype=np.float64)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("row must be a nonempty 1-D vector")
-    return float(_vector_norm(arr, as_exponent(u), axis=0))
+    u = as_exponent(u)
+    top = np.maximum.reduce(np.abs(arr))
+    with np.errstate(over="ignore"):
+        norm = float(_vector_norm(arr, u, axis=0))
+        largest = top**u
+    if u == INF or top == 0.0 or (
+        math.isfinite(norm) and largest >= sys.float_info.min
+    ):
+        return norm
+    return float(top * _vector_norm(arr / top, u, axis=0))
 
 
 def mixed_norm(f: MixedMatrix) -> float:

@@ -45,7 +45,7 @@ class TestParsing:
 
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
-    @pytest.mark.parametrize("command", ["estimate", "rates", "gap", "ds", "norm-est"])
+    @pytest.mark.parametrize("command", ["rates", "gap", "ds", "norm-est"])
     def test_workers_below_one_is_usage_error(self, command, workers, capsys):
         argv = [command, "--workers", workers]
         if command == "rates":
@@ -56,6 +56,18 @@ class TestParsing:
         out = capsys.readouterr()
         assert out.out == ""
         assert "workers must be at least 1" in out.err
+
+    @pytest.mark.parametrize(
+        "option", [["--format", "tsv"], ["--workers", "2"]], ids=["format", "workers"]
+    )
+    def test_estimate_takes_no_table_options(self, option, capsys):
+        # estimate prints one report, not a table, and runs in one process.
+        with pytest.raises(SystemExit) as exc:
+            run(["estimate", "--alg", "a2", "--n", "16", *option])
+        assert exc.value.code == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"unrecognized arguments: {' '.join(option)}" in out.err
 
 
 class TestEstimate:
@@ -320,6 +332,28 @@ class TestOtherCommands:
         assert code == 0
         assert "rms_dev" in out
         assert "true norm: 1.0" in out
+
+    @pytest.mark.parametrize(
+        "argv, norm",
+        [
+            (["--v", "1e308"], "2.0"),
+            (["--population", "1e-200,0", "--v", "2"], "7.071067811865475e-201"),
+        ],
+    )
+    def test_norm_est_at_extreme_powers(self, argv, norm, capsys):
+        code, out, _ = capture(
+            capsys, ["norm-est", *argv, "--budgets", "16,32,64,128", "--trials", "2"]
+        )
+        assert code == 0
+        assert f"# true norm: {norm}\n" in out
+        assert "nan" not in out
+
+    @pytest.mark.parametrize("alpha", ["inf", "nan"])
+    def test_ds_nonfinite_alpha_is_precondition_violation(self, alpha, capsys):
+        code, out, err = capture(capsys, ["ds", "--alpha", alpha, "--trials", "2"])
+        assert code == 3
+        assert out == ""
+        assert err == f"error: alpha must be finite and exceed 1, got {alpha}\n"
 
     @pytest.mark.parametrize("population", ["nan,1", "inf,1"])
     def test_norm_est_nonfinite_population(self, population, capsys):

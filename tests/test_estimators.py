@@ -217,7 +217,8 @@ class TestA2DeclaredPlan:
         plan = draw_indices(f.spec, 40, RngStream(2))
         assert plan.shape == (40, 2)
         assert plan[:, 0].flags.c_contiguous and plan[:, 1].flags.c_contiguous
-        rows, cols = open_nonadaptive(f, plan).declared
+        kept = open_nonadaptive(f, plan).plan
+        rows, cols = kept.rows, kept.cols
         assert np.shares_memory(rows, plan) and np.shares_memory(cols, plan)
         assert not rows.flags.writeable and not cols.flags.writeable
 

@@ -61,7 +61,8 @@ class TestOpenNonadaptive:
         tape = open_nonadaptive(f22, [])
         assert tape.card() == 0
         assert tape.budget == 0
-        with pytest.raises(BudgetExceeded):
+        assert list(tape.answers()) == []
+        with pytest.raises(DisciplineViolation):
             tape.query(1, 1)
         assert tape.card() == 0
 
@@ -81,6 +82,12 @@ class TestQuery:
         tape = open_nonadaptive(f22, [(1, 1)])
         with pytest.raises(DisciplineViolation):
             tape.query(1, 2)
+        assert tape.card() == 0
+
+    def test_adaptive_tape_has_no_plan_to_answer(self, f22):
+        tape = open_adaptive(f22)
+        with pytest.raises(DisciplineViolation):
+            list(tape.answers())
         assert tape.card() == 0
 
     def test_out_of_range(self, f22):
@@ -118,50 +125,12 @@ class TestQueryMany:
         tape.query_many([1, 1, 1], [1, 2, 1])
         assert tape.card() == 3
 
-    def test_nonadaptive_prefix(self, f22):
-        declared = [(1, 1), (1, 2), (2, 1)]
-        tape = open_nonadaptive(f22, declared)
-        assert tape.query_many([1, 1], [1, 2]).tolist() == [1.0, 2.0]
-        with pytest.raises(DisciplineViolation):
-            tape.query_many([2], [2])
-        assert tape.card() == 2
-        assert tape.query_many([2], [1]).tolist() == [3.0]
-
 
 def test_replay_is_deterministic(f22):
     declared = [(2, 2), (1, 1), (2, 2), (1, 2)]
-    first = open_nonadaptive(f22, declared)
-    second = open_nonadaptive(f22, declared)
-    answers1 = [first.query(i, j) for i, j in declared]
-    answers2 = [second.query(i, j) for i, j in declared]
-    assert answers1 == answers2 == [4.0, 1.0, 4.0, 2.0]
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.data())
-def test_random_deviation_detected(data):
-    n1 = data.draw(st.integers(1, 4))
-    n2 = data.draw(st.integers(1, 4))
-    f = matrix(np.arange(n1 * n2, dtype=float).reshape(n1, n2))
-    length = data.draw(st.integers(1, 8))
-    declared = [
-        (data.draw(st.integers(1, n1)), data.draw(st.integers(1, n2)))
-        for _ in range(length)
-    ]
-    tape = open_nonadaptive(f, declared)
-    deviate_at = data.draw(st.integers(0, length - 1))
-    wrong = (
-        data.draw(st.integers(1, n1)),
-        data.draw(st.integers(1, n2)),
-    )
-    for k, (i, j) in enumerate(declared):
-        if k == deviate_at and wrong != (i, j):
-            with pytest.raises(DisciplineViolation):
-                tape.query(*wrong)
-            assert tape.card() == k
-            return
-        tape.query(i, j)
-    assert tape.card() == length
+    answers = [list(open_nonadaptive(f22, declared).answers()) for _ in range(2)]
+    assert [a.tolist() for a in answers[0]] == [a.tolist() for a in answers[1]]
+    assert np.concatenate(answers[0]).tolist() == [4.0, 1.0, 4.0, 2.0]
 
 
 class TestBroadcastQueries:
@@ -210,11 +179,18 @@ class TestBroadcastQueries:
         assert tape.card() == 0
 
     def test_whole_plan_with_the_tapes_own_arrays(self, f22):
+        # The plan is answered once, and only through answers(): its own
+        # arrays are refused by query_many, before and after.
         tape = open_nonadaptive(f22, [(2, 1), (1, 2)])
-        assert tape.query_many(*tape.declared).tolist() == [3.0, 2.0]
+        plan = tape.plan
+        with pytest.raises(DisciplineViolation):
+            tape.query_many(plan.rows, plan.cols)
+        assert [a.tolist() for a in tape.answers()] == [[3.0, 2.0]]
         assert tape.card() == 2
-        with pytest.raises(BudgetExceeded):
-            tape.query_many(*tape.declared)
+        with pytest.raises(DisciplineViolation):
+            list(tape.answers())
+        with pytest.raises(DisciplineViolation):
+            tape.query_many(plan.rows, plan.cols)
         assert tape.card() == 2
 
     def test_own_arrays_are_still_range_checked(self, f22):
@@ -222,7 +198,7 @@ class TestBroadcastQueries:
         tape = open_nonadaptive(f22, plan)
         plan[1, 1] = 3  # the caller still holds a writable view of the plan
         with pytest.raises(IndexOutOfRange):
-            tape.query_many(*tape.declared)
+            list(tape.answers())
         assert tape.card() == 0
 
 
@@ -244,7 +220,7 @@ class TestDrawnPlan:
         g = np.random.default_rng(4)
         want_rows, want_cols = g.integers(1, 3, size=8), g.integers(1, 3, size=8)
         tape = open_nonadaptive(f22, plan)
-        assert tape.budget == 8 and tape.plan is plan and tape.declared is None
+        assert tape.budget == 8 and tape.plan is plan
         blocks = list(plan.blocks())
         assert [r.size for r, _ in blocks] == [3, 3, 2]
         assert all(r.dtype == c.dtype == np.int64 for r, c in blocks)
@@ -254,43 +230,37 @@ class TestDrawnPlan:
 
     def test_blocks_answered_as_handed_out(self, f22):
         tape = open_nonadaptive(f22, self.drawn(8))
-        answers = [tape.query_many(r, c) for r, c in tape.plan.blocks()]
+        answers = list(tape.answers())
+        assert [a.size for a in answers] == [3, 3, 2]
         entries = np.array([[1.0, 2.0], [3.0, 4.0]])
         g = np.random.default_rng(4)
         want = entries[g.integers(0, 2, size=8), g.integers(0, 2, size=8)]
         assert np.concatenate(answers).tolist() == want.tolist()
         assert tape.card() == 8
 
-    def test_copies_of_the_handed_block_are_compared(self, f22):
-        tape = open_nonadaptive(f22, self.drawn(8))
-        rows, cols = next(tape.plan.blocks())
-        tape.query(rows[0], cols[0])
-        tape.query_many(rows[1:].tolist(), cols[1:].tolist())
-        assert tape.card() == 3
-
     def test_queries_outside_the_handed_block_fail(self, f22):
+        # Before, between and after the blocks answers() yields, every
+        # query fails and charges nothing, even one that repeats the block.
         tape = open_nonadaptive(f22, self.drawn(8))
         with pytest.raises(DisciplineViolation):
-            tape.query(1, 1)  # nothing handed out yet
-        blocks = tape.plan.blocks()
-        rows, cols = next(blocks)
+            tape.query(1, 1)
+        answered = 0
+        for block, (rows, cols) in zip(tape.answers(), self.drawn(8).blocks()):
+            answered += block.size
+            with pytest.raises(DisciplineViolation):
+                tape.query_many(rows, cols)
+            assert tape.card() == answered
         with pytest.raises(DisciplineViolation):
-            tape.query_many(np.append(rows, 1), np.append(cols, 1))
-        tape.query_many(rows, cols)
-        with pytest.raises(DisciplineViolation):
-            tape.query_many(rows, cols)  # answered already
-        rows, cols = next(blocks)
-        with pytest.raises(DisciplineViolation):
-            tape.query_many(3 - rows, cols)
-        assert tape.card() == 3
+            tape.query(1, 1)
+        assert tape.card() == answered == 8
 
     def test_skipped_block_fails(self, f22):
+        # A block taken from the plan elsewhere cannot be skipped: the
+        # tape no longer answers the plan at all.
         tape = open_nonadaptive(f22, self.drawn(8))
-        blocks = tape.plan.blocks()
-        next(blocks)
-        rows, cols = next(blocks)
+        next(tape.plan.blocks())
         with pytest.raises(DisciplineViolation):
-            tape.query_many(rows, cols)
+            list(tape.answers())
         assert tape.card() == 0
 
     def test_handed_out_once(self, f22):
@@ -305,19 +275,25 @@ class TestDrawnPlan:
         tape = open_nonadaptive(f22, self.drawn(30, n2=40))
         answered = 0
         with pytest.raises(IndexOutOfRange):
-            for rows, cols in tape.plan.blocks():
-                tape.query_many(rows, cols)
-                answered += rows.size
+            for block in tape.answers():
+                answered += block.size
         assert 0 <= answered == tape.card() < 30
 
     def test_explicit_plan_blocks_are_views(self, f22):
-        tape = open_nonadaptive(f22, [(1, 1), (1, 2), (2, 1), (2, 2), (1, 1)])
-        rows, cols = tape.declared
-        blocks = list(tape.plan.blocks())
+        declared = [(1, 1), (1, 2), (2, 1), (2, 2), (1, 1)]
+        tape = open_nonadaptive(f22, declared)
+        plan = tape.plan
+        blocks = list(plan.blocks())
         assert [r.tolist() for r, _ in blocks] == [[1, 1, 2], [2, 1]]
-        assert all(np.shares_memory(r, rows) and np.shares_memory(c, cols) for r, c in blocks)
-        for r, c in blocks:
-            tape.query_many(r, c)
+        assert all(
+            np.shares_memory(r, plan.rows) and np.shares_memory(c, plan.cols)
+            for r, c in blocks
+        )
+        # Handed out once, so the tape no longer answers it.
+        with pytest.raises(DisciplineViolation):
+            list(tape.answers())
+        tape = open_nonadaptive(f22, declared)
+        assert [a.tolist() for a in tape.answers()] == [[1.0, 2.0, 3.0], [4.0, 1.0]]
         assert tape.card() == 5
 
 
@@ -412,7 +388,7 @@ def outcome(tape, rows, cols):
     """The answers, or the error type, and the card after the call."""
     try:
         result = tape.query_many(rows, cols).tolist()
-    except (IndexOutOfRange, BudgetExceeded, DisciplineViolation) as exc:
+    except (IndexOutOfRange, BudgetExceeded) as exc:
         result = type(exc)
     return result, tape.card()
 
@@ -432,30 +408,72 @@ def test_grid_query_equals_the_materialized_query(variant, n1, n2, seed, data):
     flat_cols = np.tile(cols.ravel(), rows.size)
     budget = max(0, rows.size * cols.size + data.draw(st.integers(-2, 2)))
     prior = data.draw(st.integers(0, 2))
-    nonadaptive = data.draw(st.booleans())
-    if nonadaptive:
-        # The plan holds the prior queries, then the grid, possibly altered.
-        declared = [(1, 1)] * prior + list(zip(flat_rows.tolist(), flat_cols.tolist()))
-        if declared and data.draw(st.booleans()):
-            k = data.draw(st.integers(0, len(declared) - 1))
-            declared[k] = (1 + declared[k][0] % n1, 1 + declared[k][1] % n2)
-        declared = [(min(max(i, 1), n1), min(max(j, 1), n2)) for i, j in declared]
 
-        def fresh():
-            tape = open_nonadaptive(f, declared)
-            tape.query_many([1] * prior, [1] * prior)
-            return tape
-    else:
+    def fresh():
+        tape = open_adaptive(f, budget=budget + prior)
+        tape.query_many([1] * prior, [1] * prior)
+        return tape
 
-        def fresh():
-            tape = open_adaptive(f, budget=budget + prior)
-            tape.query_many([1] * prior, [1] * prior)
-            return tape
-
-    try:
-        grid = outcome(fresh(), rows, cols)
-    except DisciplineViolation:  # an altered pair among the prior queries
-        return
+    grid = outcome(fresh(), rows, cols)
     assert grid == outcome(fresh(), flat_rows, flat_cols)
     if isinstance(grid[0], type):  # a failing batch charges nothing
         assert grid[1] == prior
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n1=st.integers(1, 6),
+    n2=st.integers(1, 6),
+    sparse=st.booleans(),
+    drawn=st.booleans(),
+    size=st.integers(0, 10),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+def test_a_nonadaptive_tape_answers_only_its_plan(
+    n1, n2, sparse, drawn, size, seed, data
+):
+    # Blocks of 3 queries, so most plans are answered in several blocks.
+    g = np.random.default_rng(seed)
+    if sparse:
+        ids = g.choice(n1, size=g.integers(0, n1 + 1), replace=False)
+        f = MixedMatrix.from_rows(
+            ProblemSpec(n1, n2, 2.0, 2.0), ids, g.normal(size=(ids.size, n2))
+        )
+    else:
+        f = matrix(g.normal(size=(n1, n2)))
+    queries = [
+        (data.draw(st.integers(1, n1)), data.draw(st.integers(1, n2)))
+        for _ in range(3)
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "PLAN_BLOCK", 3)
+        if drawn:
+            plan = Plan.drawn(size, n1, n2, np.random.default_rng(seed))
+            reference = np.random.default_rng(seed)
+            rows = reference.integers(1, n1 + 1, size=size)
+            cols = reference.integers(1, n2 + 1, size=size)
+        else:
+            rows = g.integers(1, n1 + 1, size=size)
+            cols = g.integers(1, n2 + 1, size=size)
+            plan = list(zip(rows.tolist(), cols.tolist()))
+        tape = open_nonadaptive(f, plan)
+
+        def refused(charged):
+            for i, j in queries:
+                with pytest.raises(DisciplineViolation):
+                    tape.query(i, j)
+            with pytest.raises(DisciplineViolation):
+                tape.query_many(rows, cols)
+            assert tape.card() == charged
+
+        refused(0)
+        answers = list(tape.answers())
+        assert all(1 <= a.size <= 3 for a in answers)
+        got = np.concatenate(answers) if answers else np.empty(0)
+        assert got.tolist() == f.entries[rows - 1, cols - 1].tolist()
+        assert tape.card() == size
+        refused(size)
+        with pytest.raises(DisciplineViolation):
+            list(tape.answers())
+        assert tape.card() == size

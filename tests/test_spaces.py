@@ -56,6 +56,17 @@ class TestRowNorm:
     def test_sup(self):
         assert row_norm([1.0, -3.0], INF) == 3.0
 
+    @pytest.mark.parametrize(
+        "row, u, want",
+        [
+            ([2.0, 0.0, 0.0, 0.0], 1e308, 2.0),  # 2^u overflows
+            ([1e-200, 0.0], 2.0, 1e-200 * math.sqrt(0.5)),  # the squares underflow
+            ([1.7e308, 1.7e308, -1.7e308], 1.0, 1.7e308),  # the sum overflows
+        ],
+    )
+    def test_powers_out_of_range(self, row, u, want):
+        assert row_norm(row, u) == pytest.approx(want, rel=1e-15, abs=0.0)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             row_norm([], 2.0)
