@@ -45,7 +45,7 @@ class TestParsing:
 
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
-    @pytest.mark.parametrize("command", ["rates", "gap", "ds", "norm-est"])
+    @pytest.mark.parametrize("command", ["estimate", "rates", "gap", "ds", "norm-est"])
     def test_workers_below_one_is_usage_error(self, command, workers, capsys):
         argv = [command, "--workers", workers]
         if command == "rates":
@@ -55,7 +55,11 @@ class TestParsing:
         assert exc.value.code == 2
         out = capsys.readouterr()
         assert out.out == ""
-        assert "workers must be at least 1" in out.err
+        if command == "estimate":
+            # estimate runs in one process and takes no --workers at all.
+            assert f"unrecognized arguments: --workers {workers}" in out.err
+        else:
+            assert "workers must be at least 1" in out.err
 
     @pytest.mark.parametrize(
         "option", [["--format", "tsv"], ["--workers", "2"]], ids=["format", "workers"]
