@@ -16,7 +16,10 @@ k1 are dropped. The schedule's total is at most
 per-level mean estimation (adaptive two-stage or plain Monte Carlo) at the
 scheduled budgets, all through counting tapes. Each level draws from its own
 child stream, so enlarging the truncation level of the input never perturbs
-the estimates of existing levels.
+the estimates of existing levels. A level below k0 is read once per element
+(``DirectSumElement.readout``) and its 4^k queries are charged to every
+composite that uses it, so composites at several k0 on one element cost and
+return what each would alone.
 """
 
 from __future__ import annotations
@@ -110,9 +113,25 @@ class DirectSumElement:
                 )
             table[k] = f_k
         self._levels = dict(sorted(table.items()))
+        self._readouts: dict[int, tuple[float, int]] = {}
 
     def level(self, k: int) -> MixedMatrix | None:
         return self._levels.get(k)
+
+    def readout(self, k: int) -> tuple[float, int]:
+        """The mean of level k read in full, and the queries the read took.
+
+        The level is read on its first request, every entry once, as a
+        non-adaptive plan, and the result is kept: the levels never change,
+        so a later request returns the same mean and the same count.
+        """
+        result = self._readouts.get(k)
+        if result is None:
+            f_k = self._levels[k]
+            tape = open_nonadaptive(f_k, _full_readout_indices(level_size(k)))
+            vals = np.concatenate(list(tape.answers()))
+            result = self._readouts[k] = (float(vals.mean()), tape.card())
+        return result
 
     def items(self):
         return self._levels.items()
@@ -210,7 +229,8 @@ def ds_estimate(
 ) -> EstimateReport:
     """Composite estimate of ``ds_integral(x)`` under the k0 schedule.
 
-    Levels below k0 are read in full (exact), levels k0 .. k1 are estimated
+    Levels below k0 are read in full (exact; each level once per element,
+    charged to every composite), levels k0 .. k1 are estimated
     with the adaptive two-stage estimator (ADAPTIVE mode; requires
     p < 2 < u and a schedule budget of at least N_k at every estimated
     level) or plain Monte Carlo (NONADAPTIVE mode), and levels above k1 are
@@ -230,11 +250,9 @@ def ds_estimate(
         weight = 2.0 ** (-spec.alpha * k)
         side = level_size(k)
         if k < k0:
-            # Every entry once, as a non-adaptive plan; one mean of all answers.
-            tape = open_nonadaptive(f_k, _full_readout_indices(side))
-            vals = np.concatenate(list(tape.answers()))
-            value += weight * float(vals.mean())
-            cards += tape.card()
+            mean, card = x.readout(k)
+            value += weight * mean
+            cards += card
             continue
         if mode is Mode.NONADAPTIVE:
             report = run_a2(f_k, n_k, rng.child(k))

@@ -205,14 +205,20 @@ def allocate_samples(a_tilde, p, n: int) -> np.ndarray:
     powers get the flat floor ceil(n/N1); heavier rows get
     ceil(a_tilde[i]**p * n / sum(a_tilde**p)). Every count is at least the
     flat floor. An all-zero ``a_tilde`` takes the flat branch everywhere.
+
+    The powers and their sum come from ``_powers``. The threshold and the
+    shares are float64 array operations, which round each ``x * n / total``
+    exactly as Python floats do, so the counts are those of the scalar
+    formula. At p = 1 the powers are the values themselves (``x**1.0`` is
+    x), so only the sum is taken in Python, unless the values must be
+    rescaled first.
     """
     a = np.asarray(a_tilde, dtype=np.float64)
     if a.ndim != 1 or a.size < 1:
         raise ValueError("a_tilde must be a nonempty 1-D vector")
-    values = a.tolist()
     # A NaN makes the minimum NaN, which fails the comparison too; without
-    # one, the builtin max of the values is their largest.
-    if not (np.minimum.reduce(a) >= 0.0 and (top := max(values)) < INF):
+    # one, the maximum is the largest value.
+    if not (np.minimum.reduce(a) >= 0.0 and (top := float(np.maximum.reduce(a))) < INF):
         raise ValueError("a_tilde must be finite and nonnegative")
     p = as_exponent(p)
     if not p < 2.0:
@@ -221,44 +227,42 @@ def allocate_samples(a_tilde, p, n: int) -> np.ndarray:
     n1 = a.size
     if n < n1:
         raise ValueError(f"n = {n} must be at least N1 = {n1}")
-    floor = -(-n // n1)  # ceil(n / N1)
-    powers, total = _powers(values, top, p, n)
-    threshold = total / n1
-    # Python floats round x * n / total exactly as float64 arrays do.
-    return np.array(
-        [math.ceil(x * n / total) if x > threshold else floor for x in powers],
-        dtype=np.int64,
-    )
+    powers, total = _powers(a, top, p, n)
+    heavy = powers > total / n1
+    counts = np.full(n1, -(-n // n1), dtype=np.int64)  # ceil(n / N1)
+    counts[heavy] = np.ceil(powers[heavy] * n / total)
+    return counts
 
 
-def _powers(
-    values: list[float], top: float, p: float, n: int
-) -> tuple[list[float], float]:
-    """``x**p`` for every x and their sum, scaled by one power of two if need be.
-    ``top`` is the largest of the values.
+def _powers(a: np.ndarray, top: float, p: float, n: int) -> tuple[np.ndarray, float]:
+    """``x**p`` for every x of ``a`` and their sum, scaled by one power of two
+    if need be. ``top`` is the largest of the values.
 
     Scalar powers and a correctly rounded sum keep the proportional-share
     ceilings reproducible down to the last ulp, where a pairwise-summed
-    total can land a share on the wrong side of an integer. When the largest
-    power would fall below the normal range, or a power, their sum or the
-    sum times n would overflow, the values are first divided by a power of
-    two that brings the largest into [1/2, 1); the shares of the total are
-    unchanged by that, and every in-range input keeps its unscaled powers
-    bit for bit.
+    total, or an array power that lands one ulp away, can put a share on the
+    wrong side of an integer. When the largest power would fall below the
+    normal range, or a power, their sum or the sum times n would overflow,
+    the values are first divided by a power of two that brings the largest
+    into [1/2, 1); the shares of the total are unchanged by that, and every
+    in-range input keeps its unscaled powers bit for bit.
     """
+    values = a.tolist()
+    unit = p == 1.0  # x**1.0 is x: the values are their own powers
     try:
-        powers = [x**p for x in values]
+        powers = values if unit else [x**p for x in values]
         total = math.fsum(powers)
-        normal = top == 0.0 or (
-            max(powers) >= sys.float_info.min and total * n < INF
-        )
+        largest = top if unit else max(powers)
+        normal = top == 0.0 or (largest >= sys.float_info.min and total * n < INF)
     except OverflowError:
         normal = False
+    if normal and unit:
+        return a, total
     if not normal:
         _, exponent = math.frexp(top)
         powers = [math.ldexp(x, -exponent) ** p for x in values]
         total = math.fsum(powers)
-    return powers, total
+    return np.array(powers), total
 
 
 def default_probe_count(n1: int) -> int:

@@ -11,7 +11,9 @@ setting.
 Ground-truth means are computed by direct summation outside the query
 oracle; they are measurement infrastructure, not algorithmic information.
 The error metric is RMS over trials (the mean absolute error rides along as
-a secondary statistic), with a delta-method standard error.
+a secondary statistic), with a delta-method standard error. Trials return
+signed errors and costs; one reduction squares them, so a cell whose
+squares would leave the float range can be scaled first.
 
 Each experiment returns one :class:`Table`: its rows as printed, one
 namedtuple type per experiment, and the footer items that follow them.
@@ -21,8 +23,8 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -119,6 +121,10 @@ class Table:
 def _parallel_map(fn, items: list, workers: int) -> list:
     if workers <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
+    # Imported here, as rng defers numpy.random: a one-worker run never
+    # pays for concurrent.futures.
+    from concurrent.futures import ProcessPoolExecutor
+
     chunksize = max(1, len(items) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=chunksize))
@@ -145,11 +151,28 @@ def _run_cells(cells, seed: int, workers: int) -> list[list]:
     return [[next(results) for _ in range(trials)] for *_, trials in cells]
 
 
-def _stats_from_trials(results: Sequence[tuple[float, float, int]]) -> TrialStats:
-    sq = np.array([r[0] for r in results])
-    ab = np.array([r[1] for r in results])
-    cards = np.array([r[2] for r in results], dtype=np.float64)
-    t = sq.size
+def _stats_from_trials(results: Sequence[tuple[float, int]]) -> TrialStats:
+    """RMS, its delta-method standard error, the mean absolute error and the
+    mean cost of one cell's ``(signed error, cost)`` trials.
+
+    The standard error squares the squared errors' deviations, so it needs
+    the largest error's fourth power in the normal range. When it is not,
+    the errors are first divided by a power of two that brings the largest
+    into [1/2, 1), and rms and stderr are scaled back. The scaling is exact,
+    so a cell in range would get the same figures either way; it is left
+    unscaled.
+    """
+    err = np.array([r[0] for r in results], dtype=np.float64)
+    cards = np.array([r[1] for r in results], dtype=np.float64)
+    t = err.size
+    ab = np.abs(err)
+    big = float(np.maximum.reduce(ab))
+    fourth = (big * big) * (big * big)
+    exponent = 0
+    if big > 0.0 and not (sys.float_info.min <= fourth and fourth * t < INF):
+        _, exponent = math.frexp(big)
+        err = np.ldexp(err, -exponent)
+    sq = err * err
     mean_sq = float(sq.mean())
     rms = math.sqrt(mean_sq)
     if t > 1 and rms > 0.0:
@@ -158,8 +181,8 @@ def _stats_from_trials(results: Sequence[tuple[float, float, int]]) -> TrialStat
     else:
         stderr = 0.0
     return TrialStats(
-        rms=rms,
-        stderr=stderr,
+        rms=math.ldexp(rms, exponent),
+        stderr=math.ldexp(stderr, exponent),
         mean_card=float(cards.mean()),
         mae=float(ab.mean()),
         trials=t,
@@ -172,16 +195,16 @@ def _estimator_trial(
     n: int,
     m: int | None,
     stream: RngStream,
-) -> tuple[float, float, int]:
-    """Sample one instance and run one estimator on it."""
+) -> tuple[float, int]:
+    """Sample one instance, run one estimator on it, and return the signed
+    error and the cost."""
     f = family.sample(stream.child(0))
     truth = scalar_mean(f)
     if estimator is EstimatorKind.A2:
         report = run_a2(f, n, stream.child(1))
     else:
         report = run_a3(f, n, m, stream.child(1))
-    err = report.value - truth
-    return err * err, abs(err), report.cards
+    return report.value - truth, report.cards
 
 
 def rms_error(
@@ -267,16 +290,15 @@ _GapRow = namedtuple(
 
 def _gap_trial(
     side: int, n: int, m: int | None, stream: RngStream
-) -> tuple[float, float, float, float, int, int]:
+) -> tuple[tuple[float, int], tuple[float, int]]:
+    """The a2 and the a3 ``(signed error, cost)`` on one instance."""
     spec = ProblemSpec(side, side, 1.0, INF)
     f = HardFamily(Variant.ACTIVE_ROW_BERNOULLI, spec).sample(stream.child(0))
     truth = scalar_mean(f)
     rep3 = run_a3(f, n, m, stream.child(1))
-    err3 = rep3.value - truth
     # The non-adaptive competitor receives the adaptive run's realized cost.
     rep2 = run_a2(f, rep3.cards, stream.child(2))
-    err2 = rep2.value - truth
-    return err2 * err2, abs(err2), err3 * err3, abs(err3), rep2.cards, rep3.cards
+    return (rep2.value - truth, rep2.cards), (rep3.value - truth, rep3.cards)
 
 
 def check_regime(n: int, n1: int, n2: int, c0: float) -> None:
@@ -329,8 +351,7 @@ def gap_experiment(
     ]
     rows = []
     for n, side, results in zip(budgets, dims, _run_cells(cells, seed, workers)):
-        a2 = _stats_from_trials([(r[0], r[1], r[4]) for r in results])
-        a3 = _stats_from_trials([(r[2], r[3], r[5]) for r in results])
+        a2, a3 = (_stats_from_trials(cell) for cell in zip(*results))
         ratio = a2.rms / a3.rms if a3.rms > 0.0 else math.inf
         rows.append(
             _GapRow(n, side, side, trials, a2.rms, a2.stderr, a3.rms, a3.stderr,
@@ -502,7 +523,7 @@ def _ds_trial(
     c0: float,
     m: int | None,
     stream: RngStream,
-) -> list[tuple[float, float, int]]:
+) -> list[tuple[float, int]]:
     x = sample_ds_input(spec, stream.child(0))
     truth = ds_integral(x)
     out = []
@@ -513,8 +534,7 @@ def _ds_trial(
             # corresponding rows of a both-mode run.
             j = 0 if mode is Mode.ADAPTIVE else 1
             rep = ds_estimate(x, k0, delta, mode, m, stream.child(1 + i * 2 + j), c0=c0)
-            err = rep.value - truth
-            out.append((err * err, abs(err), rep.cards))
+            out.append((rep.value - truth, rep.cards))
     return out
 
 
@@ -598,10 +618,9 @@ _NormRow = namedtuple("NormRow", "v u pop_size n trials rms_dev stderr seed")
 
 def _norm_trial(
     pop: np.ndarray, v: float, n: int, true_norm: float, stream: RngStream
-) -> tuple[float, float, int]:
+) -> tuple[float, int]:
     est = norm_est_a1(lambda idx: pop[idx - 1], pop.size, v, n, stream)
-    dev = est - true_norm
-    return dev * dev, abs(dev), n
+    return est - true_norm, n
 
 
 def norm_deviation_experiment(

@@ -352,6 +352,19 @@ class TestOtherCommands:
         assert f"# true norm: {norm}\n" in out
         assert "nan" not in out
 
+    def test_norm_est_deviations_below_the_normal_range(self, capsys):
+        # Deviations of about 1e-201 square to 0 in float64.
+        code, out, _ = capture(
+            capsys, ["norm-est", "--population", "1e-200,0", "--v", "2",
+                     "--budgets", "16,32,64,128", "--trials", "2"]
+        )
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()
+                if line and not line.startswith(("#", "v,"))]
+        assert len(rows) == 4
+        assert all(0.0 < float(row[5]) < 1e-200 for row in rows)
+        assert "# fit rms deviation: slope=" in out
+
     @pytest.mark.parametrize("alpha", ["inf", "nan"])
     def test_ds_nonfinite_alpha_is_precondition_violation(self, alpha, capsys):
         code, out, err = capture(capsys, ["ds", "--alpha", alpha, "--trials", "2"])

@@ -459,6 +459,77 @@ def reference_powers(a, p, n):
     return powers, total
 
 
+def scalar_allocation(a, p, n):
+    """The allocation as one Python float operation per row: scalar powers
+    and a correctly rounded sum, rescaled when the largest power is not
+    normal or the sum (or it times n) overflows, then ``math.ceil`` of
+    each heavy row's share."""
+    top = max(a)
+    try:
+        powers = [x**p for x in a]
+        total = math.fsum(powers)
+        normal = top == 0.0 or (
+            max(powers) >= sys.float_info.min and total * n < math.inf
+        )
+    except OverflowError:
+        normal = False
+    if not normal:
+        _, exponent = math.frexp(top)
+        powers = [math.ldexp(x, -exponent) ** p for x in a]
+        total = math.fsum(powers)
+    floor = -(-n // len(a))
+    threshold = total / len(a)
+    return [math.ceil(x * n / total) if x > threshold else floor for x in powers]
+
+
+#: Row sizes by range: small integers, whose average ties rows at the
+#: threshold (zero included, so all-zero vectors occur); ordinary values;
+#: subnormals; values whose sum, or sum times n, overflows.
+_ALLOCATION_VALUES = (
+    st.sampled_from([0.0, 1.0, 2.0, 3.0]),
+    st.floats(min_value=0.0, max_value=50.0),
+    st.floats(min_value=0.0, max_value=sys.float_info.min),
+    st.floats(min_value=1e306, max_value=sys.float_info.max),
+)
+
+
+class TestAllocationMatchesTheScalarFormula:
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_p_one(self, data):
+        self.check(data, 1.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_other_p(self, data):
+        self.check(data, data.draw(st.sampled_from([1.25, 1.5, 1.9])))
+
+    @staticmethod
+    def check(data, p):
+        n1 = data.draw(st.integers(1, 12))
+        # One range for the whole vector, or a mix of all four.
+        mixed = st.one_of(*_ALLOCATION_VALUES)
+        values = data.draw(st.sampled_from(_ALLOCATION_VALUES + (mixed,)))
+        a = data.draw(st.lists(values, min_size=n1, max_size=n1))
+        n = data.draw(st.integers(n1, 64 * n1))
+        assert allocate_samples(a, p, n).tolist() == scalar_allocation(a, p, n)
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            [0.0, 0.0, 0.0],
+            [1.0, 3.0, 2.0],  # the middle row ties the threshold
+            [5e-324, 0.0, 1e-310],
+            [1.7e308] * 8,
+            [1e308, 0.0],
+        ],
+    )
+    def test_edge_cases(self, a):
+        for p in (1.0, 1.5):
+            for n in (len(a), 10 * len(a) + 3):
+                assert allocate_samples(a, p, n).tolist() == scalar_allocation(a, p, n)
+
+
 class TestAllocationOutOfRange:
     """Powers past the float range are taken on input scaled by a power of
     two; the allocation is the one of the scaled-down input."""

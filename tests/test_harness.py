@@ -230,11 +230,73 @@ class TestNormDeviationExperiment:
         with pytest.raises(InvalidParameters, match="must be finite"):
             norm_deviation_experiment([bad, 1.0], 2.0, [16], trials=2, seed=0)
 
+    @pytest.mark.parametrize("power", [-1000, -700, 700, 1000])
+    def test_deviations_outside_the_normal_range(self, power):
+        # Squared deviations of 2^-700 underflow and those of 2^700
+        # overflow; the figures follow the unit population's.
+        unit = [1.0, 0.0, 3.0]
+        budgets = [16, 32, 64, 128]
+        base = norm_deviation_experiment(unit, 2.0, budgets, trials=3, seed=5)
+        scaled = norm_deviation_experiment(
+            [math.ldexp(x, power) for x in unit], 2.0, budgets, trials=3, seed=5
+        )
+        for row, ref in zip(scaled.rows, base.rows):
+            assert math.ldexp(row.rms_dev, -power) == pytest.approx(ref.rms_dev, rel=1e-12)
+            assert math.ldexp(row.stderr, -power) == pytest.approx(ref.stderr, rel=1e-12)
+        fit, ref = scaled.fits["rms deviation"], base.fits["rms deviation"]
+        assert fit.slope == pytest.approx(ref.slope, rel=1e-9)
+
+    @pytest.mark.parametrize("power", [-1000, -600, 600, 1000])
+    def test_trial_stats_scale_exactly(self, power):
+        errors = [0.5, -0.25, 0.125, -0.75, 0.0]
+        base = harness._stats_from_trials([(e, 3) for e in errors])
+        scaled = harness._stats_from_trials([(math.ldexp(e, power), 3) for e in errors])
+        assert scaled.rms == math.ldexp(base.rms, power)
+        assert scaled.stderr == math.ldexp(base.stderr, power)
+        assert scaled.mae == math.ldexp(base.mae, power)
+        assert scaled.mean_card == base.mean_card == 3.0
+
     def test_workers_bitwise_equal(self):
         kwargs = dict(trials=40, seed=17)
         a = norm_deviation_experiment([1.0, 2.0], 2.0, [16, 32], workers=1, **kwargs)
         b = norm_deviation_experiment([1.0, 2.0], 2.0, [16, 32], workers=2, **kwargs)
         assert a.rows == b.rows
+
+
+class TestDsTrialReadsEachLowLevelOnce:
+    """A sampled element's levels below k0 are read once, whatever the
+    number of composites run on it."""
+
+    def test_one_full_readout_per_level(self, monkeypatch):
+        opened = []
+        real = direct_sum.open_nonadaptive
+
+        def counting(f, plan):
+            opened.append(f.spec.n1)
+            return real(f, plan)
+
+        # Only the readouts open their tape through this name.
+        monkeypatch.setattr(direct_sum, "open_nonadaptive", counting)
+        spec = DirectSumSpec(1.5, 1.0, INF, 1.0, 10)
+        k0_values = (4, 5, 6)
+        modes = (Mode.ADAPTIVE, Mode.NONADAPTIVE)
+        stream = RngStream(3)
+        out = harness._ds_trial(spec, k0_values, modes, 0.2, 0.5, None, stream)
+        # Levels 0..5 once each, not once per composite (15 per mode).
+        assert sorted(opened) == [2**k for k in range(6)]
+        monkeypatch.undo()
+
+        # Each composite still costs and returns what it does alone, on an
+        # element whose levels were never read.
+        for i, k0 in enumerate(k0_values):
+            for j, mode in enumerate(modes):
+                x = harness.sample_ds_input(spec, stream.child(0))
+                alone = direct_sum.ds_estimate(x, k0, 0.2, mode, None,
+                                               stream.child(1 + 2 * i + j))
+                assert out[2 * i + j] == (alone.value - direct_sum.ds_integral(x),
+                                          alone.cards)
+            schedule = direct_sum.level_allocation(k0, 1.5, 0.2, 0.5)
+            assert out[2 * i + 1][1] == schedule.total
 
 
 class TestA2DrawsItsPlanOnce:
