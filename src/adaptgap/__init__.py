@@ -75,7 +75,6 @@ from .spaces import (
     ProblemSpec,
     mixed_norm,
     mixed_norm_many,
-    row_means,
     row_norm,
     scalar_mean,
 )

@@ -384,12 +384,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_freed_blocks() -> None:
+    """Keep the estimators' freed block temporaries on glibc's malloc heap.
+
+    Their blocks of ``oracle.PLAN_BLOCK`` queries allocate 256 KiB arrays,
+    about 1 MiB per block. glibc's default thresholds map such arrays, or
+    trim them off the heap when freed, so every block faults them in again:
+    about 12,000 minor faults per ``gap --trials 8`` run, at about 3.5 us
+    each on a shared 2-core host. Serving arrays up to 1 MiB from the heap
+    and keeping up to 8 MiB of free heap top brings that to about 15.
+    Without glibc this does nothing.
+    """
+    import ctypes  # deferred: only a command run needs it
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt(-3, 1 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD
+
+
 def run(argv=None) -> int:
     """Run one command; return its exit status.
 
     A table command's header echoes every option it parsed, with the seed
     resolved and the settings the experiment resolved itself.
     """
+    _keep_freed_blocks()
     args = build_parser().parse_args(argv)
     try:
         args.seed = resolve_seed(args.seed)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import InvalidParameters, PreconditionViolated
 from .estimators import EstimateReport, require_adaptive_regime, run_a2, run_a3
-from .oracle import Mode, open_nonadaptive
+from .oracle import Mode, Plan, open_nonadaptive
 from .rng import RngStream
 from .spaces import (
     INF,
@@ -128,7 +128,9 @@ class DirectSumElement:
         result = self._readouts.get(k)
         if result is None:
             f_k = self._levels[k]
-            tape = open_nonadaptive(f_k, _full_readout_indices(level_size(k)))
+            # Every entry once, in row-major order: flat indices 0, 1, ...
+            size = f_k.spec.n_entries
+            tape = open_nonadaptive(f_k, Plan(size, np.arange(size)))
             vals = np.concatenate(list(tape.answers()))
             result = self._readouts[k] = (float(vals.mean()), tape.card())
         return result
@@ -208,13 +210,6 @@ def level_allocation(
         total=total,
         budget_constant=constant,
     )
-
-
-def _full_readout_indices(n: int) -> np.ndarray:
-    side = np.arange(1, n + 1, dtype=np.int64)
-    rows = np.repeat(side, n)
-    cols = np.tile(side, n)
-    return np.stack([rows, cols], axis=1)
 
 
 def ds_estimate(

@@ -6,14 +6,15 @@ Three estimators are provided:
   population; the building block of the adaptive estimator's first stage.
 * ``mc_mean_a2`` -- plain Monte Carlo: the average of n uniform
   with-replacement entry samples. Non-adaptive (the sample positions never
-  depend on answers) and unbiased, with cost exactly n. On a NONADAPTIVE
-  tape it takes the answers to the tape's plan, normally ``draw_plan`` for
-  the same stream, so the plan is drawn once. It sums the plan's answers
-  block by block, so it holds the plan's compact rows (2 bytes per query up
-  to N1 = 65535) and one block of int64 indices and answers, not n-length
-  index and answer arrays. At integer entries, and whenever
-  n <= ``PLAN_BLOCK``, the value equals the mean of all n answers at once
-  bit for bit; otherwise it may differ in the last bits.
+  depend on answers) and unbiased, with cost exactly n. Each sample is one
+  uniform flat entry index in [0, N1*N2), one bounded draw, which maps to
+  the pair (f // N2 + 1, f % N2 + 1). On a NONADAPTIVE tape a2 takes the
+  answers to the tape's plan, normally ``draw_plan`` for the same stream,
+  which draws each block of indices as the tape answers it. It sums the
+  answers block by block, so it holds one block of indices and answers, not
+  n-length arrays. At integer entries, and whenever n <= ``PLAN_BLOCK``, the
+  value equals the mean of all n answers at once bit for bit; otherwise it
+  may differ in the last bits.
 * ``adaptive_mean_a3`` -- two-stage adaptive estimator for 1 <= p < 2.
   Stage one probes every row with m independent empirical L_2 norms of
   ceil(n/N1) samples each and takes the per-row median as a robust row-size
@@ -143,30 +144,50 @@ def norm_est_a1(sample_access, population_size: int, v, n: int, rng: RngStream) 
     return row_norm(vals, v)
 
 
-def draw_indices(spec: ProblemSpec, n: int, rng: RngStream) -> np.ndarray:
-    """The n uniform (i, j) pairs that ``mc_mean_a2`` queries for ``rng``,
-    as one ``(n, 2)`` array: the same pairs as ``draw_plan``.
-
-    Exposed so callers can declare the sequence explicitly on a
-    non-adaptive tape. The result has contiguous columns, so
-    ``open_nonadaptive`` keeps it without a copy.
-    """
+def _plan_length(n) -> int:
+    """n as an int, or ``ValueError`` unless 1 <= n <= 2^53: beyond 2^53
+    queries the count is no longer exact in float64, and neither are
+    ``mean_card`` and ``total / n``."""
     n = int(n)
     if n < 1:
         raise ValueError("n must be positive")
-    g = rng.generator()
-    rows = g.integers(1, spec.n1 + 1, size=n)
-    cols = g.integers(1, spec.n2 + 1, size=n)
-    return np.array([rows, cols]).T
+    if n > 1 << 53:
+        raise ValueError(
+            f"n = {n} queries exceed 2^53, beyond which counts are not exact "
+            "in float64"
+        )
+    return n
+
+
+def _pairs(flat: np.ndarray, n2: int) -> tuple[np.ndarray, np.ndarray]:
+    """The 1-based (rows, cols) of row-major flat entry indices."""
+    rows, cols = np.divmod(flat, n2)
+    rows += 1
+    cols += 1
+    return rows, cols
+
+
+def draw_indices(spec: ProblemSpec, n: int, rng: RngStream) -> np.ndarray:
+    """The n uniform (i, j) pairs that ``mc_mean_a2`` queries for ``rng``,
+    as one ``(n, 2)`` array: ``draw_plan``'s flat indices, drawn at once and
+    split into pairs.
+
+    Exposed so callers can declare the sequence explicitly on a
+    non-adaptive tape.
+    """
+    n = _plan_length(n)
+    flat = rng.generator().integers(0, spec.n_entries, size=n)
+    return np.array(_pairs(flat, spec.n2)).T
 
 
 def draw_plan(spec: ProblemSpec, n: int, rng: RngStream) -> Plan:
-    """The n uniform (i, j) pairs that ``mc_mean_a2`` queries for ``rng``,
-    as a drawn ``Plan``: the pairs of ``draw_indices(spec, n, rng)``, with
-    the rows held compact and the columns drawn block by block."""
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be positive")
+    """The n uniform entries that ``mc_mean_a2`` queries for ``rng``, as a
+    drawn ``Plan`` of flat indices, drawn block by block as it is answered.
+
+    Refuses, with ``ValueError``, more than 2^53 queries and an N1*N2 that
+    flat int64 indices cannot address.
+    """
+    n = _plan_length(n)
     return Plan.drawn(n, spec.n1, spec.n2, rng.generator())
 
 
@@ -174,9 +195,10 @@ def mc_mean_a2(tape: QueryTape, n: int, rng: RngStream) -> EstimateReport:
     """Average of n uniform with-replacement entry samples; cost exactly n.
 
     On an ADAPTIVE tape the samples are ``draw_plan(tape.spec, n, rng)``,
-    asked block by block. On a NONADAPTIVE tape they are the tape's plan,
-    which must hold exactly n pairs, answered by ``tape.answers()``, and
-    ``rng`` is not drawn from. The value is the sum of the block sums over n.
+    split into pairs and asked block by block through ``query_many``. On a
+    NONADAPTIVE tape they are the tape's plan, which must hold exactly n
+    queries, answered by ``tape.answers()``, and ``rng`` is not drawn from.
+    The value is the sum of the block sums over n.
     """
     n = int(n)
     if n < 1:
@@ -188,8 +210,9 @@ def mc_mean_a2(tape: QueryTape, n: int, rng: RngStream) -> EstimateReport:
             )
         answers = tape.answers()
     else:
+        n2 = tape.spec.n2
         plan = draw_plan(tape.spec, n, rng)
-        answers = (tape.query_many(rows, cols) for rows, cols in plan.blocks())
+        answers = (tape.query_many(*_pairs(flat, n2)) for flat in plan.blocks())
     total = None
     for vals in answers:
         block = np.add.reduce(vals)

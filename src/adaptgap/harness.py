@@ -357,9 +357,13 @@ def gap_experiment(
             _GapRow(n, side, side, trials, a2.rms, a2.stderr, a3.rms, a3.stderr,
                     ratio, a2.mean_card, a3.mean_card, int(seed))
         )
+    # An a2 sample on mu4 at p = 1, u = INF is +-N1 with probability 1/N1
+    # and 0 otherwise, so rms_a2 is about sqrt(N1 / mean_card_a2).
+    predicted = tuple((r.n, math.sqrt(r.n1 / r.mean_card_a2)) for r in rows)
     footer = (
         _fit_item("ratio rms_a2/rms_a3", rows, "ratio", 0.25),
         _fit_item("rms_a2", rows, "rms_a2", -0.25),
+        ("predicted", "rms_a2 = sqrt(N1/mean_card_a2)", predicted),
         _fit_item("rms_a3", rows, "rms_a3", -0.5),
     )
     return Table(_GapRow._fields, tuple(rows), footer)

@@ -12,26 +12,30 @@ optional budget, and enforces the access discipline:
   other query raises :class:`DisciplineViolation`. Non-adaptivity thereby
   holds by construction: no answer can reach the choice of a query.
 
-A plan is explicit or drawn. An explicit plan is kept as two contiguous
-1-based int64 index arrays: 16 bytes per query. A drawn plan
-(:meth:`Plan.drawn`) holds only its rows, in the narrowest unsigned dtype
-that fits N1 (2 bytes per query up to N1 = 65535), and draws each block's
-columns from its generator as it hands the block out. Its values equal one
-draw of all the rows followed by one draw of all the columns, because
+A plan holds flat entry indices: the query (i, j) is the 0-based row-major
+position ``f = (i - 1) * N2 + (j - 1)``, so a plan addresses fewer than
+2^63 entries. A plan is explicit or drawn. An explicit plan is converted
+once, at :func:`open_nonadaptive`, into one int64 array: 8 bytes per query.
+A drawn plan (:meth:`Plan.drawn`) holds only its generator and its length,
+and draws each block of uniform flat indices as it hands the block out: one
+bounded draw per query. Its values equal one draw of all n indices, because
 numpy's ``Generator.integers`` drawn in pieces continues the same stream; so
-it never holds more than a block of int64 indices, however long the plan.
+it never holds more than a block of indices, however long the plan.
 
-Indices are 1-based, matching (i, j) in [1, N1] x [1, N2]. Failed queries
-(budget or discipline errors) are not charged: the run is aborted, not billed.
-``query_many`` answers a batch with exactly the semantics of issuing its
-queries one at a time, but at vectorized cost. Its row and column arrays
-broadcast against each other, so a grid of a block of rows against a few
-columns is one ``(r, 1) x (1, k)`` query, or ``(1, r, 1) x (q, 1, m)``
-probe-major; the answers come back flat in C order. A dense matrix is
-answered by one flat gather from its row-major entries; a row-sparse one
-(see ``MixedMatrix.from_rows``) from its stored rows, with zeros elsewhere,
-so no query ever builds the dense array; a grid looks only at the stored
-rows between the least and the greatest row it asks.
+Query indices are 1-based, matching (i, j) in [1, N1] x [1, N2]. Failed
+queries (budget or discipline errors) are not charged: the run is aborted,
+not billed. ``query_many`` answers a batch with exactly the semantics of
+issuing its queries one at a time, but at vectorized cost. Its row and
+column arrays broadcast against each other, so a grid of a block of rows
+against a few columns is one ``(r, 1) x (1, k)`` query, or
+``(1, r, 1) x (q, 1, m)`` probe-major; the answers come back flat in C
+order. A dense matrix is answered by one flat gather from its row-major
+entries; a row-sparse one (see ``MixedMatrix.from_rows``) from its stored
+rows, with zeros elsewhere, so no query ever builds the dense array; a grid
+looks only at the stored rows between the least and the greatest row it
+asks. A plan's block is answered the same way, from its flat indices: by
+one gather when dense, and by one range test per stored row when
+row-sparse.
 """
 
 from __future__ import annotations
@@ -65,10 +69,11 @@ UNBOUNDED = None
 
 #: Queries per block in which a plan is drawn and handed out, and about the
 #: answers per block in which the adaptive estimator asks: 256 KiB per int64
-#: or float64 array. Temporaries of this size stay on the allocator's heap
-#: from block to block, while n-length ones are mapped, faulted in and
-#: unmapped on every call: about 10 against 25k minor faults per 32-trial
-#: ``gap`` run.
+#: index or float64 answer array. Temporaries of this size can stay on the
+#: allocator's heap from block to block, while n-length ones are mapped,
+#: faulted in and unmapped on every call: about 10 against 25k minor faults
+#: per 32-trial ``gap`` run. With glibc they stay only under the thresholds
+#: that ``cli.run`` sets (see ``cli._keep_freed_blocks``).
 PLAN_BLOCK = 1 << 15
 
 
@@ -81,60 +86,59 @@ def _within(index: np.ndarray, high: int) -> bool:
     )
 
 
-class Plan:
-    """The declared query sequence of a NONADAPTIVE tape.
+def _plan_entries(n1: int, n2: int) -> int:
+    """N1 * N2, or ``ValueError`` if flat int64 indices cannot address it."""
+    entries = n1 * n2
+    if entries >= 1 << 63:
+        raise ValueError(
+            f"N1*N2 = {n1}*{n2} = {entries} entries exceed what a plan's flat "
+            "int64 indices address (below 2^63)"
+        )
+    return entries
 
-    Build an explicit plan with :func:`open_nonadaptive` and a drawn one with
-    :meth:`Plan.drawn`. ``rows`` holds every row index; ``cols`` every column
-    index of an explicit plan, and None for a drawn one, whose columns exist
-    only a block at a time. :meth:`blocks` hands the plan out, once.
+
+class Plan:
+    """The declared query sequence of a NONADAPTIVE tape, as flat entry
+    indices ``(i - 1) * N2 + (j - 1)``.
+
+    Build an explicit plan from pairs with :func:`open_nonadaptive`, or from
+    int64 flat indices as ``Plan(size, flat)``, and a drawn one with
+    :meth:`Plan.drawn`. ``flat`` holds every index of an explicit plan, and
+    is None for a drawn one, whose indices exist only a block at a time.
+    :meth:`blocks` hands the plan out, once.
     """
 
-    def __init__(self, rows: np.ndarray, cols: np.ndarray | None, draw=None) -> None:
-        self.rows = rows
-        self.cols = cols
-        self.size = rows.size
+    def __init__(self, size: int, flat: np.ndarray | None = None, draw=None) -> None:
+        self.size = size
+        self.flat = flat
         self._draw = draw
         self._handed = False
 
     @classmethod
     def drawn(cls, n: int, n1: int, n2: int, generator) -> Plan:
-        """n uniform pairs in [1, N1] x [1, N2] from a numpy ``Generator``:
-        the same values as ``generator.integers(1, N1 + 1, size=n)``
-        followed by ``generator.integers(1, N2 + 1, size=n)``.
-
-        The rows are drawn now, block by block, into the narrowest unsigned
-        dtype that holds N1; each column block is drawn when ``blocks``
-        hands it out.
-        """
-        rows = np.empty(n, dtype=np.min_scalar_type(n1))
-        for start in range(0, n, PLAN_BLOCK):
-            end = min(start + PLAN_BLOCK, n)
-            rows[start:end] = generator.integers(1, n1 + 1, size=end - start)
-        return cls(rows, None, functools.partial(generator.integers, 1, n2 + 1))
+        """n uniform entries of an N1 x N2 matrix from a numpy ``Generator``:
+        the same flat indices as ``generator.integers(0, N1 * N2, size=n)``,
+        drawn a block at a time as ``blocks`` hands them out."""
+        entries = _plan_entries(n1, n2)
+        return cls(n, draw=functools.partial(generator.integers, 0, entries))
 
     def blocks(self):
-        """Yield the plan in order as read-only int64 (rows, cols) blocks of
-        at most ``PLAN_BLOCK`` queries.
+        """Yield the plan in order as int64 flat index blocks of at most
+        ``PLAN_BLOCK`` queries.
 
-        An explicit plan's blocks are views of its arrays. A drawn plan
-        draws each block's columns as it yields the block. Either is handed
-        out only once: iterating a second ``blocks()`` raises
-        ``DisciplineViolation``.
+        An explicit plan's blocks are views of its array. A drawn plan draws
+        each block as it yields it. Either is handed out only once:
+        iterating a second ``blocks()`` raises ``DisciplineViolation``.
         """
         if self._handed:
             raise DisciplineViolation("a plan is handed out only once")
         self._handed = True
         for start in range(0, self.size, PLAN_BLOCK):
             end = min(start + PLAN_BLOCK, self.size)
-            if self.cols is None:
-                rows = self.rows[start:end].astype(np.int64)
-                cols = self._draw(end - start)
-                rows.setflags(write=False)
-                cols.setflags(write=False)
+            if self.flat is None:
+                yield self._draw(end - start)
             else:
-                rows, cols = self.rows[start:end], self.cols[start:end]
-            yield rows, cols
+                yield self.flat[start:end]
 
 
 class QueryTape:
@@ -240,7 +244,32 @@ class QueryTape:
         """
         if self._mode is not Mode.NONADAPTIVE:
             raise DisciplineViolation("an ADAPTIVE tape has no plan to answer")
-        return (self._answer(rows, cols) for rows, cols in self._plan.blocks())
+        return (self._answer_flat(flat) for flat in self._plan.blocks())
+
+    def _answer_flat(self, flat: np.ndarray) -> np.ndarray:
+        """Answer a block of flat entry indices: checked and charged as a
+        ``query_many`` batch is."""
+        spec = self._spec
+        count = flat.size
+        if count and not (
+            np.minimum.reduce(flat) >= 0 and np.maximum.reduce(flat) < spec.n_entries
+        ):
+            raise IndexOutOfRange(
+                f"plan entry indices outside [0, {spec.n_entries}) of a "
+                f"{spec.n1} x {spec.n2} matrix"
+            )
+        self.check_budget(count)
+        self._issued += count
+        if self._row_ids is None:
+            return self._block.take(flat)
+        # Only the indices that fall in a stored row are gathered.
+        n2 = spec.n2
+        out = np.zeros(count)
+        for i, values in zip(self._row_ids, self._block):
+            low = i * n2
+            hit = ((flat >= low) & (flat < low + n2)).nonzero()[0]
+            out[hit] = values.take(flat.take(hit) - low)
+        return out
 
     def _answer(self, rows, cols) -> np.ndarray:
         """``query_many`` without the discipline check."""
@@ -310,10 +339,9 @@ def open_nonadaptive(f: MixedMatrix, queries) -> QueryTape:
 
     ``queries`` is a :class:`Plan` or a sequence of 1-based (i, j) pairs;
     the budget equals its length. Out-of-range pairs of a sequence are
-    rejected here, before any query is made; a plan's are rejected block by
-    block, as ``answers`` checks every block. An ``(n, 2)`` array with
-    contiguous columns, as ``draw_indices`` returns, is stored without a
-    copy.
+    rejected here, before any query is made, and the pairs are converted
+    once into the plan's own flat indices; a plan's indices are rejected
+    block by block, as ``answers`` checks every block.
     """
     if isinstance(queries, Plan):
         return QueryTape(f, Mode.NONADAPTIVE, queries.size, queries)
@@ -322,14 +350,17 @@ def open_nonadaptive(f: MixedMatrix, queries) -> QueryTape:
         declared = declared.reshape(0, 2)
     if declared.ndim != 2 or declared.shape[1] != 2:
         raise ValueError("queries must be a sequence of (i, j) pairs")
-    rows = np.ascontiguousarray(declared[:, 0])
-    cols = np.ascontiguousarray(declared[:, 1])
-    rows.setflags(write=False)
-    cols.setflags(write=False)
+    rows, cols = declared[:, 0], declared[:, 1]
     spec = f.spec
+    _plan_entries(spec.n1, spec.n2)
     if rows.size and not (_within(rows, spec.n1) and _within(cols, spec.n2)):
         raise IndexOutOfRange(
             f"declared indices outside [1, {spec.n1}] x [1, {spec.n2}]"
         )
-    return QueryTape(f, Mode.NONADAPTIVE, rows.size, Plan(rows, cols))
-
+    # (i - 1) * N2 + j - 1, whose partial sums stay below N1 * N2.
+    flat = np.subtract(rows, 1)
+    flat *= spec.n2
+    flat += cols
+    flat -= 1
+    flat.setflags(write=False)
+    return QueryTape(f, Mode.NONADAPTIVE, flat.size, Plan(flat.size, flat))

@@ -17,7 +17,7 @@ with few nonzero rows, only those rows: their 0-based row ids and an
 ``MixedMatrix.from_rows`` the row-sparse one. Query tapes and
 ``scalar_mean`` read the stored rows directly; ``MixedMatrix.entries`` is
 the full dense array, built on first access and cached, for the readers that
-need every entry (``mixed_norm``, ``row_means``).
+need every entry (``mixed_norm``).
 
 Exponents are plain floats with ``INF`` (``math.inf``) as the sentinel for
 the supremum norm; finite exponents must lie in [1, inf).
@@ -43,7 +43,6 @@ __all__ = [
     "mixed_norm",
     "mixed_norm_many",
     "scalar_mean",
-    "row_means",
 ]
 
 INF = math.inf
@@ -250,8 +249,3 @@ def scalar_mean(f: MixedMatrix) -> float:
     """
     # np.add.reduce over every axis is what ndarray.sum computes.
     return float(np.add.reduce(f.block, axis=None)) / f.spec.n_entries
-
-
-def row_means(f: MixedMatrix) -> np.ndarray:
-    """Vector of row averages; its mean equals ``scalar_mean(f)``."""
-    return f.entries.mean(axis=1)

@@ -1,5 +1,6 @@
 import math
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -221,11 +222,22 @@ class TestEstimate:
 
 
 def test_budget_beyond_memory_is_usage_error(capsys):
-    # 2^62 plan entries exceed any address space, so the allocation fails at
-    # once without asking the OS for pages.
+    # a2's plan is drawn as it is answered, so nothing refuses 2^62 queries
+    # for lack of memory: draw_plan refuses any count above 2^53 at once.
     code, out, err = capture(capsys, ["estimate", "--n", str(2**62)])
     assert code == 2
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert str(2**62) in err
+
+
+def test_entries_beyond_int64_flat_indices_are_usage_error(capsys):
+    # One active row of 4 entries stands for 2^64 entries, which a plan's
+    # int64 flat indices cannot address.
+    argv = ["estimate", "--alg", "a2", "--family", "mu4", "--n1", str(2**62),
+            "--n2", "4", "--n", "8"]
+    code, out, err = capture(capsys, argv)
+    assert code == 2
+    assert out == "" and err.startswith("error: ") and str(2**64) in err
 
 
 def test_module_runs_as_a_script():
@@ -238,6 +250,33 @@ def test_module_runs_as_a_script():
     )
     assert proc.returncode == 0, proc.stderr
     assert any(line.startswith("value=") for line in proc.stdout.splitlines())
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc")
+def test_block_temporaries_stay_on_the_heap():
+    # A fresh process runs one gap cell twice. The second run reuses the
+    # heap the first one left, instead of faulting its block temporaries in
+    # again block by block (some 2,000 faults with glibc's default
+    # thresholds).
+    src = Path(__file__).resolve().parents[1] / "src"
+    script = (
+        "import contextlib, io, resource\n"
+        "from adaptgap.cli import run\n"
+        "argv = ['gap', '--budgets', '16384', '--trials', '4', '--seed', '1']\n"
+        "for _ in range(2):\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert run(argv) == 0\n"
+        "    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    for name in ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_"):
+        env.pop(name, None)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    first, second = map(int, proc.stdout.split())
+    assert second < 200, (first, second)
 
 
 class TestGap:

@@ -17,16 +17,16 @@ from adaptgap.cli import run
 GOLDEN = {
     "gap": (
         ["gap", "--trials", "4", "--seed", "3"],
-        "91ac4a1f71b2c2c57ed2f7074e833ad9db452ff0f88c24796f621ee35ec4e269",
+        "9ec9c161aad5105347da6e97416d78be88befae767907e1e20e6e38ef2c7a02b",
     ),
     "rates": (
         ["rates", "--regime", "p-lt-2-lt-u", "--trials", "4",
          "--budgets", "2^8,2^10,2^12,2^14", "--seed", "3"],
-        "01b7f13ec1364d3f862b5f6dfc829e3d4ff0e0cac0de6bd02b0c4a3be415622e",
+        "cecfed22a08d18a9dc4163f15c42962a4a677a870fcf9bea44a001b3618498a6",
     ),
     "ds": (
         ["ds", "--k0", "4,5", "--delta", "0.2", "--trials", "4", "--seed", "3"],
-        "2184ef4acf334ce80baddc7486f25345e1aa1f35ee45b034c57dc6d6589e637a",
+        "df616d62044efdfb9c02c923820ee7391bd7cd85bddb653d01078c412d662f1e",
     ),
     "norm-est": (
         ["norm-est", "--trials", "50", "--seed", "3"],
@@ -35,7 +35,7 @@ GOLDEN = {
     "estimate-a2": (
         ["estimate", "--family", "mu2", "--alg", "a2", "--n1", "64", "--n2",
          "64", "--p", "2", "--u", "2", "--n", "4096", "--seed", "3"],
-        "4ae6ffdbf3be845d62d8563d9a7d09f88ecb33785e37d7e17969e26b7f860ca0",
+        "dc99c128ad3616c0b29e469965160fb4402888fc6c225735ab81cc2a34357ff2",
     ),
     "estimate-a3": (
         ["estimate", "--family", "mu4", "--alg", "a3", "--n1", "64", "--n2",
@@ -46,12 +46,12 @@ GOLDEN = {
     "estimate-mu1-a2": (
         ["estimate", "--family", "mu1", "--alg", "a2", "--n1", "64", "--n2",
          "64", "--p", "1", "--u", "inf", "--n", "4096", "--seed", "3"],
-        "50542c0a352a144e730acdab13b19495a45761b18cf9dfe9c9cda63258bd6050",
+        "b8c00f4311640cda79167dd7cb6e3f488bb2bb10edb1ba27cb6460e33421153e",
     ),
     "rates-p-ge-u": (
         ["rates", "--regime", "p-ge-u", "--trials", "4",
          "--budgets", "2^6,2^7,2^8,2^9", "--seed", "3"],
-        "d448b2406312e89e9602ec5d664bd2ec17c867d9a5f14bd2843969818a968c03",
+        "66363dbe6f7792ef5a0cbfe851f4c0c1a16ed946015367a0d5b29fc186b7d31e",
     ),
     # Entries of +-60^(2/3) are not integers, so a3's sums round and their
     # order shows in the digest (64^(2/3) = 16 would be exact in any order).
@@ -65,12 +65,12 @@ GOLDEN = {
     "rates-p-lt-u-le-2": (
         ["rates", "--regime", "p-lt-u-le-2", "--trials", "4",
          "--budgets", "2^6,2^7,2^8,2^9", "--seed", "3"],
-        "4a15abb8d1e26f7f96f59813d728f3ca98f426a6fb2a3f8ebc51202839e9660f",
+        "c08320b485f777e97966284c31fdf4e9d589cc6bc5801922a1d70009710a2f9e",
     ),
     "rates-two-le-p-lt-u": (
         ["rates", "--regime", "two-le-p-lt-u", "--trials", "4",
          "--budgets", "2^6,2^7,2^8,2^9", "--seed", "3"],
-        "6d41cc30bc98ffcdadb302703679dc470fa15b5dec5ba74af6992e05e09e300b",
+        "47bebd442fd07450c265265b25603bbb6dd3d868609dd358d0db4fbdd50c0f57",
     ),
     # One case per remaining branch of the table output: TSV with the
     # default budget ladder, fits that are not available with an explicit
@@ -79,16 +79,16 @@ GOLDEN = {
     "rates-tsv": (
         ["rates", "--regime", "p-ge-u", "--trials", "4", "--seed", "3",
          "--format", "tsv"],
-        "700ede1a8231bc495ab4ea741967b6d780425afeae208b05692c6ce8ecfa6951",
+        "8c7cb680bd6c4f9ec84a7db65eecd8483b77ee3c654ebdb607c7df66ee583e28",
     ),
     "gap-no-fit": (
         ["gap", "--budgets", "256,512", "--m", "3", "--trials", "4", "--seed", "3"],
-        "c20f4c011d556cdbbb3f5d0ab60e699afee6b8260354eda09525dea535ad864c",
+        "db8c546635bd569b527a54a03870e36fe8f3fc01363398a42985c4f3e04c23a0",
     ),
     "ds-nonadaptive": (
         ["ds", "--k0", "4", "--delta", "0.2", "--trials", "4", "--mode",
          "nonadaptive", "--m", "3", "--k-max", "8", "--seed", "3"],
-        "f5716e9aa93f8cd36b28799ac1d82cd99d5857f0010e2257213731fd6be2ba7d",
+        "77c86083bfd80581493b6c5be212ea2f8b5e301476c794a8d4492fe7e81d1fb7",
     ),
     "estimate-allocation-summary": (
         ["estimate", "--family", "mu4", "--alg", "a3", "--n1", "80", "--n2",
@@ -141,7 +141,7 @@ def test_dense_input_digest(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize(
     "alg, digest",
     [
-        ("a2", "279c47bf51e82174b36ecf21fb630e0b96fb1b142df50d201173b7ed0e5a594c"),
+        ("a2", "f31cda51940d7afad805d05b49cf0fc1a54b92214c572c91500f30ad8a417448"),
         ("a3", "fc9ff1d98b8da70ee72f4ecabff10f2cde8893b594ffca2ffe1205b600e54470"),
     ],
     ids=["a2", "a3"],

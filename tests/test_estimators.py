@@ -212,15 +212,16 @@ class TestA2DeclaredPlan:
         # The same stream on an ADAPTIVE tape draws and answers the same plan.
         assert mc_mean_a2(open_adaptive(f), n, rng).value == report.value
 
-    def test_plan_is_kept_without_a_copy(self):
+    def test_explicit_plan_is_one_flat_array(self):
+        # Pairs are converted once into int64 flat indices, 8 bytes per
+        # query, that the caller's array does not share.
         f = constant_matrix(1.0, 3, 5)
         plan = draw_indices(f.spec, 40, RngStream(2))
         assert plan.shape == (40, 2)
-        assert plan[:, 0].flags.c_contiguous and plan[:, 1].flags.c_contiguous
         kept = open_nonadaptive(f, plan).plan
-        rows, cols = kept.rows, kept.cols
-        assert np.shares_memory(rows, plan) and np.shares_memory(cols, plan)
-        assert not rows.flags.writeable and not cols.flags.writeable
+        assert kept.flat.dtype == np.int64 and kept.flat.nbytes == 8 * 40
+        assert kept.flat.tolist() == ((plan[:, 0] - 1) * 5 + plan[:, 1] - 1).tolist()
+        assert not np.shares_memory(kept.flat, plan) and not kept.flat.flags.writeable
 
     @pytest.mark.parametrize("length", [19, 21])
     def test_plan_of_the_wrong_length(self, length):
@@ -232,11 +233,57 @@ class TestA2DeclaredPlan:
 
 
 def drawn_pairs(spec, n, rng):
-    """Every (row, col) pair of ``draw_plan``, concatenated from its blocks."""
-    blocks = list(draw_plan(spec, n, rng).blocks())
-    return np.column_stack(
-        [np.concatenate([r for r, _ in blocks]), np.concatenate([c for _, c in blocks])]
-    )
+    """Every (row, col) pair of ``draw_plan``, concatenated from its flat
+    blocks and split as (f // N2 + 1, f % N2 + 1)."""
+    flat = np.concatenate([np.empty(0, np.int64), *draw_plan(spec, n, rng).blocks()])
+    rows, cols = np.divmod(flat, spec.n2)
+    return np.column_stack([rows + 1, cols + 1])
+
+
+class TestFlatMapping:
+    """An a2 sample is one uniform flat index f in [0, N1*N2), the entry
+    (f // N2 + 1, f % N2 + 1)."""
+
+    @pytest.mark.parametrize("n1, n2", [(1, 7), (7, 1), (3, 5), (256, 255)])
+    def test_pairs_in_range_and_row_major(self, n1, n2):
+        spec = ProblemSpec(n1, n2, 1.0, INF)
+        n = 500
+        flat = RngStream(n1, (n2,)).generator().integers(0, n1 * n2, size=n)
+        pairs = draw_indices(spec, n, RngStream(n1, (n2,)))
+        assert pairs[:, 0].min() >= 1 and pairs[:, 0].max() <= n1
+        assert pairs[:, 1].min() >= 1 and pairs[:, 1].max() <= n2
+        assert ((pairs[:, 0] - 1) * n2 + pairs[:, 1] - 1).tolist() == flat.tolist()
+        # Entries that hold their own row-major position answer the draw.
+        f = MixedMatrix(spec, np.arange(n1 * n2, dtype=float).reshape(n1, n2))
+        for plan in (pairs, draw_plan(spec, n, RngStream(n1, (n2,)))):
+            answers = np.concatenate(list(open_nonadaptive(f, plan).answers()))
+            assert answers.tolist() == flat.tolist()
+        want = float(np.add.reduce(flat.astype(float)) / n)
+        assert mc_mean_a2(open_adaptive(f), n, RngStream(n1, (n2,))).value == want
+
+    def test_every_cell_is_uniform(self):
+        # 150,000 draws on a 3 x 5 grid: each cell's count is binomial with
+        # mean 10,000 and standard deviation about 96.6.
+        n = 150_000
+        pairs = draw_indices(ProblemSpec(3, 5, 1.0, INF), n, RngStream(12))
+        counts = np.zeros((3, 5))
+        np.add.at(counts, (pairs[:, 0] - 1, pairs[:, 1] - 1), 1)
+        sd = math.sqrt(n * (1 / 15) * (14 / 15))
+        assert np.abs(counts - 10_000).max() <= 5 * sd
+
+    def test_counts_beyond_2_to_the_53_are_refused(self):
+        spec = ProblemSpec(3, 5, 1.0, INF)
+        # A drawn plan allocates nothing, so 2^53 queries are only declared.
+        assert draw_plan(spec, 2**53, RngStream(1)).size == 2**53
+        for draw in (draw_plan, draw_indices):
+            with pytest.raises(ValueError, match=str(2**53 + 1)):
+                draw(spec, 2**53 + 1, RngStream(1))
+
+    def test_entries_beyond_int64_flat_indices_are_refused(self):
+        with pytest.raises(ValueError, match=str(2**64)):
+            draw_plan(ProblemSpec(2**62, 4, 1.0, INF), 8, RngStream(1))
+        plan = draw_plan(ProblemSpec(2**63 - 1, 1, 1.0, INF), 8, RngStream(1))
+        assert all(0 <= f < 2**63 - 1 for f in next(plan.blocks()).tolist())
 
 
 class TestA2Blocks:
@@ -255,8 +302,7 @@ class TestA2Blocks:
         spec = ProblemSpec(n1, n2, 1.0, INF)
         rng = RngStream(n1 * n2 + n, (3,))
         assert drawn_pairs(spec, n, rng).tolist() == draw_indices(spec, n, rng).tolist()
-        rows = draw_plan(spec, n, rng).rows
-        assert rows.dtype == np.min_scalar_type(n1) and rows.dtype.kind == "u"
+        assert draw_plan(spec, n, rng).flat is None
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -365,9 +411,9 @@ class TestA2Memory:
         finally:
             tracemalloc.stop()
         assert report.cards == 2**20
-        # 2 MiB of uint16 rows plus one block's temporaries; a whole-plan
-        # draw holds 32 MiB of int64 indices.
-        assert peak < 8e6
+        # One block's indices and answers, about 1 MB; a whole-plan draw
+        # holds 8 MiB of int64 flat indices, 16 MiB as pairs.
+        assert peak < 2e6
 
 
 class TestAllocateSamples:

@@ -136,6 +136,15 @@ class TestGapExperiment:
         # Too few budgets for a fit.
         assert result.fits["ratio rms_a2/rms_a3"] is None
 
+    def test_predicted_rms_a2_per_row(self):
+        # One closed-form value per budget: sqrt(N1 / mean_card_a2).
+        result = gap_experiment([256, 512, 1024], 5.0, trials=20, seed=9)
+        (predicted,) = [v for kind, _, v in result.footer if kind == "predicted"]
+        assert [n for n, _ in predicted] == [r.n for r in result.rows]
+        for (_, value), row in zip(predicted, result.rows):
+            assert value == math.sqrt(row.n1 / row.mean_card_a2)
+            assert value / 3.0 <= row.rms_a2 <= value * 3.0
+
     def test_workers_bitwise_equal(self):
         a = gap_experiment([256], 5.0, trials=30, seed=10, workers=1)
         b = gap_experiment([256], 5.0, trials=30, seed=10, workers=2)

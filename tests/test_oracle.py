@@ -9,6 +9,7 @@ from adaptgap.oracle import (
     Mode,
     UNBOUNDED,
     Plan,
+    QueryTape,
     open_adaptive,
     open_nonadaptive,
 )
@@ -179,32 +180,47 @@ class TestBroadcastQueries:
         assert tape.card() == 0
 
     def test_whole_plan_with_the_tapes_own_arrays(self, f22):
-        # The plan is answered once, and only through answers(): its own
-        # arrays are refused by query_many, before and after.
+        # The plan is answered once, and only through answers(): the pairs
+        # of its own flat indices are refused by query_many, before and after.
         tape = open_nonadaptive(f22, [(2, 1), (1, 2)])
         plan = tape.plan
+        assert plan.flat.tolist() == [2, 1]
+        rows, cols = np.divmod(plan.flat, 2)
         with pytest.raises(DisciplineViolation):
-            tape.query_many(plan.rows, plan.cols)
+            tape.query_many(rows + 1, cols + 1)
         assert [a.tolist() for a in tape.answers()] == [[3.0, 2.0]]
         assert tape.card() == 2
         with pytest.raises(DisciplineViolation):
             list(tape.answers())
         with pytest.raises(DisciplineViolation):
-            tape.query_many(plan.rows, plan.cols)
+            tape.query_many(rows + 1, cols + 1)
         assert tape.card() == 2
 
     def test_own_arrays_are_still_range_checked(self, f22):
-        plan = np.array([[1, 2], [1, 2]]).T  # contiguous columns: kept as is
-        tape = open_nonadaptive(f22, plan)
-        plan[1, 1] = 3  # the caller still holds a writable view of the plan
-        with pytest.raises(IndexOutOfRange):
+        # A plan built by hand is range-checked block by block: a flat index
+        # outside [0, 4) is refused before its block is charged.
+        for flat in ([0, 4], [-1, 0]):
+            tape = open_nonadaptive(f22, Plan(2, np.array(flat)))
+            with pytest.raises(IndexOutOfRange):
+                list(tape.answers())
+            assert tape.card() == 0
+        # Pairs are converted when the tape is opened: later writes to the
+        # caller's array do not reach the plan.
+        declared = np.array([[1, 2], [2, 2]])
+        tape = open_nonadaptive(f22, declared)
+        declared[1, 1] = 3
+        assert np.concatenate(list(tape.answers())).tolist() == [2.0, 4.0]
+
+    def test_block_over_the_budget_is_not_charged(self, f22):
+        tape = QueryTape(f22, Mode.NONADAPTIVE, 2, Plan(3, np.array([0, 1, 2])))
+        with pytest.raises(BudgetExceeded):
             list(tape.answers())
         assert tape.card() == 0
 
 
 class TestDrawnPlan:
-    """A drawn plan holds its rows and draws each column block as it hands
-    the block out; here blocks hold 3 queries."""
+    """A drawn plan holds its generator and draws each block of flat indices
+    as it hands the block out; here blocks hold 3 queries."""
 
     @pytest.fixture(autouse=True)
     def small_blocks(self, monkeypatch):
@@ -216,25 +232,21 @@ class TestDrawnPlan:
 
     def test_values_rows_dtype_and_budget(self, f22):
         plan = self.drawn(8)
-        assert plan.rows.dtype == np.uint8 and plan.cols is None
-        g = np.random.default_rng(4)
-        want_rows, want_cols = g.integers(1, 3, size=8), g.integers(1, 3, size=8)
+        assert plan.flat is None
+        want = np.random.default_rng(4).integers(0, 4, size=8)
         tape = open_nonadaptive(f22, plan)
         assert tape.budget == 8 and tape.plan is plan
         blocks = list(plan.blocks())
-        assert [r.size for r, _ in blocks] == [3, 3, 2]
-        assert all(r.dtype == c.dtype == np.int64 for r, c in blocks)
-        assert not any(r.flags.writeable or c.flags.writeable for r, c in blocks)
-        assert np.concatenate([r for r, _ in blocks]).tolist() == want_rows.tolist()
-        assert np.concatenate([c for _, c in blocks]).tolist() == want_cols.tolist()
+        assert [b.size for b in blocks] == [3, 3, 2]
+        assert all(b.dtype == np.int64 for b in blocks)
+        assert np.concatenate(blocks).tolist() == want.tolist()
 
     def test_blocks_answered_as_handed_out(self, f22):
         tape = open_nonadaptive(f22, self.drawn(8))
         answers = list(tape.answers())
         assert [a.size for a in answers] == [3, 3, 2]
-        entries = np.array([[1.0, 2.0], [3.0, 4.0]])
-        g = np.random.default_rng(4)
-        want = entries[g.integers(0, 2, size=8), g.integers(0, 2, size=8)]
+        entries = np.array([1.0, 2.0, 3.0, 4.0])
+        want = entries[np.random.default_rng(4).integers(0, 4, size=8)]
         assert np.concatenate(answers).tolist() == want.tolist()
         assert tape.card() == 8
 
@@ -245,10 +257,11 @@ class TestDrawnPlan:
         with pytest.raises(DisciplineViolation):
             tape.query(1, 1)
         answered = 0
-        for block, (rows, cols) in zip(tape.answers(), self.drawn(8).blocks()):
+        for block, flat in zip(tape.answers(), self.drawn(8).blocks()):
             answered += block.size
+            rows, cols = np.divmod(flat, 2)
             with pytest.raises(DisciplineViolation):
-                tape.query_many(rows, cols)
+                tape.query_many(rows + 1, cols + 1)
             assert tape.card() == answered
         with pytest.raises(DisciplineViolation):
             tape.query(1, 1)
@@ -270,8 +283,8 @@ class TestDrawnPlan:
             next(plan.blocks())
 
     def test_every_block_is_range_checked(self, f22):
-        # Columns drawn from [1, 40] on a 2 x 2 matrix: the first block
-        # holding a column above 2 is refused and charged nothing.
+        # Indices drawn from [0, 80) on a 2 x 2 matrix: the first block
+        # holding an index of 4 or more is refused and charged nothing.
         tape = open_nonadaptive(f22, self.drawn(30, n2=40))
         answered = 0
         with pytest.raises(IndexOutOfRange):
@@ -283,18 +296,32 @@ class TestDrawnPlan:
         declared = [(1, 1), (1, 2), (2, 1), (2, 2), (1, 1)]
         tape = open_nonadaptive(f22, declared)
         plan = tape.plan
+        assert plan.flat.dtype == np.int64 and not plan.flat.flags.writeable
         blocks = list(plan.blocks())
-        assert [r.tolist() for r, _ in blocks] == [[1, 1, 2], [2, 1]]
-        assert all(
-            np.shares_memory(r, plan.rows) and np.shares_memory(c, plan.cols)
-            for r, c in blocks
-        )
+        assert [b.tolist() for b in blocks] == [[0, 1, 2], [3, 0]]
+        assert all(np.shares_memory(b, plan.flat) for b in blocks)
         # Handed out once, so the tape no longer answers it.
         with pytest.raises(DisciplineViolation):
             list(tape.answers())
         tape = open_nonadaptive(f22, declared)
         assert [a.tolist() for a in tape.answers()] == [[1.0, 2.0, 3.0], [4.0, 1.0]]
         assert tape.card() == 5
+
+    def test_entries_beyond_int64_flat_indices_are_refused(self):
+        # One stored row of a 2^62 x 4 matrix: 2^64 entries.
+        f = MixedMatrix.from_rows(ProblemSpec(2**62, 4, 1.0, INF), [0], [[1.0] * 4])
+        for make in (
+            lambda: Plan.drawn(1, 2**62, 4, np.random.default_rng(0)),
+            lambda: open_nonadaptive(f, [(1, 1)]),
+        ):
+            with pytest.raises(ValueError, match=str(2**64)):
+                make()
+        # 2^63 - 1 entries are the most a plan addresses.
+        n1 = 2**63 - 1
+        big = MixedMatrix.from_rows(ProblemSpec(n1, 1, 1.0, INF), [n1 - 1], [[5.0]])
+        tape = open_nonadaptive(big, [(n1, 1), (1, 1)])
+        assert tape.plan.flat.tolist() == [n1 - 1, 0]
+        assert np.concatenate(list(tape.answers())).tolist() == [5.0, 0.0]
 
 
 @settings(max_examples=150, deadline=None)
@@ -450,9 +477,10 @@ def test_a_nonadaptive_tape_answers_only_its_plan(
         mp.setattr(oracle, "PLAN_BLOCK", 3)
         if drawn:
             plan = Plan.drawn(size, n1, n2, np.random.default_rng(seed))
-            reference = np.random.default_rng(seed)
-            rows = reference.integers(1, n1 + 1, size=size)
-            cols = reference.integers(1, n2 + 1, size=size)
+            flat = np.random.default_rng(seed).integers(0, n1 * n2, size=size)
+            rows, cols = np.divmod(flat, n2)
+            rows += 1
+            cols += 1
         else:
             rows = g.integers(1, n1 + 1, size=size)
             cols = g.integers(1, n2 + 1, size=size)

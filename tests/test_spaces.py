@@ -15,7 +15,6 @@ from adaptgap.spaces import (
     inverse_power,
     mixed_norm,
     mixed_norm_many,
-    row_means,
     row_norm,
     scalar_mean,
 )
@@ -114,26 +113,6 @@ class TestScalarMean:
         assert scalar_mean(matrix(np.ones((5, 7)))) == 1.0
 
 
-class TestRowMeans:
-    def test_constant(self):
-        f = matrix(np.full((4, 3), -1.0))
-        assert np.array_equal(row_means(f), np.full(4, -1.0))
-
-    def test_hand_example(self):
-        f = matrix([[1.0, 3.0], [0.0, 0.0]])
-        assert np.array_equal(row_means(f), [2.0, 0.0])
-
-    def test_average_identity_signs(self):
-        rng = np.random.default_rng(3)
-        f = matrix(rng.integers(0, 2, size=(16, 32)) * 2.0 - 1.0)
-        assert row_means(f).mean() == pytest.approx(scalar_mean(f), rel=1e-14)
-
-    def test_average_identity_uniform(self):
-        rng = np.random.default_rng(4)
-        f = matrix(rng.random((33, 21)))
-        assert row_means(f).mean() == pytest.approx(scalar_mean(f), rel=1e-14)
-
-
 class TestMatrixValidation:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -186,7 +165,6 @@ class TestRowSparse:
         assert np.array_equal(f.entries, expected)
         assert scalar_mean(f) == expected.mean()
         assert mixed_norm(f) == mixed_norm(MixedMatrix(self.SPEC, expected))
-        assert row_means(f).tolist() == expected.mean(axis=1).tolist()
 
     def test_entries_built_once_and_frozen(self):
         f = MixedMatrix.from_rows(self.SPEC, [0], [[1.0, 2.0, 3.0]])
