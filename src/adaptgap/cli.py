@@ -8,15 +8,16 @@ at matched budgets), ``ds`` (direct-sum composites), and ``norm-est``
 Outputs are plot-ready CSV (or TSV) on stdout or ``--out``; every run echoes
 its full effective configuration as ``#`` header lines and contains no
 timestamps, so a rerun with the same seed reproduces the output byte for
-byte. The four experiments return a :class:`harness.Table`, which one
-function, :func:`render`, prints. The master seed defaults to a fixed
-constant, overridable by the ``ADAPTGAP_SEED`` environment variable and then
-by ``--seed``.
+byte. Each command is called with exactly the options its header echoes.
+The four table commands are harness experiments, whose :class:`harness.Table`
+one function, :func:`render`, prints. The master seed defaults to a fixed
+constant, overridable by ``ADAPTGAP_SEED`` and then by ``--seed``.
 
 Exit status: 0 on success, 2 on usage errors (an ``--input`` matrix whose
 exact mean is not finite, an ``--out`` path that cannot be written and an
-allocation that fails included), 3 on regime or precondition violations and
-on an estimate that is not finite.
+allocation that fails included), 3 on regime or precondition violations
+(instance sides beyond the float range included) and on an estimate that is
+not finite.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import argparse
 import math
 import os
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +35,6 @@ from . import harness
 from .errors import AdaptGapError, NonfiniteError
 from .estimators import run_a2, run_a3
 from .hard_instances import HardFamily, Variant
-from .oracle import Mode
 from .rng import RngStream
 from .spaces import INF, MixedMatrix, ProblemSpec, as_exponent, scalar_mean
 
@@ -43,9 +44,9 @@ __all__ = ["DEFAULT_SEED", "render", "run", "main"]
 DEFAULT_SEED = 0x5EED
 
 #: Header parameters and columns that hold an exponent.
-_EXPONENT_KEYS = frozenset({"p", "u", "v", "p1"})
+_EXPONENT_KEYS = frozenset({"p", "u", "v"})
 
-#: Parsed options that are not part of a run's configuration header.
+#: Parsed options that are neither passed to a command nor echoed.
 _NOT_ECHOED = frozenset({"command", "func", "out", "format"})
 
 
@@ -126,8 +127,10 @@ def fmt(key: str, value) -> str:
 
 
 def _config_header(command: str, params: dict) -> list[str]:
+    # An --input path is echoed as the family it stands in for.
     lines = [f"adaptgap {command}"]
-    lines.extend(f"{key}={fmt(key, params[key])}" for key in sorted(params))
+    lines.extend(f"{key}={fmt(key, params[key])}" for key in sorted(params)
+                 if key != "input")
     return lines
 
 
@@ -168,60 +171,47 @@ _FAMILIES = {
     "mu4": Variant.ACTIVE_ROW_BERNOULLI,
 }
 
-_MODES = {
-    "adaptive": (Mode.ADAPTIVE,),
-    "nonadaptive": (Mode.NONADAPTIVE,),
-    "both": (Mode.ADAPTIVE, Mode.NONADAPTIVE),
-}
+
+#: estimate's ``key=value`` lines, and the settings it resolved.
+_Report = namedtuple("_Report", "lines settings")
 
 
-def _cmd_estimate(args) -> str:
-    stream = RngStream(args.seed)
-    if args.input:
-        entries = np.load(args.input)
+def _cmd_estimate(*, family, alg, n1, n2, p, u, n, m, input, seed) -> _Report:
+    stream = RngStream(seed)
+    if input:
+        entries = np.load(input)
         if entries.ndim != 2:
             raise ValueError(
                 f"--input must hold a 2-D matrix, got shape {entries.shape}"
             )
-        spec = ProblemSpec(entries.shape[0], entries.shape[1], args.p, args.u)
+        spec = ProblemSpec(entries.shape[0], entries.shape[1], p, u)
         f = MixedMatrix(spec, entries)
-        family_name = f"file:{args.input}"
+        family = f"file:{input}"
     else:
-        spec = ProblemSpec(args.n1, args.n2, args.p, args.u)
-        family = HardFamily(_FAMILIES[args.family], spec)
-        f = family.sample(stream.child(0))
-        family_name = args.family
+        spec = ProblemSpec(n1, n2, p, u)
+        f = HardFamily(_FAMILIES[family], spec).sample(stream.child(0))
     # Sums of entries near the float maximum can overflow; both results are
     # checked below, so numpy's warnings would only repeat the error line.
     with np.errstate(over="ignore", invalid="ignore"):
         truth = scalar_mean(f)
         if not math.isfinite(truth):
             raise ValueError(f"the mean of the instance is not finite: {truth}")
-        if args.alg == "a2":
-            report = run_a2(f, args.n, stream.child(1))
+        if alg == "a2":
+            report = run_a2(f, n, stream.child(1))
         else:
-            report = run_a3(f, args.n, args.m, stream.child(1))
+            report = run_a3(f, n, m, stream.child(1))
     if not math.isfinite(report.value):
         raise NonfiniteError(
-            f"the {args.alg} estimate is not finite ({report.value}) "
+            f"the {alg} estimate is not finite ({report.value}) "
             "although the mean is; the entries are too close to overflow"
         )
 
-    params = {
-        "alg": args.alg,
-        "family": family_name,
-        "n": args.n,
-        "n1": spec.n1,
-        "n2": spec.n2,
-        "p": spec.p,
-        "u": spec.u,
-        "seed": args.seed,
-    }
-    lines = [f"# {h}" for h in _config_header("estimate", params)]
-    lines.append(f"value={fmt_float(report.value)}")
-    lines.append(f"true_mean={fmt_float(truth)}")
-    lines.append(f"abs_error={fmt_float(abs(report.value - truth))}")
-    lines.append(f"card={report.cards}")
+    lines = [
+        f"value={fmt_float(report.value)}",
+        f"true_mean={fmt_float(truth)}",
+        f"abs_error={fmt_float(abs(report.value - truth))}",
+        f"card={report.cards}",
+    ]
     if report.stage_cards is not None:
         lines.append(f"stage_cards={report.stage_cards[0]},{report.stage_cards[1]}")
     if report.allocation is not None:
@@ -233,60 +223,7 @@ def _cmd_estimate(args) -> str:
                 f"allocation_summary=min:{int(alloc.min())},"
                 f"max:{int(alloc.max())},sum:{int(alloc.sum())}"
             )
-    return "\n".join(lines) + "\n"
-
-
-def _cmd_rates(args) -> harness.Table:
-    return harness.rate_experiment(
-        harness.Regime(args.regime),
-        budgets=args.budgets,
-        trials=args.trials,
-        seed=args.seed,
-        c0=args.c0,
-        workers=args.workers,
-    )
-
-
-def _cmd_gap(args) -> harness.Table:
-    return harness.gap_experiment(
-        args.budgets,
-        args.c3,
-        args.trials,
-        args.seed,
-        m=args.m,
-        c0=args.c0,
-        workers=args.workers,
-    )
-
-
-def _cmd_ds(args) -> harness.Table:
-    return harness.ds_experiment(
-        k0_values=args.k0,
-        trials=args.trials,
-        seed=args.seed,
-        alpha=args.alpha,
-        p=args.p,
-        u=args.u,
-        p1=args.p1,
-        delta=args.delta,
-        c0=args.c0,
-        m=args.m,
-        k_max=args.k_max,
-        modes=_MODES[args.mode],
-        workers=args.workers,
-    )
-
-
-def _cmd_norm_est(args) -> harness.Table:
-    return harness.norm_deviation_experiment(
-        args.population,
-        args.v,
-        args.budgets,
-        args.trials,
-        args.seed,
-        u=args.u,
-        workers=args.workers,
-    )
+    return _Report(lines, {"family": family, "n1": spec.n1, "n2": spec.n2})
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     rates.add_argument("--c0", type=float, default=harness.REGIME_GUARD_DEFAULT,
                        help="regime guard constant in n < c0*N1*N2")
     _add_table_options(rates)
-    rates.set_defaults(func=_cmd_rates)
+    rates.set_defaults(func=harness.rate_experiment)
 
     gap = subs.add_parser("gap", help="adaption-gap experiment (p=1, u=inf)")
     gap.add_argument("--budgets", type=parse_budgets,
@@ -350,13 +287,12 @@ def build_parser() -> argparse.ArgumentParser:
     gap.add_argument("--m", type=int, default=None)
     gap.add_argument("--c0", type=float, default=harness.REGIME_GUARD_DEFAULT)
     _add_table_options(gap)
-    gap.set_defaults(func=_cmd_gap)
+    gap.set_defaults(func=harness.gap_experiment)
 
     ds = subs.add_parser("ds", help="direct-sum composite experiment")
     ds.add_argument("--alpha", type=float, default=1.5)
     ds.add_argument("--p", type=parse_exponent, default=1.0)
     ds.add_argument("--u", type=parse_exponent, default=INF)
-    ds.add_argument("--p1", type=parse_exponent, default=1.0)
     ds.add_argument("--k0", type=parse_int_list, default=[4, 5, 6])
     ds.add_argument("--delta", type=float, default=None,
                     help="decay of level budgets (default (alpha-1)/2)")
@@ -368,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default="both")
     ds.add_argument("--trials", type=int, default=200)
     _add_table_options(ds)
-    ds.set_defaults(func=_cmd_ds)
+    ds.set_defaults(func=harness.ds_experiment)
 
     ne = subs.add_parser("norm-est", help="norm-estimation deviation curve")
     ne.add_argument("--v", type=parse_exponent, default=2.0)
@@ -379,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default=[2**k for k in range(4, 13)])
     ne.add_argument("--trials", type=int, default=1000)
     _add_table_options(ne)
-    ne.set_defaults(func=_cmd_norm_est)
+    ne.set_defaults(func=harness.norm_deviation_experiment)
 
     return parser
 
@@ -409,18 +345,20 @@ def _keep_freed_blocks() -> None:
 def run(argv=None) -> int:
     """Run one command; return its exit status.
 
-    A table command's header echoes every option it parsed, with the seed
-    resolved and the settings the experiment resolved itself.
+    The command is called with its parsed options, the seed resolved, and
+    its header echoes those options and the settings it resolved itself.
     """
     _keep_freed_blocks()
     args = build_parser().parse_args(argv)
     try:
         args.seed = resolve_seed(args.seed)
-        output = args.func(args)
+        params = {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED}
+        output = args.func(**params)
+        header = _config_header(args.command, params | output.settings)
         if isinstance(output, harness.Table):
-            params = {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED}
-            header = _config_header(args.command, params | output.settings)
             output = render(output, header, "\t" if args.format == "tsv" else ",")
+        else:
+            output = "\n".join([*(f"# {h}" for h in header), *output.lines]) + "\n"
         if args.out is not None:
             args.out.write_text(output)
         else:

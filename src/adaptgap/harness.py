@@ -6,26 +6,30 @@ adding trials extends earlier results and worker counts never change the
 numbers. Trials are embarrassingly parallel: every trial of an experiment
 goes through one worker pool, and reductions happen in trial order after
 collection, which keeps outputs bitwise reproducible for any ``workers``
-setting.
+setting; the pool never outnumbers the trials or the usable CPUs.
 
 Ground-truth means are computed by direct summation outside the query
 oracle; they are measurement infrastructure, not algorithmic information.
 The error metric is RMS over trials (the mean absolute error rides along as
-a secondary statistic), with a delta-method standard error. Trials return
-signed errors and costs; one reduction squares them, so a cell whose
-squares would leave the float range can be scaled first.
+a secondary statistic), with a delta-method standard error. A trial returns
+a ``(signed error, cost)`` pair per column; the trial loop reduces every
+column in one place, so a column whose squares would leave the float range
+can be scaled first.
 
 Each experiment returns one :class:`Table`: its rows as printed, one
-namedtuple type per experiment, and the footer items that follow them.
+namedtuple type per experiment, and the footer items that follow them. Its
+parameters are named as the CLI options that the command line passes on.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import os
 import sys
 from collections import namedtuple
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -119,7 +123,12 @@ class Table:
 
 
 def _parallel_map(fn, items: list, workers: int) -> list:
-    if workers <= 1 or len(items) <= 1:
+    """``map(fn, items)`` on at most ``workers`` processes, and never on more
+    than there are items or usable CPUs."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    workers = min(workers, len(items), cpus)
+    if workers <= 1:
         return [fn(item) for item in items]
     # Imported here, as rng defers numpy.random: a one-worker run never
     # pays for concurrent.futures.
@@ -135,25 +144,29 @@ def _run_trial(item):
     return fn(*args, RngStream(seed, stream))
 
 
-def _run_cells(cells, seed: int, workers: int) -> list[list]:
+def _run_cells(cells, seed: int, workers: int) -> list[list[TrialStats]]:
     """Run every trial of every cell through one worker pool.
 
     A cell is ``(fn, args, path, trials)``: trial t calls the module-level
-    ``fn(*args, stream)`` on the stream ``(seed, *path, t)``. Returns each
-    cell's trial results, in cell order and trial order.
+    ``fn(*args, stream)`` on the stream ``(seed, *path, t)``, which returns
+    one ``(signed error, cost)`` pair per column. Returns, in cell order,
+    each cell's columns reduced over its trials in trial order.
     """
+    if any(trials < 2 for *_, trials in cells):
+        raise InvalidParameters("trials must be at least 2")
     items = [
         (fn, args, int(seed), path + (t,))
         for fn, args, path, trials in cells
         for t in range(trials)
     ]
     results = iter(_parallel_map(_run_trial, items, workers))
-    return [[next(results) for _ in range(trials)] for *_, trials in cells]
+    return [[_stats_from_trials(column) for column in zip(*islice(results, trials))]
+            for *_, trials in cells]
 
 
 def _stats_from_trials(results: Sequence[tuple[float, int]]) -> TrialStats:
     """RMS, its delta-method standard error, the mean absolute error and the
-    mean cost of one cell's ``(signed error, cost)`` trials.
+    mean cost of one column's ``(signed error, cost)`` trials.
 
     The standard error squares the squared errors' deviations, so it needs
     the largest error's fourth power in the normal range. When it is not,
@@ -195,7 +208,7 @@ def _estimator_trial(
     n: int,
     m: int | None,
     stream: RngStream,
-) -> tuple[float, int]:
+) -> tuple[tuple[float, int]]:
     """Sample one instance, run one estimator on it, and return the signed
     error and the cost."""
     f = family.sample(stream.child(0))
@@ -204,7 +217,7 @@ def _estimator_trial(
         report = run_a2(f, n, stream.child(1))
     else:
         report = run_a3(f, n, m, stream.child(1))
-    return report.value - truth, report.cards
+    return ((report.value - truth, report.cards),)
 
 
 def rms_error(
@@ -223,11 +236,9 @@ def rms_error(
     (seed, t); returns RMS, its delta-method standard error, the mean
     realized query count, and the mean absolute error.
     """
-    if trials < 2:
-        raise InvalidParameters("trials must be at least 2")
     cell = (_estimator_trial, (family, estimator, int(n), m), (), trials)
-    (results,) = _run_cells([cell], seed, workers)
-    return _stats_from_trials(results)
+    ((stats,),) = _run_cells([cell], seed, workers)
+    return stats
 
 
 def rate_fit(points) -> RateFit:
@@ -301,6 +312,17 @@ def _gap_trial(
     return (rep2.value - truth, rep2.cards), (rep3.value - truth, rep3.cards)
 
 
+def _dimensions(rule: Callable, n: int):
+    """``rule(n)``; a side beyond the float range is a precondition violation."""
+    try:
+        return rule(n)
+    except OverflowError:
+        size = n if n < 2**64 else f"2^{n.bit_length() - 1} or more"
+        raise InvalidParameters(
+            f"budget n = {size} gives an instance side beyond the float range"
+        ) from None
+
+
 def check_regime(n: int, n1: int, n2: int, c0: float) -> None:
     """Raise unless n < c0 * N1 * N2."""
     if not n < c0 * n1 * n2:
@@ -335,11 +357,9 @@ def gap_experiment(
         raise InvalidParameters("c3 must be positive")
     if not math.isfinite(c3):
         raise InvalidParameters("c3 must be finite")
-    if trials < 2:
-        raise InvalidParameters("trials must be at least 2")
     dims = []
     for n in budgets:
-        side = math.ceil(c3 * math.sqrt(n))
+        side = _dimensions(lambda n: math.ceil(c3 * math.sqrt(n)), n)
         if n < side:
             raise RegimeViolation(f"budget n = {n} is below N1 = {side}")
         check_regime(n, side, side, c0)
@@ -350,8 +370,7 @@ def gap_experiment(
         for i, (n, side) in enumerate(zip(budgets, dims))
     ]
     rows = []
-    for n, side, results in zip(budgets, dims, _run_cells(cells, seed, workers)):
-        a2, a3 = (_stats_from_trials(cell) for cell in zip(*results))
+    for n, side, (a2, a3) in zip(budgets, dims, _run_cells(cells, seed, workers)):
         ratio = a2.rms / a3.rms if a3.rms > 0.0 else math.inf
         rows.append(
             _GapRow(n, side, side, trials, a2.rms, a2.stderr, a3.rms, a3.stderr,
@@ -461,8 +480,6 @@ def rate_experiment(
     guarded by ``check_regime`` with constant ``c0``.
     """
     regime = Regime(regime)
-    if trials < 2:
-        raise InvalidParameters("trials must be at least 2")
     default_budgets, curves = _RATE_CURVES[regime]
     grids = []
     cells = []
@@ -470,7 +487,7 @@ def rate_experiment(
         ns = [int(b) for b in (curve.budgets or budgets or default_budgets)]
         grid = []
         for j, n in enumerate(ns):
-            n1, n2 = curve.shape(n)
+            n1, n2 = _dimensions(curve.shape, n)
             check_regime(n, n1, n2, c0)
             family = HardFamily(curve.variant, ProblemSpec(n1, n2, curve.p, curve.u))
             grid.append((n, family))
@@ -484,7 +501,7 @@ def rate_experiment(
     for curve, grid in zip(curves, grids):
         curve_rows = []
         for n, family in grid:
-            stats = _stats_from_trials(next(results))
+            (stats,) = next(results)
             spec = family.spec
             curve_rows.append(
                 _RateRow(family.variant.value, curve.estimator.value, spec.p, spec.u,
@@ -528,6 +545,7 @@ def _ds_trial(
     m: int | None,
     stream: RngStream,
 ) -> list[tuple[float, int]]:
+    """One ``(signed error, cost)`` pair per k0 and mode, in that order."""
     x = sample_ds_input(spec, stream.child(0))
     truth = ds_integral(x)
     out = []
@@ -543,70 +561,65 @@ def _ds_trial(
 
 
 def ds_experiment(
-    k0_values=(4, 5, 6),
+    k0=(4, 5, 6),
     trials: int = 200,
     seed: int = 0,
     *,
     alpha: float = 1.5,
     p: float = 1.0,
     u: float = INF,
-    p1: float = 1.0,
     delta: float | None = None,
     c0: float = 0.5,
     m: int | None = None,
     k_max: int | None = None,
-    modes: tuple[Mode, ...] = (Mode.ADAPTIVE, Mode.NONADAPTIVE),
+    mode: str | Mode = "both",
     workers: int = 1,
 ) -> Table:
     """Adaptive vs non-adaptive composite estimation on random sum inputs.
 
     Each trial samples one active-row instance per level up to ``k_max``
     (default: the largest level any tested k0 estimates) and runs the
-    requested composites on the same input. ``delta`` defaults to the
-    midpoint (alpha - 1) / 2 of its admissible interval. Ratios are
-    reported when both modes run. The settings hold ``alpha``, ``p``,
-    ``u``, and ``delta`` and ``k_max`` as resolved.
+    composites of every k0 in ``mode`` (``"adaptive"``, ``"nonadaptive"``
+    or ``"both"``) on the same input. ``delta`` defaults to the midpoint
+    (alpha - 1) / 2 of its admissible interval. Ratios are reported when
+    both modes run. The settings hold ``alpha``, ``p``, ``u``, and
+    ``delta`` and ``k_max`` as resolved.
     """
-    k0_values = tuple(int(k) for k in k0_values)
+    k0_values = tuple(int(k) for k in k0)
     if not k0_values or any(k < 1 for k in k0_values):
         raise InvalidParameters("k0 values must be positive integers")
-    if trials < 2:
-        raise InvalidParameters("trials must be at least 2")
-    modes = tuple(Mode(mm) for mm in modes)
-    if not modes:
-        raise InvalidParameters("at least one mode is required")
+    modes = tuple(Mode) if mode == "both" else (Mode(mode),)
     # A NaN or infinite alpha would reach math.floor through beta.
     if not 1.0 < alpha < INF:
         raise InvalidParameters(f"alpha must be finite and exceed 1, got {alpha}")
     if delta is None:
         delta = (alpha - 1.0) / 2.0
     beta = (alpha + 1.0) / alpha
-    needed = max(math.floor(beta * k0) for k0 in k0_values)
+    needed = max(math.floor(beta * k) for k in k0_values)
     k_max = needed if k_max is None else int(k_max)
     if k_max < needed:
         raise InvalidParameters(
             f"k_max = {k_max} truncates below the largest estimated level {needed}"
         )
 
-    spec = DirectSumSpec(float(alpha), float(p), float(u), float(p1), k_max)
+    # The outer norm exponent p1 reaches only ds_norm, which is not computed.
+    spec = DirectSumSpec(float(alpha), float(p), float(u), 1.0, k_max)
     args = (spec, k0_values, modes, float(delta), float(c0), m)
-    (per_trial,) = _run_cells([(_ds_trial, args, (), trials)], seed, workers)
-
+    (cell,) = _run_cells([(_ds_trial, args, (), trials)], seed, workers)
+    columns = iter(cell)
     rows = []
     footer = []
-    for i, k0 in enumerate(k0_values):
+    for k in k0_values:
         rms = {}
-        for j, mode in enumerate(modes):
-            stats = _stats_from_trials(
-                [trial[i * len(modes) + j] for trial in per_trial]
-            )
-            rms[mode] = stats.rms
-            rows.append(_DsRow(k0, mode.value, trials, stats.rms, stats.stderr,
+        for kind in modes:
+            stats = next(columns)
+            rms[kind] = stats.rms
+            rows.append(_DsRow(k, kind.value, trials, stats.rms, stats.stderr,
                                stats.mean_card, int(seed)))
-        if Mode.ADAPTIVE in rms and Mode.NONADAPTIVE in rms:
+        if len(modes) == 2:
             adaptive = rms[Mode.ADAPTIVE]
             ratio = rms[Mode.NONADAPTIVE] / adaptive if adaptive > 0 else math.inf
-            footer.append(("ratio", f"k0={k0}", ratio))
+            footer.append(("ratio", f"k0={k}", ratio))
     settings = {"alpha": float(alpha), "delta": float(delta), "k_max": k_max,
                 "p": float(p), "u": float(u)}
     return Table(_DsRow._fields, tuple(rows), tuple(footer), settings)
@@ -622,9 +635,9 @@ _NormRow = namedtuple("NormRow", "v u pop_size n trials rms_dev stderr seed")
 
 def _norm_trial(
     pop: np.ndarray, v: float, n: int, true_norm: float, stream: RngStream
-) -> tuple[float, int]:
+) -> tuple[tuple[float, int]]:
     est = norm_est_a1(lambda idx: pop[idx - 1], pop.size, v, n, stream)
-    return est - true_norm, n
+    return ((est - true_norm, n),)
 
 
 def norm_deviation_experiment(
@@ -647,8 +660,6 @@ def norm_deviation_experiment(
         raise InvalidParameters("population must be a nonempty vector")
     if not np.isfinite(pop).all():
         raise InvalidParameters("population entries must be finite")
-    if trials < 2:
-        raise InvalidParameters("trials must be at least 2")
     budgets = [int(b) for b in budgets]
     true_norm = row_norm(pop, v)
     cells = [
@@ -657,8 +668,7 @@ def norm_deviation_experiment(
     ]
     u = float(u)
     rows = []
-    for n, results in zip(budgets, _run_cells(cells, seed, workers)):
-        stats = _stats_from_trials(results)
+    for n, (stats,) in zip(budgets, _run_cells(cells, seed, workers)):
         rows.append(_NormRow(float(v), u, pop.size, n, trials, stats.rms, stats.stderr,
                              int(seed)))
     target = max(1.0 / u - 1.0 / float(v), -0.5)

@@ -317,7 +317,7 @@ def ds_direct_sum(seed: int):
     # level side length for all three k0 values (the midpoint default
     # misses by one sample at k0 = 6).
     return ds_experiment(
-        k0_values=(4, 5, 6),
+        k0=(4, 5, 6),
         trials=200,
         seed=seed,
         alpha=1.5,

@@ -1,3 +1,4 @@
+import argparse
 import math
 import os
 import platform
@@ -238,6 +239,54 @@ def test_entries_beyond_int64_flat_indices_are_usage_error(capsys):
     code, out, err = capture(capsys, argv)
     assert code == 2
     assert out == "" and err.startswith("error: ") and str(2**64) in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gap", "--budgets", "2^2000", "--trials", "2"],
+        ["rates", "--regime", "p-lt-2-lt-u", "--budgets", "2^2000,2^2001",
+         "--trials", "2"],
+        ["gap", "--c3", "1e308", "--budgets", "1024", "--trials", "2"],
+    ],
+    ids=["gap-budget", "rates-budgets", "gap-c3"],
+)
+def test_instance_sides_beyond_floats_are_precondition_violations(argv, capsys):
+    code, out, err = capture(capsys, argv)
+    assert code == 3
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "beyond the float range" in err
+
+
+def _subcommands() -> dict[str, argparse.ArgumentParser]:
+    (subs,) = [action for action in build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction)]
+    return subs.choices
+
+
+#: A small run of each subcommand.
+SMALL_RUNS = {
+    "estimate": ["--n1", "4", "--n2", "4", "--n", "8"],
+    "rates": ["--regime", "p-ge-u", "--budgets", "64,128,256,512", "--trials", "2"],
+    "gap": ["--budgets", "256", "--trials", "2"],
+    "ds": ["--k0", "4", "--delta", "0.2", "--mode", "adaptive", "--trials", "2"],
+    "norm-est": ["--budgets", "16", "--trials", "2"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_subcommands()))
+def test_header_echoes_every_option(command, capsys):
+    # --input is echoed as the family it stands in for.
+    options = {
+        action.dest for action in _subcommands()[command]._actions
+        if action.option_strings
+        and action.dest not in {"help", "out", "format", "input"}
+    }
+    code, out, err = capture(capsys, [command, *SMALL_RUNS[command]])
+    assert code == 0, err
+    echoed = {line[2:].split("=", 1)[0] for line in out.splitlines()
+              if line.startswith("# ")}
+    assert options - echoed == set()
 
 
 def test_module_runs_as_a_script():

@@ -26,7 +26,7 @@ GOLDEN = {
     ),
     "ds": (
         ["ds", "--k0", "4,5", "--delta", "0.2", "--trials", "4", "--seed", "3"],
-        "df616d62044efdfb9c02c923820ee7391bd7cd85bddb653d01078c412d662f1e",
+        "d7f8180a3883c28954b61ac5b38ca92fe691f7da752a7296e21cbdf41a22f3fd",
     ),
     "norm-est": (
         ["norm-est", "--trials", "50", "--seed", "3"],
@@ -35,18 +35,18 @@ GOLDEN = {
     "estimate-a2": (
         ["estimate", "--family", "mu2", "--alg", "a2", "--n1", "64", "--n2",
          "64", "--p", "2", "--u", "2", "--n", "4096", "--seed", "3"],
-        "dc99c128ad3616c0b29e469965160fb4402888fc6c225735ab81cc2a34357ff2",
+        "dce986af430c7eadd1c4eb9e49349721c75c509c102cb6fa12562f6a1c8a2fc6",
     ),
     "estimate-a3": (
         ["estimate", "--family", "mu4", "--alg", "a3", "--n1", "64", "--n2",
          "64", "--p", "1", "--u", "inf", "--n", "4096", "--seed", "3"],
-        "9c64996dcf768efe1bf8a155c99ee50cd482d08428d46f77a4503a8eb05c197a",
+        "6036e8903d7021d0d9a7ac8b70858caa9bee2974e61041d890245154b0b115ba",
     ),
     # Single spikes are stored as one row; rates p-ge-u samples dense mu3.
     "estimate-mu1-a2": (
         ["estimate", "--family", "mu1", "--alg", "a2", "--n1", "64", "--n2",
          "64", "--p", "1", "--u", "inf", "--n", "4096", "--seed", "3"],
-        "b8c00f4311640cda79167dd7cb6e3f488bb2bb10edb1ba27cb6460e33421153e",
+        "ef6fd28c5cc794e57e4957810aadfdf0c8fff1625ec6e3f38b4dce8f763c496c",
     ),
     "rates-p-ge-u": (
         ["rates", "--regime", "p-ge-u", "--trials", "4",
@@ -58,7 +58,7 @@ GOLDEN = {
     "estimate-a3-p1.5": (
         ["estimate", "--family", "mu4", "--alg", "a3", "--n1", "60", "--n2",
          "64", "--p", "1.5", "--u", "inf", "--n", "4096", "--seed", "3"],
-        "b68cab6b16a7ef857e0b0682b96b52dea796a74d210ddfd585032c39e6ab48cb",
+        "682ca6e3ba4a339a5e49cbf9fd559b708eef1b7393e12b867d8e26ab1d59c127",
     ),
     # The two regimes with one a2 curve each, so every row of the rates
     # table is pinned.
@@ -88,12 +88,12 @@ GOLDEN = {
     "ds-nonadaptive": (
         ["ds", "--k0", "4", "--delta", "0.2", "--trials", "4", "--mode",
          "nonadaptive", "--m", "3", "--k-max", "8", "--seed", "3"],
-        "77c86083bfd80581493b6c5be212ea2f8b5e301476c794a8d4492fe7e81d1fb7",
+        "783a2ed6e89624820d14232543b9d244f8395bd5f9c63c1a734f60a98e67b5a6",
     ),
     "estimate-allocation-summary": (
         ["estimate", "--family", "mu4", "--alg", "a3", "--n1", "80", "--n2",
          "16", "--p", "1", "--u", "inf", "--n", "1024", "--seed", "3"],
-        "824bd3ebe7a2be79ce950372937ea1002ceecdf4a3bd57f48fcb8c879a4f0ee4",
+        "f1c1f6de491e39c90933d9a7fd67376fba0663081784733c1d6641f2c792c093",
     ),
     "norm-est-population": (
         ["norm-est", "--population", "1,2", "--v", "1.5", "--budgets",
@@ -134,15 +134,15 @@ def test_dense_input_digest(tmp_path, monkeypatch, capsys):
                 "--u", "inf", "--n", "64", "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "b7e68390907ea2f5886a2d286088ada7f63e61a2bf92897c55b77b17f394eb3a"
+        "a764d9bd2300d996d2a0c3c32071bfc690dec3e64516d0e28952c5113143a1fc"
     )
 
 
 @pytest.mark.parametrize(
     "alg, digest",
     [
-        ("a2", "f31cda51940d7afad805d05b49cf0fc1a54b92214c572c91500f30ad8a417448"),
-        ("a3", "fc9ff1d98b8da70ee72f4ecabff10f2cde8893b594ffca2ffe1205b600e54470"),
+        ("a2", "eb32dc3cbf4bdd04828b82af353cde2776a5634a51eacb74d6c318240b432d3b"),
+        ("a3", "812b9bc2336bbbff26c65ca063298a5b0fbacbb8f65347dae244658f9e9dedb9"),
     ],
     ids=["a2", "a3"],
 )

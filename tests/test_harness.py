@@ -91,6 +91,64 @@ class TestRmsError:
         assert a != b  # genuinely different summaries
 
 
+class TestWorkerPoolSize:
+    """A pool starts at most min(workers, trials, usable CPUs) processes;
+    a fake executor records how many, so no process is started."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        import concurrent.futures
+
+        started = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        return started
+
+    @pytest.mark.parametrize(
+        "workers, items, started",
+        [(5000, 10, [3]), (5000, 2, [2]), (2, 10, [2]), (1, 10, []), (5000, 1, [])],
+    )
+    def test_pool_size(self, pools, workers, items, started):
+        assert harness._parallel_map(abs, list(range(-items, 0)), workers) == list(
+            range(items, 0, -1)
+        )
+        assert pools == started
+
+    def test_one_usable_cpu_runs_serially(self, pools, monkeypatch):
+        monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: {0})
+        assert harness._parallel_map(abs, [-1, -2, -3], 5000) == [1, 2, 3]
+        assert pools == []
+
+    def test_cpu_count_without_affinity(self, pools, monkeypatch):
+        monkeypatch.delattr(harness.os, "sched_getaffinity")
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 4)
+        harness._parallel_map(abs, list(range(10)), 5000)
+        assert pools == [4]
+
+    def test_experiment_output_is_unchanged(self, pools):
+        kwargs = dict(trials=40, seed=17)
+        args = ([1.0, 2.0], 2.0, [16, 32])
+        serial = norm_deviation_experiment(*args, workers=1, **kwargs)
+        capped = norm_deviation_experiment(*args, workers=5000, **kwargs)
+        assert capped.rows == serial.rows
+        assert pools == [3]
+
+
 class TestRateFit:
     def test_exact_line(self):
         points = [(n, n**-0.5) for n in (16, 64, 256, 1024)]
@@ -198,20 +256,15 @@ class TestRateExperiment:
 
 class TestDsExperiment:
     def test_small_run(self):
-        result = ds_experiment(
-            k0_values=(4,), trials=30, seed=14, alpha=1.5, delta=0.2
-        )
+        result = ds_experiment(k0=(4,), trials=30, seed=14, alpha=1.5, delta=0.2)
         assert len(result.rows) == 2
         ((kind, label, ratio),) = result.footer
         assert (kind, label) == ("ratio", "k0=4")
         assert ratio > 0.0
 
     def test_single_mode(self):
-        from adaptgap.oracle import Mode
-
         result = ds_experiment(
-            k0_values=(4,), trials=10, seed=15, alpha=1.5, delta=0.2,
-            modes=(Mode.NONADAPTIVE,),
+            k0=(4,), trials=10, seed=15, alpha=1.5, delta=0.2, mode="nonadaptive"
         )
         assert len(result.rows) == 1
         assert result.rows[0].mode == "nonadaptive"
@@ -219,7 +272,12 @@ class TestDsExperiment:
 
     def test_k_max_floor_checked(self):
         with pytest.raises(InvalidParameters):
-            ds_experiment(k0_values=(4,), trials=10, seed=0, k_max=3)
+            ds_experiment(k0=(4,), trials=10, seed=0, k_max=3)
+
+    def test_mode_may_be_a_mode(self):
+        kwargs = dict(k0=(4,), trials=2, seed=15, delta=0.2)
+        by_name = ds_experiment(mode="adaptive", **kwargs)
+        assert ds_experiment(mode=Mode.ADAPTIVE, **kwargs).rows == by_name.rows
 
 
 class TestNormDeviationExperiment:
