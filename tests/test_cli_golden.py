@@ -60,6 +60,14 @@ GOLDEN = {
          "64", "--p", "1.5", "--u", "inf", "--n", "4096", "--seed", "3"],
         "682ca6e3ba4a339a5e49cbf9fd559b708eef1b7393e12b867d8e26ab1d59c127",
     ),
+    # The same instance at a budget whose stage 1 runs in 20 probe-major
+    # blocks and stage 2 in 7, with the active row's 100,000 samples
+    # spanning 4 of them: a row's sums cut by block boundaries are pinned.
+    "estimate-a3-multiblock": (
+        ["estimate", "--family", "mu4", "--alg", "a3", "--n1", "60", "--n2",
+         "64", "--p", "1.5", "--u", "inf", "--n", "100000", "--seed", "3"],
+        "00b5478ef6b8690eefb0df4c8a7f4f8f884c0579b24ab9747971a3d7999f57cc",
+    ),
     # The two regimes with one a2 curve each, so every row of the rates
     # table is pinned.
     "rates-p-lt-u-le-2": (
@@ -139,19 +147,22 @@ def test_dense_input_digest(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "alg, digest",
+    "alg, n, digest",
     [
-        ("a2", "eb32dc3cbf4bdd04828b82af353cde2776a5634a51eacb74d6c318240b432d3b"),
-        ("a3", "812b9bc2336bbbff26c65ca063298a5b0fbacbb8f65347dae244658f9e9dedb9"),
+        ("a2", 64, "eb32dc3cbf4bdd04828b82af353cde2776a5634a51eacb74d6c318240b432d3b"),
+        ("a3", 64, "812b9bc2336bbbff26c65ca063298a5b0fbacbb8f65347dae244658f9e9dedb9"),
+        # Stage 2 in several blocks, each row's samples cut by their bounds.
+        ("a3", 100000,
+         "c1c6d4669f938b2dad5ae223c0c364c13ecbd8b05962d573648ec8fdab2b1fb9"),
     ],
-    ids=["a2", "a3"],
+    ids=["a2", "a3", "a3-multiblock"],
 )
-def test_dense_irrational_input_digest(alg, digest, tmp_path, monkeypatch, capsys):
+def test_dense_irrational_input_digest(alg, n, digest, tmp_path, monkeypatch, capsys):
     # Square roots round in every sum, so this pins the order of the
     # estimators' reductions (means, medians, allocation) on a dense input.
     monkeypatch.chdir(tmp_path)
     np.save("m.npy", np.sqrt(np.arange(48.0)).reshape(6, 8) - 3)
     assert run(["estimate", "--input", "m.npy", "--alg", alg, "--p", "1.5",
-                "--u", "inf", "--n", "64", "--seed", "3"]) == 0
+                "--u", "inf", "--n", str(n), "--seed", "3"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
