@@ -14,10 +14,10 @@ one function, :func:`render`, prints. The master seed defaults to a fixed
 constant, overridable by ``ADAPTGAP_SEED`` and then by ``--seed``.
 
 Exit status: 0 on success, 2 on usage errors (an ``--input`` matrix whose
-exact mean is not finite, an ``--out`` path that cannot be written and an
-allocation that fails included), 3 on regime or precondition violations
-(instance sides beyond the float range included) and on an estimate that is
-not finite.
+exact mean is not finite, an instance of 2^63 or more entries, an ``--out``
+path that cannot be written and an allocation that fails included), 3 on
+regime or precondition violations (instance sides beyond the float range
+included) and on an estimate that is not finite.
 """
 
 from __future__ import annotations
@@ -320,35 +320,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _keep_freed_blocks() -> None:
-    """Keep the estimators' freed block temporaries on glibc's malloc heap.
-
-    Their blocks of ``oracle.PLAN_BLOCK`` queries allocate 256 KiB arrays,
-    about 1 MiB per block. glibc's default thresholds map such arrays, or
-    trim them off the heap when freed, so every block faults them in again:
-    about 12,000 minor faults per ``gap --trials 8`` run, at about 3.5 us
-    each on a shared 2-core host. Serving arrays up to 1 MiB from the heap
-    and keeping up to 8 MiB of free heap top brings that to about 15.
-    Without glibc this does nothing.
-    """
-    import ctypes  # deferred: only a command run needs it
-
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt(-3, 1 << 20)  # M_MMAP_THRESHOLD
-    mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD
-
-
 def run(argv=None) -> int:
     """Run one command; return its exit status.
 
     The command is called with its parsed options, the seed resolved, and
     its header echoes those options and the settings it resolved itself.
     """
-    _keep_freed_blocks()
     args = build_parser().parse_args(argv)
     try:
         args.seed = resolve_seed(args.seed)

@@ -23,14 +23,15 @@ Three estimators are provided:
   estimates each row mean, and averages. Total cost is at most 6*m*n. Both
   stages ask in blocks of about ``PLAN_BLOCK`` answers: stage one a block
   of rows against all probe columns, stage two a block of its row-ordered
-  samples, drawn as the block is asked. So a3 holds one block of answers and
-  a few N1-length vectors, not the m*n-answer probe grid. Each stage checks
-  its whole count against the budget first, so a stage that would exceed it
-  charges nothing. The row sizes equal those of the whole grid asked at once
-  bit for bit unless the grid's answers span more than about 2^511, where
-  the per-block scale keeps small rows that the whole grid's scale lost. The
-  value is the same bit for bit at integer entries and whenever each row's
-  samples fall in one block; otherwise it may differ in its last bits.
+  samples, drawn as the block is asked and summed into the sums of the rows
+  it covers. So a3 holds one block of answers and a few N1-length vectors,
+  not the m*n-answer probe grid. Each stage checks its whole count against
+  the budget first, so a stage that would exceed it charges nothing. The
+  row sizes equal those of the whole grid asked at once bit for bit unless
+  the grid's answers span more than about 2^511, where the per-block scale
+  keeps small rows that the whole grid's scale lost. The value is the same
+  bit for bit at integer entries and whenever each row's samples fall in
+  one block; otherwise it may differ in its last bits.
 
 ``run_a2`` and ``run_a3`` run an estimator on a matrix: each opens the tape
 the estimator is entitled to (the drawn plan, or a 6*m*n budget), and
@@ -184,11 +185,10 @@ def draw_plan(spec: ProblemSpec, n: int, rng: RngStream) -> Plan:
     """The n uniform entries that ``mc_mean_a2`` queries for ``rng``, as a
     drawn ``Plan`` of flat indices, drawn block by block as it is answered.
 
-    Refuses, with ``ValueError``, more than 2^53 queries and an N1*N2 that
-    flat int64 indices cannot address.
+    Refuses more than 2^53 queries with ``ValueError``.
     """
     n = _plan_length(n)
-    return Plan.drawn(n, spec.n1, spec.n2, rng.generator())
+    return Plan.drawn(n, spec, rng.generator())
 
 
 def mc_mean_a2(tape: QueryTape, n: int, rng: RngStream) -> EstimateReport:
@@ -338,17 +338,16 @@ def adaptive_mean_a3(
     g1 = rng.child(_STAGE_PROBE).generator()
     cols1 = g1.integers(1, n2 + 1, size=k)
     step = max(1, block // k)  # rows per block
-    # A stage asked in several blocks checks its whole count first, so it
-    # charges nothing if it cannot finish, as a one-block query does.
-    if step < n1:
-        tape.check_budget(stage1)
+    # Each stage checks its whole count first, so it charges nothing if it
+    # cannot finish.
+    tape.check_budget(stage1)
     if m > 1 and step < n1:
         cols1 = cols1.reshape(per_probe, 1, m)
         row_shape, grid, axis = (1, -1, 1), (per_probe, -1, m), 0
     else:
         cols1 = cols1.reshape(1, k)
         row_shape, grid, axis = (-1, 1), (-1, per_probe, m), 1
-    pieces = []
+    a_tilde = np.empty(n1)
     for start in range(0, n1, step):
         rows = row_ids[start : start + step].reshape(row_shape)
         vals = tape.query_many(rows, cols1)
@@ -358,53 +357,31 @@ def adaptive_mean_a3(
         np.ldexp(vals, -exponent, vals)
         sums = np.add.reduce(np.square(vals, vals).reshape(grid), axis)
         probes = np.sqrt(np.true_divide(sums, per_probe, sums), sums)
-        pieces.append(np.ldexp(median(probes, axis=1), exponent))
-    a_tilde = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+        np.ldexp(median(probes, axis=1), exponent, a_tilde[start : start + step])
 
     # Stage 2: proportional row budgets, one mean estimate per row. The
-    # row-ordered sample positions are drawn and answered PLAN_BLOCK at a
-    # time, and a row cut by block boundaries adds its pieces' sums in order.
+    # row-ordered sample positions [starts, ends) are drawn and answered
+    # PLAN_BLOCK at a time, and each block adds its part of every row it
+    # covers into that row's sum, in block order. The sums start at -0.0,
+    # which leaves the first part added, +0.0 included, exactly as it is.
     allocation = allocate_samples(a_tilde, p, n)
     ends = np.add.accumulate(allocation)
     starts = ends - allocation
     total = int(ends[-1])
-    if total > block:
-        tape.check_budget(total)
+    tape.check_budget(total)
     g2 = rng.child(_STAGE_SAMPLE).generator()
-    pieces = []
-    # The block's first row, and how many of its positions earlier blocks
-    # asked.
-    first = head = 0
+    row_sums = np.full(n1, -0.0)
     for start in range(0, total, block):
-        end = start + block
-        if end < total:
-            # The block's last row, and how many of its positions later
-            # blocks ask.
-            last = int(np.searchsorted(ends, end))
-            tail = int(ends[last]) - end
-        else:
-            end, last, tail = total, n1 - 1, 0
-        counts = allocation[first : last + 1]
-        offsets = starts[first : last + 1]
-        if head or tail:
-            counts = counts.copy()
-            counts[0] -= head
-            counts[-1] -= tail
-        if start:
-            offsets = offsets - start
-            offsets[0] = 0
+        end = min(start + block, total)
+        # The rows [first, last) whose positions meet [start, end).
+        first = ends.searchsorted(start, "right")
+        last = ends.searchsorted(end) + 1
+        offsets = np.maximum(starts[first:last], start)
+        counts = np.minimum(ends[first:last], end) - offsets
+        offsets -= start
         cols = g2.integers(1, n2 + 1, size=end - start)
-        vals = tape.query_many(row_ids[first : last + 1].repeat(counts), cols)
-        part = np.add.reduceat(vals, offsets)
-        if head:  # the earlier part of row `first` is the last sum so far
-            part[0] += pieces[-1][-1]
-            pieces[-1] = pieces[-1][:-1]
-        pieces.append(part)
-        if tail:
-            first, head = last, int(allocation[last]) - tail
-        else:
-            first, head = last + 1, 0
-    row_sums = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
+        vals = tape.query_many(row_ids[first:last].repeat(counts), cols)
+        row_sums[first:last] += np.add.reduceat(vals, offsets)
     row_estimates = row_sums / allocation
 
     return EstimateReport(

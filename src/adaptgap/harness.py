@@ -300,10 +300,9 @@ _GapRow = namedtuple(
 
 
 def _gap_trial(
-    side: int, n: int, m: int | None, stream: RngStream
+    spec: ProblemSpec, n: int, m: int | None, stream: RngStream
 ) -> tuple[tuple[float, int], tuple[float, int]]:
     """The a2 and the a3 ``(signed error, cost)`` on one instance."""
-    spec = ProblemSpec(side, side, 1.0, INF)
     f = HardFamily(Variant.ACTIVE_ROW_BERNOULLI, spec).sample(stream.child(0))
     truth = scalar_mean(f)
     rep3 = run_a3(f, n, m, stream.child(1))
@@ -357,24 +356,24 @@ def gap_experiment(
         raise InvalidParameters("c3 must be positive")
     if not math.isfinite(c3):
         raise InvalidParameters("c3 must be finite")
-    dims = []
+    specs = []
     for n in budgets:
         side = _dimensions(lambda n: math.ceil(c3 * math.sqrt(n)), n)
         if n < side:
             raise RegimeViolation(f"budget n = {n} is below N1 = {side}")
         check_regime(n, side, side, c0)
-        dims.append(side)
+        specs.append(ProblemSpec(side, side, 1.0, INF))
 
     cells = [
-        (_gap_trial, (side, n, m), (i,), trials)
-        for i, (n, side) in enumerate(zip(budgets, dims))
+        (_gap_trial, (spec, n, m), (i,), trials)
+        for i, (n, spec) in enumerate(zip(budgets, specs))
     ]
     rows = []
-    for n, side, (a2, a3) in zip(budgets, dims, _run_cells(cells, seed, workers)):
+    for n, spec, (a2, a3) in zip(budgets, specs, _run_cells(cells, seed, workers)):
         ratio = a2.rms / a3.rms if a3.rms > 0.0 else math.inf
         rows.append(
-            _GapRow(n, side, side, trials, a2.rms, a2.stderr, a3.rms, a3.stderr,
-                    ratio, a2.mean_card, a3.mean_card, int(seed))
+            _GapRow(n, spec.n1, spec.n2, trials, a2.rms, a2.stderr, a3.rms,
+                    a3.stderr, ratio, a2.mean_card, a3.mean_card, int(seed))
         )
     # An a2 sample on mu4 at p = 1, u = INF is +-N1 with probability 1/N1
     # and 0 otherwise, so rms_a2 is about sqrt(N1 / mean_card_a2).

@@ -13,29 +13,34 @@ optional budget, and enforces the access discipline:
   holds by construction: no answer can reach the choice of a query.
 
 A plan holds flat entry indices: the query (i, j) is the 0-based row-major
-position ``f = (i - 1) * N2 + (j - 1)``, so a plan addresses fewer than
-2^63 entries. A plan is explicit or drawn. An explicit plan is converted
-once, at :func:`open_nonadaptive`, into one int64 array: 8 bytes per query.
-A drawn plan (:meth:`Plan.drawn`) holds only its generator and its length,
-and draws each block of uniform flat indices as it hands the block out: one
-bounded draw per query. Its values equal one draw of all n indices, because
+position ``f = (i - 1) * N2 + (j - 1)``, which int64 holds because a
+:class:`ProblemSpec` has fewer than 2^63 entries. A plan is explicit or
+drawn. An explicit plan is converted once, at :func:`open_nonadaptive`,
+into one int64 array: 8 bytes per query. A drawn plan (:meth:`Plan.drawn`)
+holds only its generator and its length, and draws each block of uniform
+flat indices as it hands the block out: one bounded draw per query. Its values equal one draw of all n indices, because
 numpy's ``Generator.integers`` drawn in pieces continues the same stream; so
 it never holds more than a block of indices, however long the plan.
 
 Query indices are 1-based, matching (i, j) in [1, N1] x [1, N2]. Failed
 queries (budget or discipline errors) are not charged: the run is aborted,
 not billed. ``query_many`` answers a batch with exactly the semantics of
-issuing its queries one at a time, but at vectorized cost. Its row and
-column arrays broadcast against each other, so a grid of a block of rows
-against a few columns is one ``(r, 1) x (1, k)`` query, or
-``(1, r, 1) x (q, 1, m)`` probe-major; the answers come back flat in C
-order. A dense matrix is answered by one flat gather from its row-major
-entries; a row-sparse one (see ``MixedMatrix.from_rows``) from its stored
-rows, with zeros elsewhere, so no query ever builds the dense array; a grid
-looks only at the stored rows between the least and the greatest row it
-asks. A plan's block is answered the same way, from its flat indices: by
-one gather when dense, and by one range test per stored row when
-row-sparse.
+issuing its queries one at a time, but at vectorized cost.
+
+There are two answer routes. An adaptive batch is a grid: its row and
+column arrays broadcast against each other, so equally shaped pairs, a
+block of rows against a few columns, ``(r, 1) x (1, k)``, and a probe-major
+``(1, r, 1) x (q, 1, m)`` are all one query, answered flat in C order. A
+dense matrix answers it by one flat gather from its row-major entries; a
+row-sparse one (see ``MixedMatrix.from_rows``) from its stored rows, with
+zeros elsewhere, looking only at the stored rows between the least and the
+greatest row asked, so no query ever builds the dense array. A plan's block
+is answered from its flat indices: by one gather when dense, and by one
+range test per stored row when row-sparse.
+
+The first tape a process builds also sets glibc's malloc thresholds (see
+``_keep_freed_blocks``), so that the block temporaries of every caller,
+the CLI's and the library's alike, stay on the heap from block to block.
 """
 
 from __future__ import annotations
@@ -73,8 +78,32 @@ UNBOUNDED = None
 #: allocator's heap from block to block, while n-length ones are mapped,
 #: faulted in and unmapped on every call: about 10 against 25k minor faults
 #: per 32-trial ``gap`` run. With glibc they stay only under the thresholds
-#: that ``cli.run`` sets (see ``cli._keep_freed_blocks``).
+#: that the first tape sets (see ``_keep_freed_blocks``).
 PLAN_BLOCK = 1 << 15
+
+
+@functools.cache
+def _keep_freed_blocks() -> None:
+    """Keep the estimators' freed block temporaries on glibc's malloc heap;
+    run once per process, by the first :class:`QueryTape`.
+
+    Their blocks of ``PLAN_BLOCK`` queries allocate 256 KiB arrays, about
+    1 MiB per block. glibc's default thresholds map such arrays, or trim them
+    off the heap when freed, so every block faults them in again: about
+    12,000 minor faults per ``gap --trials 8`` run, at about 3.5 us each on a
+    shared 2-core host. Serving arrays up to 1 MiB from the heap and keeping
+    up to 8 MiB of free heap top brings that to about 15. Without glibc this
+    does nothing.
+    """
+    import ctypes  # deferred: only a tape needs it
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt(-3, 1 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD
 
 
 def _within(index: np.ndarray, high: int) -> bool:
@@ -84,17 +113,6 @@ def _within(index: np.ndarray, high: int) -> bool:
         np.minimum.reduce(index, axis=None) >= 1
         and np.maximum.reduce(index, axis=None) <= high
     )
-
-
-def _plan_entries(n1: int, n2: int) -> int:
-    """N1 * N2, or ``ValueError`` if flat int64 indices cannot address it."""
-    entries = n1 * n2
-    if entries >= 1 << 63:
-        raise ValueError(
-            f"N1*N2 = {n1}*{n2} = {entries} entries exceed what a plan's flat "
-            "int64 indices address (below 2^63)"
-        )
-    return entries
 
 
 class Plan:
@@ -115,12 +133,12 @@ class Plan:
         self._handed = False
 
     @classmethod
-    def drawn(cls, n: int, n1: int, n2: int, generator) -> Plan:
-        """n uniform entries of an N1 x N2 matrix from a numpy ``Generator``:
+    def drawn(cls, n: int, spec: ProblemSpec, generator) -> Plan:
+        """n uniform entries of a ``spec`` matrix from a numpy ``Generator``:
         the same flat indices as ``generator.integers(0, N1 * N2, size=n)``,
         drawn a block at a time as ``blocks`` hands them out."""
-        entries = _plan_entries(n1, n2)
-        return cls(n, draw=functools.partial(generator.integers, 0, entries))
+        draw = functools.partial(generator.integers, 0, spec.n_entries)
+        return cls(n, draw=draw)
 
     def blocks(self):
         """Yield the plan in order as int64 flat index blocks of at most
@@ -156,6 +174,7 @@ class QueryTape:
         budget: int | None,
         plan: Plan | None,
     ) -> None:
+        _keep_freed_blocks()
         self._spec = target.spec
         # The stored rows: the whole C-ordered matrix when dense.
         self._row_ids = target.row_ids
@@ -272,55 +291,23 @@ class QueryTape:
         return out
 
     def _answer(self, rows, cols) -> np.ndarray:
-        """``query_many`` without the discipline check."""
+        """``query_many`` without the discipline check: the answers to rows
+        and cols broadcast against each other, flat in C order."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
-        if rows.shape == cols.shape:
-            shape = None  # flat pairs
-            if rows.ndim != 1:
-                rows = rows.reshape(-1)
-                cols = cols.reshape(-1)
-            count = rows.size
-        else:
-            grid = np.broadcast(rows, cols)
-            shape = grid.shape
-            count = grid.size
-        asked = self._check_range(rows, cols) if count else (1, 0)
+        grid = np.broadcast(rows, cols)
+        count = grid.size
+        # The least and the greatest row asked: a stored row outside them is
+        # skipped, not compared against the whole grid.
+        low, top = self._check_range(rows, cols) if count else (1, 0)
         self.check_budget(count)
         self._issued += count
-        if shape is None:
-            return self._gather(rows, cols, count)
-        return self._gather_grid(rows, cols, shape, asked)
-
-    def _gather(self, rows: np.ndarray, cols: np.ndarray, count: int) -> np.ndarray:
-        """Answers to equally shaped 1-D rows and cols, unchecked."""
-        if self._row_ids is None:
-            # Row-major offset (rows-1)*N2 + (cols-1), built in one buffer.
-            n2 = self._spec.n2
-            flat = np.multiply(rows, n2)
-            flat += cols
-            flat -= n2 + 1
-            return self._block.take(flat)
-        # Only the queries that hit a stored row are gathered.
-        out = np.zeros(count)
-        for i, values in zip(self._row_ids, self._block):
-            hit = (rows == i + 1).nonzero()[0]
-            out[hit] = values.take(cols.take(hit) - 1)
-        return out
-
-    def _gather_grid(
-        self, rows: np.ndarray, cols: np.ndarray, shape, asked: tuple
-    ) -> np.ndarray:
-        """Answers to rows and cols broadcast to ``shape``, flat, unchecked.
-        ``asked`` is the least and the greatest row in ``rows``: a stored row
-        outside them is skipped, not compared against the whole grid."""
         if self._row_ids is None:
             n2 = self._spec.n2
             flat = np.multiply(rows, n2) + cols
             flat -= n2 + 1
             return self._block.take(flat.reshape(-1))
-        low, top = asked
-        out = np.zeros(shape)
+        out = np.zeros(grid.shape)
         cols0 = cols - 1
         for i, values in zip(self._row_ids, self._block):
             if low <= i + 1 <= top:
@@ -352,7 +339,6 @@ def open_nonadaptive(f: MixedMatrix, queries) -> QueryTape:
         raise ValueError("queries must be a sequence of (i, j) pairs")
     rows, cols = declared[:, 0], declared[:, 1]
     spec = f.spec
-    _plan_entries(spec.n1, spec.n2)
     if rows.size and not (_within(rows, spec.n1) and _within(cols, spec.n2)):
         raise IndexOutOfRange(
             f"declared indices outside [1, {spec.n1}] x [1, {spec.n2}]"

@@ -70,7 +70,11 @@ def inverse_power(base: float, e: float) -> float:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Dimensions and exponents (N1, N2, p, u) of one mean-computation space."""
+    """Dimensions and exponents (N1, N2, p, u) of one mean-computation space.
+
+    N1*N2 must lie below 2^63, so that an int64 flat index ``(i - 1) * N2 +
+    (j - 1)`` addresses every entry; a larger space raises ``ValueError``.
+    """
 
     n1: int
     n2: int
@@ -84,6 +88,11 @@ class ProblemSpec:
             raise ValueError(f"n2 must be a positive integer, got {self.n2!r}")
         object.__setattr__(self, "n1", int(self.n1))
         object.__setattr__(self, "n2", int(self.n2))
+        if self.n_entries >= 1 << 63:
+            raise ValueError(
+                f"N1*N2 = {self.n1}*{self.n2} = {self.n_entries} entries exceed "
+                "what a plan's flat int64 indices address (below 2^63)"
+            )
         object.__setattr__(self, "p", as_exponent(self.p))
         object.__setattr__(self, "u", as_exponent(self.u))
 

@@ -239,6 +239,11 @@ def test_entries_beyond_int64_flat_indices_are_usage_error(capsys):
     code, out, err = capture(capsys, argv)
     assert code == 2
     assert out == "" and err.startswith("error: ") and str(2**64) in err
+    # A gap budget of 2^1000 gives N1 = N2 = 5 * 2^500: its spec is refused
+    # before any trial runs.
+    code, out, err = capture(capsys, ["gap", "--budgets", "2^1000", "--trials", "2"])
+    assert code == 2
+    assert out == "" and err.startswith("error: N1*N2 = ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -303,29 +308,37 @@ def test_module_runs_as_a_script():
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's malloc")
 def test_block_temporaries_stay_on_the_heap():
-    # A fresh process runs one gap cell twice. The second run reuses the
-    # heap the first one left, instead of faulting its block temporaries in
-    # again block by block (some 2,000 faults with glibc's default
-    # thresholds).
+    # A fresh process runs one gap cell twice, through the CLI and through
+    # the library. The second run reuses the heap the first one left,
+    # instead of faulting its block temporaries in again block by block
+    # (some 2,000 faults with glibc's default thresholds).
     src = Path(__file__).resolve().parents[1] / "src"
-    script = (
-        "import contextlib, io, resource\n"
+    runs = (
         "from adaptgap.cli import run\n"
         "argv = ['gap', '--budgets', '16384', '--trials', '4', '--seed', '1']\n"
-        "for _ in range(2):\n"
-        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert run(argv) == 0\n"
-        "    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        "def once():\n"
+        "    assert run(argv) == 0\n",
+        "from adaptgap.harness import gap_experiment\n"
+        "def once():\n"
+        "    gap_experiment([16384], 5.0, 4, 1)\n",
     )
     env = {**os.environ, "PYTHONPATH": str(src)}
     for name in ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_"):
         env.pop(name, None)
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    first, second = map(int, proc.stdout.split())
-    assert second < 200, (first, second)
+    for setup in runs:
+        script = setup + (
+            "import contextlib, io, resource\n"
+            "for _ in range(2):\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        once()\n"
+            "    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        first, second = map(int, proc.stdout.split())
+        assert second < 200, (setup, first, second)
 
 
 class TestGap:

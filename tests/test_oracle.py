@@ -228,7 +228,8 @@ class TestDrawnPlan:
 
     @staticmethod
     def drawn(n, n1=2, n2=2, seed=4):
-        return Plan.drawn(n, n1, n2, np.random.default_rng(seed))
+        spec = ProblemSpec(n1, n2, 1.0, INF)
+        return Plan.drawn(n, spec, np.random.default_rng(seed))
 
     def test_values_rows_dtype_and_budget(self, f22):
         plan = self.drawn(8)
@@ -308,14 +309,11 @@ class TestDrawnPlan:
         assert tape.card() == 5
 
     def test_entries_beyond_int64_flat_indices_are_refused(self):
-        # One stored row of a 2^62 x 4 matrix: 2^64 entries.
-        f = MixedMatrix.from_rows(ProblemSpec(2**62, 4, 1.0, INF), [0], [[1.0] * 4])
-        for make in (
-            lambda: Plan.drawn(1, 2**62, 4, np.random.default_rng(0)),
-            lambda: open_nonadaptive(f, [(1, 1)]),
-        ):
-            with pytest.raises(ValueError, match=str(2**64)):
-                make()
+        # A 2^62 x 4 space has 2^64 entries, so no matrix, and hence no
+        # tape or plan, is ever built on it.
+        for n1, n2 in ((2**62, 4), (4, 2**62), (2**32, 2**31)):
+            with pytest.raises(ValueError, match=r"N1\*N2 = .* = " + str(n1 * n2)):
+                ProblemSpec(n1, n2, 1.0, INF)
         # 2^63 - 1 entries are the most a plan addresses.
         n1 = 2**63 - 1
         big = MixedMatrix.from_rows(ProblemSpec(n1, 1, 1.0, INF), [n1 - 1], [[5.0]])
@@ -348,6 +346,8 @@ def test_row_sparse_and_dense_answer_alike(variant, n1, n2, p, u, seed, data):
 
     rows = indices(n1)
     cols = indices(n2)
+    # The same pairs as equally shaped 2-D arrays, answered flat in C order.
+    shape = (2, length // 2) if length % 2 == 0 else (length, 1)
     grid_rows = indices(n1, 5)[:, None]
     grid_cols = indices(n2, 5)[None, :]
     tapes = [open_adaptive(sparse), open_adaptive(dense)]
@@ -355,13 +355,16 @@ def test_row_sparse_and_dense_answer_alike(variant, n1, n2, p, u, seed, data):
     for tape in tapes:
         single = [tape.query(i, j) for i, j in zip(rows, cols)]
         flat = tape.query_many(rows, cols)
+        paired = tape.query_many(rows.reshape(shape), cols.reshape(shape))
         grid = tape.query_many(grid_rows, grid_cols)
-        answers.append((single, flat.tolist(), grid.tolist(), tape.card()))
+        answers.append(
+            (single, flat.tolist(), paired.tolist(), grid.tolist(), tape.card())
+        )
     assert answers[0] == answers[1]
-    single, flat, grid, count = answers[0]
-    assert single == flat == dense.entries[rows - 1, cols - 1].tolist()
+    single, flat, paired, grid, count = answers[0]
+    assert single == flat == paired == dense.entries[rows - 1, cols - 1].tolist()
     assert grid == dense.entries[grid_rows - 1, grid_cols - 1].ravel().tolist()
-    assert count == 2 * length + grid_rows.size * grid_cols.size
+    assert count == 3 * length + grid_rows.size * grid_cols.size
 
 
 @settings(max_examples=150, deadline=None)
@@ -476,7 +479,7 @@ def test_a_nonadaptive_tape_answers_only_its_plan(
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(oracle, "PLAN_BLOCK", 3)
         if drawn:
-            plan = Plan.drawn(size, n1, n2, np.random.default_rng(seed))
+            plan = Plan.drawn(size, f.spec, np.random.default_rng(seed))
             flat = np.random.default_rng(seed).integers(0, n1 * n2, size=size)
             rows, cols = np.divmod(flat, n2)
             rows += 1
