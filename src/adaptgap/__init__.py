@@ -11,7 +11,6 @@ from .direct_sum import (
     DirectSumSpec,
     ds_estimate,
     ds_integral,
-    ds_norm,
     level_allocation,
 )
 from .errors import (

@@ -2,8 +2,7 @@
 
 Level k hosts an N_k x N_k mixed-norm space with N_k = 2^k. An element is a
 finite collection of level matrices; its integral is the weighted sum of the
-level means with weights 2^(-alpha*k), alpha > 1, and its norm is the plain
-l_p1 norm of the per-level mixed norms.
+level means with weights 2^(-alpha*k), alpha > 1.
 
 ``level_allocation`` produces the sample schedule driven by a base level k0:
 levels below k0 are read out completely (2^(2k) entries, zero error), levels
@@ -33,20 +32,12 @@ from .errors import InvalidParameters, PreconditionViolated
 from .estimators import EstimateReport, require_adaptive_regime, run_a2, run_a3
 from .oracle import Mode, Plan, open_nonadaptive
 from .rng import RngStream
-from .spaces import (
-    INF,
-    MixedMatrix,
-    ProblemSpec,
-    as_exponent,
-    mixed_norm,
-    scalar_mean,
-)
+from .spaces import INF, MixedMatrix, ProblemSpec, as_exponent, scalar_mean
 
 __all__ = [
     "MAX_LEVEL",
     "DirectSumSpec",
     "DirectSumElement",
-    "ds_norm",
     "ds_integral",
     "LevelAllocation",
     "level_allocation",
@@ -64,12 +55,11 @@ def level_size(k: int) -> int:
 
 @dataclass(frozen=True)
 class DirectSumSpec:
-    """Weight exponent, inner space exponents, outer norm exponent, truncation."""
+    """Weight exponent, inner space exponents, truncation level."""
 
     alpha: float
     p: float
     u: float
-    p1: float
     k_max: int
 
     def __post_init__(self) -> None:
@@ -80,7 +70,6 @@ class DirectSumSpec:
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "p", as_exponent(self.p))
         object.__setattr__(self, "u", as_exponent(self.u))
-        object.__setattr__(self, "p1", as_exponent(self.p1))
         if int(self.k_max) != self.k_max or not 0 <= self.k_max <= MAX_LEVEL:
             raise InvalidParameters(
                 f"k_max must be an integer in [0, {MAX_LEVEL}], got {self.k_max}"
@@ -139,18 +128,6 @@ class DirectSumElement:
         return self._levels.items()
 
 
-def ds_norm(x: DirectSumElement) -> float:
-    """l_p1 norm of the per-level mixed norms; missing levels contribute 0."""
-    norms = [mixed_norm(f_k) for _, f_k in x.items()]
-    if not norms:
-        return 0.0
-    p1 = x.spec.p1
-    arr = np.asarray(norms)
-    if p1 == INF:
-        return float(arr.max())
-    return float((arr**p1).sum() ** (1.0 / p1))
-
-
 def ds_integral(x: DirectSumElement) -> float:
     """Exact weighted sum of level means (the estimation target)."""
     total = 0.0
@@ -168,9 +145,6 @@ class LevelAllocation:
     levels: tuple[tuple[int, int], ...]
     total: int
     budget_constant: float
-
-    def budget(self, k: int) -> int:
-        return dict(self.levels)[k]
 
 
 def level_allocation(

@@ -325,10 +325,10 @@ def adaptive_mean_a3(
     # rows, then the per-row median of the m probe values. The k probe
     # columns are drawn flat, which gives the same values as a (per_probe,
     # m) draw, and the rows are asked against all of them a block of about
-    # PLAN_BLOCK answers at a time. One block is the whole grid, laid out
-    # row-major, (N1, per_probe, m), and summed over axis 1. Several blocks
-    # are laid out probe-major, (per_probe, rows, m): numpy sums their axis
-    # 0 in the same order, element by element, and about 5x faster. With
+    # PLAN_BLOCK answers at a time. With m > 1 a block is laid out
+    # probe-major, (per_probe, rows, m), and summed over axis 0: numpy adds
+    # the probe samples in the same order as over axis 1 of the row-major
+    # (rows, per_probe, m), element by element, and about 5x faster. With
     # m = 1 the row-major sum runs pairwise along the last axis instead, so
     # such a stage stays row-major. Scaling a block by a power of two just
     # above its max abs before squaring keeps the squares from overflowing;
@@ -341,7 +341,7 @@ def adaptive_mean_a3(
     # Each stage checks its whole count first, so it charges nothing if it
     # cannot finish.
     tape.check_budget(stage1)
-    if m > 1 and step < n1:
+    if m > 1:
         cols1 = cols1.reshape(per_probe, 1, m)
         row_shape, grid, axis = (1, -1, 1), (per_probe, -1, m), 0
     else:

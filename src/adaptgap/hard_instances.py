@@ -14,9 +14,8 @@ the regime where adaptive sampling wins:
                            signs scaled by N1^(1/p); all other rows zero
                            (requires finite p).
 
-Positions and signs come from separate child streams, so passing
-``antithetic=True`` flips every sign draw while keeping positions fixed;
-the sampled matrix (and hence its mean) is negated draw for draw.
+Positions and signs come from separate child streams, so the sign draws
+never move the positions.
 
 SINGLE_SPIKE and ACTIVE_ROW_BERNOULLI samples are row-sparse: they store
 their one nonzero row as a ``1 x N2`` block (see ``MixedMatrix.from_rows``),
@@ -56,21 +55,13 @@ class Variant(enum.Enum):
     ACTIVE_ROW_BERNOULLI = "mu4"
 
 
-def _signs(
-    g: np.random.Generator, size, antithetic: bool, scale: float = 1.0
-) -> np.ndarray:
-    """Fair signs times ``scale``, as float64; flipped when antithetic.
-
-    A draw of 1 maps to ``scale`` (``-scale`` when antithetic), a draw of 0
-    to its negation.
-    """
-    high = -scale if antithetic else scale
-    return np.array((-high, high)).take(g.integers(0, 2, size=size))
+def _signs(g: np.random.Generator, size, scale: float = 1.0) -> np.ndarray:
+    """Fair signs times ``scale``, as float64: a draw of 1 maps to ``scale``,
+    a draw of 0 to ``-scale``."""
+    return np.array((-scale, scale)).take(g.integers(0, 2, size=size))
 
 
-def sample_mu1(
-    spec: ProblemSpec, rng: RngStream, *, antithetic: bool = False
-) -> MixedMatrix:
+def sample_mu1(spec: ProblemSpec, rng: RngStream) -> MixedMatrix:
     """One spike of size N1^(1/p) * N2^(1/u) at a uniform position."""
     g_pos = rng.child(_POSITIONS).generator()
     g_sign = rng.child(_SIGNS).generator()
@@ -78,42 +69,36 @@ def sample_mu1(
     j = int(g_pos.integers(0, spec.n2))
     scale = inverse_power(spec.n1, spec.p) * inverse_power(spec.n2, spec.u)
     block = np.zeros((1, spec.n2))
-    block[0, j] = _signs(g_sign, (), antithetic, scale)
+    block[0, j] = _signs(g_sign, (), scale)
     return MixedMatrix._adopt(spec, (i,), block)
 
 
-def sample_mu2(
-    spec: ProblemSpec, rng: RngStream, *, antithetic: bool = False
-) -> MixedMatrix:
+def sample_mu2(spec: ProblemSpec, rng: RngStream) -> MixedMatrix:
     """Independent fair signs in every entry."""
     g_sign = rng.child(_SIGNS).generator()
-    entries = _signs(g_sign, (spec.n1, spec.n2), antithetic)
+    entries = _signs(g_sign, (spec.n1, spec.n2))
     return MixedMatrix._adopt(spec, None, entries)
 
 
-def sample_mu3(
-    spec: ProblemSpec, rng: RngStream, *, antithetic: bool = False
-) -> MixedMatrix:
+def sample_mu3(spec: ProblemSpec, rng: RngStream) -> MixedMatrix:
     """One signed spike of size N2^(1/u) per row, columns uniform per row."""
     g_pos = rng.child(_POSITIONS).generator()
     g_sign = rng.child(_SIGNS).generator()
     cols = g_pos.integers(0, spec.n2, size=spec.n1)
-    signs = _signs(g_sign, spec.n1, antithetic, inverse_power(spec.n2, spec.u))
+    signs = _signs(g_sign, spec.n1, inverse_power(spec.n2, spec.u))
     entries = np.zeros((spec.n1, spec.n2))
     entries[np.arange(spec.n1), cols] = signs
     return MixedMatrix._adopt(spec, None, entries)
 
 
-def sample_mu4(
-    spec: ProblemSpec, rng: RngStream, *, antithetic: bool = False
-) -> MixedMatrix:
+def sample_mu4(spec: ProblemSpec, rng: RngStream) -> MixedMatrix:
     """One uniformly chosen active row of independent signs times N1^(1/p)."""
     if spec.p == INF:
         raise InvalidExponent("the active-row family requires finite p")
     g_pos = rng.child(_POSITIONS).generator()
     g_sign = rng.child(_SIGNS).generator()
     active = int(g_pos.integers(0, spec.n1))
-    signs = _signs(g_sign, (1, spec.n2), antithetic, inverse_power(spec.n1, spec.p))
+    signs = _signs(g_sign, (1, spec.n2), inverse_power(spec.n1, spec.p))
     return MixedMatrix._adopt(spec, (active,), signs)
 
 
@@ -132,5 +117,5 @@ class HardFamily:
     variant: Variant
     spec: ProblemSpec
 
-    def sample(self, rng: RngStream, *, antithetic: bool = False) -> MixedMatrix:
-        return _SAMPLERS[self.variant](self.spec, rng, antithetic=antithetic)
+    def sample(self, rng: RngStream) -> MixedMatrix:
+        return _SAMPLERS[self.variant](self.spec, rng)

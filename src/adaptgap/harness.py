@@ -46,7 +46,7 @@ from .estimators import norm_est_a1, run_a2, run_a3
 from .hard_instances import HardFamily, Variant
 from .oracle import Mode
 from .rng import RngStream
-from .spaces import INF, ProblemSpec, row_norm, scalar_mean
+from .spaces import INF, ProblemSpec, abbreviate, row_norm, scalar_mean
 
 __all__ = [
     "REGIME_GUARD_DEFAULT",
@@ -316,9 +316,8 @@ def _dimensions(rule: Callable, n: int):
     try:
         return rule(n)
     except OverflowError:
-        size = n if n < 2**64 else f"2^{n.bit_length() - 1} or more"
         raise InvalidParameters(
-            f"budget n = {size} gives an instance side beyond the float range"
+            f"budget n = {abbreviate(n)} gives an instance side beyond the float range"
         ) from None
 
 
@@ -326,8 +325,8 @@ def check_regime(n: int, n1: int, n2: int, c0: float) -> None:
     """Raise unless n < c0 * N1 * N2."""
     if not n < c0 * n1 * n2:
         raise RegimeViolation(
-            f"budget n = {n} violates n < c0*N1*N2 = {c0 * n1 * n2:g}; "
-            "enlarge the instance or relax c0"
+            f"budget n = {abbreviate(n)} violates n < c0*N1*N2 = "
+            f"{c0 * n1 * n2:g}; enlarge the instance or relax c0"
         )
 
 
@@ -360,7 +359,9 @@ def gap_experiment(
     for n in budgets:
         side = _dimensions(lambda n: math.ceil(c3 * math.sqrt(n)), n)
         if n < side:
-            raise RegimeViolation(f"budget n = {n} is below N1 = {side}")
+            raise RegimeViolation(
+                f"budget n = {abbreviate(n)} is below N1 = {abbreviate(side)}"
+            )
         check_regime(n, side, side, c0)
         specs.append(ProblemSpec(side, side, 1.0, INF))
 
@@ -601,8 +602,7 @@ def ds_experiment(
             f"k_max = {k_max} truncates below the largest estimated level {needed}"
         )
 
-    # The outer norm exponent p1 reaches only ds_norm, which is not computed.
-    spec = DirectSumSpec(float(alpha), float(p), float(u), 1.0, k_max)
+    spec = DirectSumSpec(float(alpha), float(p), float(u), k_max)
     args = (spec, k0_values, modes, float(delta), float(c0), m)
     (cell,) = _run_cells([(_ds_trial, args, (), trials)], seed, workers)
     columns = iter(cell)

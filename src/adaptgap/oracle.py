@@ -4,8 +4,8 @@ Algorithms never touch a matrix directly: they read entries through a
 :class:`QueryTape`, which counts every query (repeats included), enforces an
 optional budget, and enforces the access discipline:
 
-* ADAPTIVE tapes answer any in-range query through ``query`` and
-  ``query_many``, so later queries may depend on earlier answers.
+* ADAPTIVE tapes answer any in-range batch through ``query_many``, so later
+  queries may depend on earlier answers.
 * NONADAPTIVE tapes fix the whole query sequence up front, as a
   :class:`Plan`, and only answer it: ``answers`` yields the answers to the
   plan in order, once, in blocks of at most ``PLAN_BLOCK`` queries. Any
@@ -18,9 +18,10 @@ position ``f = (i - 1) * N2 + (j - 1)``, which int64 holds because a
 drawn. An explicit plan is converted once, at :func:`open_nonadaptive`,
 into one int64 array: 8 bytes per query. A drawn plan (:meth:`Plan.drawn`)
 holds only its generator and its length, and draws each block of uniform
-flat indices as it hands the block out: one bounded draw per query. Its values equal one draw of all n indices, because
-numpy's ``Generator.integers`` drawn in pieces continues the same stream; so
-it never holds more than a block of indices, however long the plan.
+flat indices as it hands the block out: one bounded draw per query. Its
+values equal one draw of all n indices, because numpy's
+``Generator.integers`` drawn in pieces continues the same stream; so it
+never holds more than a block of indices, however long the plan.
 
 Query indices are 1-based, matching (i, j) in [1, N1] x [1, N2]. Failed
 queries (budget or discipline errors) are not charged: the run is aborted,
@@ -162,9 +163,9 @@ class Plan:
 class QueryTape:
     """Single-owner handle mediating all entry access to one matrix.
 
-    Construct via :func:`open_adaptive`, whose tape answers ``query`` and
-    ``query_many``, or :func:`open_nonadaptive`, whose tape only answers its
-    plan, through ``answers``.
+    Construct via :func:`open_adaptive`, whose tape answers ``query_many``,
+    or :func:`open_nonadaptive`, whose tape only answers its plan, through
+    ``answers``.
     """
 
     def __init__(
@@ -230,10 +231,6 @@ class QueryTape:
                 f"{self._issued} issued + {count} requested exceeds "
                 f"budget {self._budget}"
             )
-
-    def query(self, i: int, j: int) -> float:
-        """Answer f(i, j) and charge one query; ADAPTIVE only."""
-        return float(self.query_many(i, j)[0])
 
     def query_many(self, rows, cols) -> np.ndarray:
         """Answer a batch of queries; equivalent to issuing them in order.

@@ -36,6 +36,7 @@ from .errors import InvalidExponent
 __all__ = [
     "INF",
     "as_exponent",
+    "abbreviate",
     "inverse_power",
     "ProblemSpec",
     "MixedMatrix",
@@ -58,6 +59,11 @@ def as_exponent(value) -> float:
     if math.isnan(x) or x < 1.0:
         raise InvalidExponent(f"exponent must be >= 1 or INF, got {value!r}")
     return x
+
+
+def abbreviate(n: int):
+    """n itself below 2^64, else ``"2^k or more"`` with 2^k <= n < 2^(k+1)."""
+    return n if n < 1 << 64 else f"2^{n.bit_length() - 1} or more"
 
 
 def inverse_power(base: float, e: float) -> float:
@@ -89,9 +95,12 @@ class ProblemSpec:
         object.__setattr__(self, "n1", int(self.n1))
         object.__setattr__(self, "n2", int(self.n2))
         if self.n_entries >= 1 << 63:
+            # Sides below 2^64 have their product printed in full.
+            huge = max(self.n1, self.n2) >= 1 << 64
             raise ValueError(
-                f"N1*N2 = {self.n1}*{self.n2} = {self.n_entries} entries exceed "
-                "what a plan's flat int64 indices address (below 2^63)"
+                f"N1*N2 = {abbreviate(self.n1)}*{abbreviate(self.n2)} = "
+                f"{abbreviate(self.n_entries) if huge else self.n_entries} entries "
+                "exceed what a plan's flat int64 indices address (below 2^63)"
             )
         object.__setattr__(self, "p", as_exponent(self.p))
         object.__setattr__(self, "u", as_exponent(self.u))

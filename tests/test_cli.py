@@ -244,6 +244,15 @@ def test_entries_beyond_int64_flat_indices_are_usage_error(capsys):
     code, out, err = capture(capsys, ["gap", "--budgets", "2^1000", "--trials", "2"])
     assert code == 2
     assert out == "" and err.startswith("error: N1*N2 = ") and err.count("\n") == 1
+    assert "N1*N2 = 2^502 or more*2^502 or more = 2^1004 or more " in err
+
+
+def test_huge_sides_are_named_by_a_power_of_two(capsys):
+    # N1 = ceil(1e300 * 32) exceeds the budget 1024, and is named as 2^1001
+    # or more rather than in its 302 digits.
+    code, out, err = capture(capsys, ["gap", "--c3", "1e300", "--trials", "2"])
+    assert code == 3
+    assert out == "" and err == "error: budget n = 1024 is below N1 = 2^1001 or more\n"
 
 
 @pytest.mark.parametrize(

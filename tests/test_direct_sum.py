@@ -8,7 +8,6 @@ from adaptgap.direct_sum import (
     DirectSumSpec,
     ds_estimate,
     ds_integral,
-    ds_norm,
     level_allocation,
     level_size,
 )
@@ -19,8 +18,8 @@ from adaptgap.rng import RngStream
 from adaptgap.spaces import INF, MixedMatrix, ProblemSpec
 
 
-def ds_spec(alpha=1.5, p=1.0, u=INF, p1=1.0, k_max=6):
-    return DirectSumSpec(alpha, p, u, p1, k_max)
+def ds_spec(alpha=1.5, p=1.0, u=INF, k_max=6):
+    return DirectSumSpec(alpha, p, u, k_max)
 
 
 def constant_level(spec, k, c):
@@ -49,31 +48,6 @@ class TestSpecValidation:
             DirectSumElement(
                 spec, [constant_level(spec, 1, 1.0), constant_level(spec, 1, 2.0)]
             )
-
-
-class TestDsNorm:
-    def test_single_scalar_level(self):
-        for p1 in (1.0, 2.0, INF):
-            spec = ds_spec(p1=p1)
-            x = DirectSumElement(spec, [constant_level(spec, 0, -2.5)])
-            assert ds_norm(x) == pytest.approx(2.5)
-
-    def test_two_levels_euclidean(self):
-        spec = ds_spec(p1=2.0)
-        x = DirectSumElement(
-            spec, [constant_level(spec, 0, 3.0), constant_level(spec, 1, 4.0)]
-        )
-        assert ds_norm(x) == pytest.approx(5.0)
-
-    def test_sup_combination(self):
-        spec = ds_spec(p1=INF)
-        x = DirectSumElement(
-            spec, [constant_level(spec, 0, 3.0), constant_level(spec, 2, 4.0)]
-        )
-        assert ds_norm(x) == pytest.approx(4.0)
-
-    def test_empty(self):
-        assert ds_norm(DirectSumElement(ds_spec(), [])) == 0.0
 
 
 class TestDsIntegral:

@@ -1,0 +1,39 @@
+import ast
+import dataclasses
+import importlib
+import inspect
+import pkgutil
+from pathlib import Path
+
+import adaptgap
+from adaptgap.direct_sum import DirectSumSpec, LevelAllocation
+from adaptgap.hard_instances import HardFamily
+from adaptgap.oracle import QueryTape
+
+
+def test_every_export_resolves_and_removed_names_are_gone():
+    # Each module's __all__ names attributes it has, so a name left behind
+    # by a removal fails here rather than at a caller's `import *`.
+    modules = {}
+    for info in pkgutil.iter_modules(adaptgap.__path__):
+        module = modules[info.name] = importlib.import_module(f"adaptgap.{info.name}")
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"adaptgap.{info.name}.{name}"
+    # Every name the package imports is public in the module it comes from.
+    tree = ast.parse(Path(adaptgap.__file__).read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            module = modules[node.module]
+            for alias in node.names:
+                assert getattr(adaptgap, alias.name) is getattr(module, alias.name)
+                if hasattr(module, "__all__"):
+                    assert alias.name in module.__all__, f"{node.module}.{alias.name}"
+    # Surface that no command reaches, removed.
+    assert not hasattr(modules["direct_sum"], "ds_norm")
+    assert not hasattr(adaptgap, "ds_norm")
+    assert "p1" not in {field.name for field in dataclasses.fields(DirectSumSpec)}
+    assert not hasattr(LevelAllocation, "budget")
+    assert not hasattr(QueryTape, "query")
+    samplers = [getattr(modules["hard_instances"], f"sample_mu{i}") for i in (1, 2, 3, 4)]
+    for sampler in samplers + [HardFamily.sample]:
+        assert "antithetic" not in inspect.signature(sampler).parameters

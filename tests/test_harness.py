@@ -39,7 +39,7 @@ class ZeroFamily:
     variant = ZeroVariant()
     spec = ProblemSpec(4, 4, 1.0, INF)
 
-    def sample(self, rng, antithetic=False):
+    def sample(self, rng):
         return MixedMatrix(self.spec, np.zeros((4, 4)))
 
 
@@ -344,7 +344,7 @@ class TestDsTrialReadsEachLowLevelOnce:
 
         # Only the readouts open their tape through this name.
         monkeypatch.setattr(direct_sum, "open_nonadaptive", counting)
-        spec = DirectSumSpec(1.5, 1.0, INF, 1.0, 10)
+        spec = DirectSumSpec(1.5, 1.0, INF, 10)
         k0_values = (4, 5, 6)
         modes = (Mode.ADAPTIVE, Mode.NONADAPTIVE)
         stream = RngStream(3)
@@ -402,7 +402,7 @@ class TestA2DrawsItsPlanOnce:
         assert draws == [100]
 
     def test_ds_estimate(self, draws):
-        spec = DirectSumSpec(1.5, 1.0, INF, 1.0, 6)
+        spec = DirectSumSpec(1.5, 1.0, INF, 6)
         x = harness.sample_ds_input(spec, RngStream(5))
         schedule = direct_sum.level_allocation(4, 1.5, 0.2, 0.5)
         direct_sum.ds_estimate(x, 4, 0.2, Mode.NONADAPTIVE, None, RngStream(6))
@@ -435,7 +435,7 @@ class TestRowSparsePathsStaySparse:
 
     @pytest.mark.parametrize("mode", [Mode.ADAPTIVE, Mode.NONADAPTIVE])
     def test_ds_estimate(self, mode):
-        spec = DirectSumSpec(1.5, 1.0, INF, 1.0, 6)
+        spec = DirectSumSpec(1.5, 1.0, INF, 6)
         x = harness.sample_ds_input(spec, RngStream(5))
         direct_sum.ds_integral(x)
         direct_sum.ds_estimate(x, 4, 0.2, mode, None, RngStream(6))
@@ -444,7 +444,7 @@ class TestRowSparsePathsStaySparse:
         spec = ProblemSpec(3, 4, 1.0, INF)
         f = HardFamily(Variant.ACTIVE_ROW_BERNOULLI, spec).sample(RngStream(1))
         tape = open_adaptive(f)
-        values = [tape.query(i, j) for i in (1, 2, 3) for j in (1, 2, 3, 4)]
+        values = [tape.query_many(i, j)[0] for i in (1, 2, 3) for j in (1, 2, 3, 4)]
         assert sum(v != 0.0 for v in values) == 4
 
 
@@ -456,7 +456,7 @@ def test_adaptive_regime_is_enforced_at_every_entry_point(p, u, capsys):
     with pytest.raises(PreconditionViolated, match="p < 2 < u"):
         rms_error(family, EstimatorKind.A3, 64, 2, seed=3)
     # Checked before the level loop, so an element without levels is refused.
-    x = DirectSumElement(DirectSumSpec(1.5, p, u, 1.0, 6), [])
+    x = DirectSumElement(DirectSumSpec(1.5, p, u, 6), [])
     with pytest.raises(PreconditionViolated, match="p < 2 < u"):
         direct_sum.ds_estimate(x, 4, 0.2, Mode.ADAPTIVE, None, RngStream(4))
     code = cli.run(["estimate", "--family", "mu4", "--alg", "a3", "--n1", "8",

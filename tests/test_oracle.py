@@ -38,13 +38,13 @@ class TestOpenAdaptive:
     def test_budget_five_allows_five(self, f22):
         tape = open_adaptive(f22, budget=5)
         for _ in range(5):
-            tape.query(1, 1)
+            tape.query_many(1, 1)
         assert tape.card() == 5
 
     def test_budget_zero_rejects(self, f22):
         tape = open_adaptive(f22, budget=0)
         with pytest.raises(BudgetExceeded):
-            tape.query(1, 1)
+            tape.query_many(1, 1)
         assert tape.card() == 0
 
 
@@ -64,25 +64,25 @@ class TestOpenNonadaptive:
         assert tape.budget == 0
         assert list(tape.answers()) == []
         with pytest.raises(DisciplineViolation):
-            tape.query(1, 1)
+            tape.query_many(1, 1)
         assert tape.card() == 0
 
 
 class TestQuery:
     def test_answers_value(self):
         tape = open_adaptive(matrix([[7.0]]))
-        assert tape.query(1, 1) == 7.0
+        assert tape.query_many(1, 1)[0] == 7.0
         assert tape.card() == 1
 
     def test_repeats_counted(self, f22):
         tape = open_adaptive(f22)
-        assert tape.query(2, 1) == tape.query(2, 1) == 3.0
+        assert tape.query_many(2, 1)[0] == tape.query_many(2, 1)[0] == 3.0
         assert tape.card() == 2
 
     def test_discipline_violation(self, f22):
         tape = open_nonadaptive(f22, [(1, 1)])
         with pytest.raises(DisciplineViolation):
-            tape.query(1, 2)
+            tape.query_many(1, 2)
         assert tape.card() == 0
 
     def test_adaptive_tape_has_no_plan_to_answer(self, f22):
@@ -94,16 +94,16 @@ class TestQuery:
     def test_out_of_range(self, f22):
         tape = open_adaptive(f22)
         with pytest.raises(IndexOutOfRange):
-            tape.query(0, 1)
+            tape.query_many(0, 1)
         with pytest.raises(IndexOutOfRange):
-            tape.query(1, 3)
+            tape.query_many(1, 3)
         assert tape.card() == 0
 
     def test_failed_budget_query_uncharged(self, f22):
         tape = open_adaptive(f22, budget=1)
-        tape.query(1, 1)
+        tape.query_many(1, 1)
         with pytest.raises(BudgetExceeded):
-            tape.query(1, 2)
+            tape.query_many(1, 2)
         assert tape.card() == 1
 
 
@@ -114,7 +114,7 @@ class TestQueryMany:
         rows = np.array([1, 1, 2, 2, 1])
         cols = np.array([1, 2, 1, 2, 1])
         got = batch.query_many(rows, cols)
-        expected = [single.query(i, j) for i, j in zip(rows, cols)]
+        expected = [single.query_many(i, j)[0] for i, j in zip(rows, cols)]
         assert got.tolist() == expected
         assert batch.card() == single.card() == 5
 
@@ -256,7 +256,7 @@ class TestDrawnPlan:
         # query fails and charges nothing, even one that repeats the block.
         tape = open_nonadaptive(f22, self.drawn(8))
         with pytest.raises(DisciplineViolation):
-            tape.query(1, 1)
+            tape.query_many(1, 1)
         answered = 0
         for block, flat in zip(tape.answers(), self.drawn(8).blocks()):
             answered += block.size
@@ -265,7 +265,7 @@ class TestDrawnPlan:
                 tape.query_many(rows + 1, cols + 1)
             assert tape.card() == answered
         with pytest.raises(DisciplineViolation):
-            tape.query(1, 1)
+            tape.query_many(1, 1)
         assert tape.card() == answered == 8
 
     def test_skipped_block_fails(self, f22):
@@ -353,7 +353,7 @@ def test_row_sparse_and_dense_answer_alike(variant, n1, n2, p, u, seed, data):
     tapes = [open_adaptive(sparse), open_adaptive(dense)]
     answers = []
     for tape in tapes:
-        single = [tape.query(i, j) for i, j in zip(rows, cols)]
+        single = [tape.query_many(i, j)[0] for i, j in zip(rows, cols)]
         flat = tape.query_many(rows, cols)
         paired = tape.query_many(rows.reshape(shape), cols.reshape(shape))
         grid = tape.query_many(grid_rows, grid_cols)
@@ -493,7 +493,7 @@ def test_a_nonadaptive_tape_answers_only_its_plan(
         def refused(charged):
             for i, j in queries:
                 with pytest.raises(DisciplineViolation):
-                    tape.query(i, j)
+                    tape.query_many(i, j)
             with pytest.raises(DisciplineViolation):
                 tape.query_many(rows, cols)
             assert tape.card() == charged

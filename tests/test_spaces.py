@@ -11,6 +11,7 @@ from adaptgap.spaces import (
     INF,
     MixedMatrix,
     ProblemSpec,
+    abbreviate,
     as_exponent,
     inverse_power,
     mixed_norm,
@@ -41,6 +42,18 @@ class TestExponents:
     def test_inverse_power(self):
         assert inverse_power(16, 2.0) == 4.0
         assert inverse_power(16, INF) == 1.0
+
+
+def test_sizes_from_2_64_are_abbreviated():
+    assert abbreviate(2**64 - 1) == 2**64 - 1
+    assert abbreviate(2**64) == "2^64 or more"
+    assert abbreviate(3 * 2**500) == "2^501 or more"
+    # A refused space with a side of 2^64 or more names its product that way
+    # too; one with smaller sides names its product in full.
+    with pytest.raises(ValueError, match=r"^N1\*N2 = 2\^64 or more\*2 = 2\^65 or more "):
+        ProblemSpec(2**64, 2, 1.0, INF)
+    with pytest.raises(ValueError, match=r"^N1\*N2 = 4\*4611686018427387904 = 18446744073709551616 "):
+        ProblemSpec(4, 2**62, 1.0, INF)
 
 
 class TestRowNorm:
