@@ -253,6 +253,12 @@ def test_huge_sides_are_named_by_a_power_of_two(capsys):
     code, out, err = capture(capsys, ["gap", "--c3", "1e300", "--trials", "2"])
     assert code == 3
     assert out == "" and err == "error: budget n = 1024 is below N1 = 2^1001 or more\n"
+    # So is a budget that fails the regime guard.
+    argv = ["gap", "--budgets", "2^1000", "--c0", "1e-300", "--trials", "2"]
+    code, out, err = capture(capsys, argv)
+    assert code == 3
+    assert out == "" and err.startswith("error: budget n = 2^1000 or more violates ")
+    assert err.count("\n") == 1 and len(err) < 200
 
 
 @pytest.mark.parametrize(
