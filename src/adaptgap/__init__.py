@@ -32,7 +32,6 @@ from .estimators import (
     adaptive_mean_a3,
     allocate_samples,
     default_probe_count,
-    draw_indices,
     draw_plan,
     mc_mean_a2,
     median,

@@ -4,17 +4,17 @@ Three estimators are provided:
 
 * ``norm_est_a1`` -- empirical L_v norm from n i.i.d. uniform draws of a
   population; the building block of the adaptive estimator's first stage.
-* ``mc_mean_a2`` -- plain Monte Carlo: the average of n uniform
-  with-replacement entry samples. Non-adaptive (the sample positions never
-  depend on answers) and unbiased, with cost exactly n. Each sample is one
-  uniform flat entry index in [0, N1*N2), one bounded draw, which maps to
-  the pair (f // N2 + 1, f % N2 + 1). On a NONADAPTIVE tape a2 takes the
-  answers to the tape's plan, normally ``draw_plan`` for the same stream,
-  which draws each block of indices as the tape answers it. It sums the
-  answers block by block, so it holds one block of indices and answers, not
-  n-length arrays. At integer entries, and whenever n <= ``PLAN_BLOCK``, the
-  value equals the mean of all n answers at once bit for bit; otherwise it
-  may differ in the last bits.
+* ``mc_mean_a2`` -- plain Monte Carlo: the average of the answers to a
+  NONADAPTIVE tape's plan, normally ``draw_plan``'s n uniform
+  with-replacement entries. Non-adaptive (the plan is fixed before any
+  answer) and unbiased, with cost exactly n. Each sample is one uniform
+  flat entry index in [0, N1*N2), one bounded draw, which stands for the
+  entry (f // N2 + 1, f % N2 + 1). The drawn plan draws each block of
+  indices as the tape answers it, and a2 sums the answers block by block,
+  so it holds one block of indices and answers, not n-length arrays. At
+  integer entries, and whenever n <= ``PLAN_BLOCK``, the value equals the
+  mean of all n answers at once bit for bit; otherwise it may differ in the
+  last bits.
 * ``adaptive_mean_a3`` -- two-stage adaptive estimator for 1 <= p < 2.
   Stage one probes every row with m independent empirical L_2 norms of
   ceil(n/N1) samples each and takes the per-row median as a robust row-size
@@ -34,7 +34,7 @@ Three estimators are provided:
   one block; otherwise it may differ in its last bits.
 
 ``run_a2`` and ``run_a3`` run an estimator on a matrix: each opens the tape
-the estimator is entitled to (the drawn plan, or a 6*m*n budget), and
+the estimator is entitled to (a drawn plan, or a 6*m*n budget), and
 ``run_a3`` refuses exponents outside p < 2 < u.
 
 Stage one and stage two draw from distinct child streams of the caller's
@@ -60,7 +60,6 @@ __all__ = [
     "EstimateReport",
     "median",
     "norm_est_a1",
-    "draw_indices",
     "draw_plan",
     "mc_mean_a2",
     "allocate_samples",
@@ -160,30 +159,9 @@ def _plan_length(n) -> int:
     return n
 
 
-def _pairs(flat: np.ndarray, n2: int) -> tuple[np.ndarray, np.ndarray]:
-    """The 1-based (rows, cols) of row-major flat entry indices."""
-    rows, cols = np.divmod(flat, n2)
-    rows += 1
-    cols += 1
-    return rows, cols
-
-
-def draw_indices(spec: ProblemSpec, n: int, rng: RngStream) -> np.ndarray:
-    """The n uniform (i, j) pairs that ``mc_mean_a2`` queries for ``rng``,
-    as one ``(n, 2)`` array: ``draw_plan``'s flat indices, drawn at once and
-    split into pairs.
-
-    Exposed so callers can declare the sequence explicitly on a
-    non-adaptive tape.
-    """
-    n = _plan_length(n)
-    flat = rng.generator().integers(0, spec.n_entries, size=n)
-    return np.array(_pairs(flat, spec.n2)).T
-
-
 def draw_plan(spec: ProblemSpec, n: int, rng: RngStream) -> Plan:
-    """The n uniform entries that ``mc_mean_a2`` queries for ``rng``, as a
-    drawn ``Plan`` of flat indices, drawn block by block as it is answered.
+    """The n uniform entries that ``run_a2`` asks for ``rng``, as a drawn
+    ``Plan`` of flat indices, drawn block by block as it is answered.
 
     Refuses more than 2^53 queries with ``ValueError``.
     """
@@ -191,30 +169,21 @@ def draw_plan(spec: ProblemSpec, n: int, rng: RngStream) -> Plan:
     return Plan.drawn(n, spec, rng.generator())
 
 
-def mc_mean_a2(tape: QueryTape, n: int, rng: RngStream) -> EstimateReport:
-    """Average of n uniform with-replacement entry samples; cost exactly n.
+def mc_mean_a2(tape: QueryTape) -> EstimateReport:
+    """Average of the answers to a NONADAPTIVE tape's plan; cost exactly its
+    n queries.
 
-    On an ADAPTIVE tape the samples are ``draw_plan(tape.spec, n, rng)``,
-    split into pairs and asked block by block through ``query_many``. On a
-    NONADAPTIVE tape they are the tape's plan, which must hold exactly n
-    queries, answered by ``tape.answers()``, and ``rng`` is not drawn from.
-    The value is the sum of the block sums over n.
+    The answers come from ``tape.answers()``, block by block, and the value
+    is the sum of the block sums over n. Raises ``PreconditionViolated`` on
+    an ADAPTIVE tape, which has no plan, and ``ValueError`` on an empty plan.
     """
-    n = int(n)
+    if tape.mode is not Mode.NONADAPTIVE:
+        raise PreconditionViolated("mc_mean_a2 requires a NONADAPTIVE tape")
+    n = tape.plan.size
     if n < 1:
-        raise ValueError("n must be positive")
-    if tape.mode is Mode.NONADAPTIVE:
-        if tape.plan.size != n:
-            raise PreconditionViolated(
-                f"the declared plan holds {tape.plan.size} queries, not n = {n}"
-            )
-        answers = tape.answers()
-    else:
-        n2 = tape.spec.n2
-        plan = draw_plan(tape.spec, n, rng)
-        answers = (tape.query_many(*_pairs(flat, n2)) for flat in plan.blocks())
+        raise ValueError("the plan must hold at least one query")
     total = None
-    for vals in answers:
+    for vals in tape.answers():
         block = np.add.reduce(vals)
         total = block if total is None else total + block
     # With one block this is np.add.reduce(x) / len(x), what x.mean() computes.
@@ -335,6 +304,8 @@ def adaptive_mean_a3(
     # it is exact, so a_tilde stays homogeneous in the input and
     # bit-identical wherever the unscaled squares were in range, and equal
     # to the whole grid's unless that grid's answers span more than 2^511.
+    # A block whose answers are all zero, as most of a gap trial's are,
+    # skips the arithmetic and writes the +0.0 it would give.
     g1 = rng.child(_STAGE_PROBE).generator()
     cols1 = g1.integers(1, n2 + 1, size=k)
     step = max(1, block // k)  # rows per block
@@ -351,9 +322,14 @@ def adaptive_mean_a3(
     for start in range(0, n1, step):
         rows = row_ids[start : start + step].reshape(row_shape)
         vals = tape.query_many(rows, cols1)
-        # In place, the last argument being the output. Only the magnitudes
-        # are used: they are squared.
-        _, exponent = math.frexp(np.maximum.reduce(np.abs(vals, vals)))
+        scale = max(np.maximum.reduce(vals), -np.minimum.reduce(vals))
+        if scale == 0.0:
+            # All +-0: every probe, and so every median, is +0.0.
+            a_tilde[start : start + step] = 0.0
+            continue
+        # In place, the last argument being the output. The signs go when
+        # the values are squared.
+        _, exponent = math.frexp(scale)
         np.ldexp(vals, -exponent, vals)
         sums = np.add.reduce(np.square(vals, vals).reshape(grid), axis)
         probes = np.sqrt(np.true_divide(sums, per_probe, sums), sums)
@@ -404,7 +380,7 @@ def require_adaptive_regime(p: float, u: float) -> None:
 def run_a2(f: MixedMatrix, n: int, rng: RngStream) -> EstimateReport:
     """Plain Monte Carlo on ``f``: a NONADAPTIVE tape opened on
     ``draw_plan(f.spec, n, rng)``, answered by ``mc_mean_a2``."""
-    return mc_mean_a2(open_nonadaptive(f, draw_plan(f.spec, n, rng)), n, rng)
+    return mc_mean_a2(open_nonadaptive(f, draw_plan(f.spec, n, rng)))
 
 
 def run_a3(f: MixedMatrix, n: int, m: int | None, rng: RngStream) -> EstimateReport:

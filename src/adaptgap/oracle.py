@@ -15,13 +15,14 @@ optional budget, and enforces the access discipline:
 A plan holds flat entry indices: the query (i, j) is the 0-based row-major
 position ``f = (i - 1) * N2 + (j - 1)``, which int64 holds because a
 :class:`ProblemSpec` has fewer than 2^63 entries. A plan is explicit or
-drawn. An explicit plan is converted once, at :func:`open_nonadaptive`,
-into one int64 array: 8 bytes per query. A drawn plan (:meth:`Plan.drawn`)
-holds only its generator and its length, and draws each block of uniform
-flat indices as it hands the block out: one bounded draw per query. Its
-values equal one draw of all n indices, because numpy's
-``Generator.integers`` drawn in pieces continues the same stream; so it
-never holds more than a block of indices, however long the plan.
+drawn. An explicit plan is ``Plan(size, flat)`` over one int64 array of
+its flat indices, 8 bytes per query, as ``DirectSumElement.readout``
+builds it. A drawn plan (:meth:`Plan.drawn`) holds only its generator and
+its length, and draws each block of uniform flat indices as it hands the
+block out: one bounded draw per query. Its values equal one draw of all n
+indices, because numpy's ``Generator.integers`` drawn in pieces continues
+the same stream; so it never holds more than a block of indices, however
+long the plan. :func:`open_nonadaptive` takes a plan and nothing else.
 
 Query indices are 1-based, matching (i, j) in [1, N1] x [1, N2]. Failed
 queries (budget or discipline errors) are not charged: the run is aborted,
@@ -37,7 +38,7 @@ row-sparse one (see ``MixedMatrix.from_rows``) from its stored rows, with
 zeros elsewhere, looking only at the stored rows between the least and the
 greatest row asked, so no query ever builds the dense array. A plan's block
 is answered from its flat indices: by one gather when dense, and by one
-range test per stored row when row-sparse.
+unsigned range test of the offsets into each stored row when row-sparse.
 
 The first tape a process builds also sets glibc's malloc thresholds (see
 ``_keep_freed_blocks``), so that the block temporaries of every caller,
@@ -107,23 +108,14 @@ def _keep_freed_blocks() -> None:
     mallopt(-1, 8 << 20)  # M_TRIM_THRESHOLD
 
 
-def _within(index: np.ndarray, high: int) -> bool:
-    """Whether every entry of a nonempty integer array lies in [1, high]."""
-    # The ufunc reductions skip the Python layer of ndarray.min and .max.
-    return (
-        np.minimum.reduce(index, axis=None) >= 1
-        and np.maximum.reduce(index, axis=None) <= high
-    )
-
-
 class Plan:
     """The declared query sequence of a NONADAPTIVE tape, as flat entry
     indices ``(i - 1) * N2 + (j - 1)``.
 
-    Build an explicit plan from pairs with :func:`open_nonadaptive`, or from
-    int64 flat indices as ``Plan(size, flat)``, and a drawn one with
-    :meth:`Plan.drawn`. ``flat`` holds every index of an explicit plan, and
-    is None for a drawn one, whose indices exist only a block at a time.
+    Build an explicit plan from int64 flat indices as ``Plan(size, flat)``,
+    and a drawn one with :meth:`Plan.drawn`. ``flat`` holds every index of
+    an explicit plan, and is None for a drawn one, whose indices exist only
+    a block at a time.
     :meth:`blocks` hands the plan out, once.
     """
 
@@ -214,9 +206,14 @@ class QueryTape:
         """Raise ``IndexOutOfRange`` unless nonempty rows and cols are in
         range; return the least and the greatest row."""
         spec = self._spec
+        # The ufunc reductions skip the Python layer of ndarray.min and .max.
         low = np.minimum.reduce(rows, axis=None)
         top = np.maximum.reduce(rows, axis=None)
-        if not (low >= 1 and top <= spec.n1 and _within(cols, spec.n2)):
+        if not (
+            low >= 1 and top <= spec.n1
+            and np.minimum.reduce(cols, axis=None) >= 1
+            and np.maximum.reduce(cols, axis=None) <= spec.n2
+        ):
             raise IndexOutOfRange(
                 f"query indices outside [1, {spec.n1}] x [1, {spec.n2}]"
             )
@@ -278,13 +275,15 @@ class QueryTape:
         self._issued += count
         if self._row_ids is None:
             return self._block.take(flat)
-        # Only the indices that fall in a stored row are gathered.
+        # Only the indices that fall in a stored row are gathered: those
+        # whose offset from its start lies in [0, N2). Read as unsigned, a
+        # negative offset does not.
         n2 = spec.n2
         out = np.zeros(count)
         for i, values in zip(self._row_ids, self._block):
-            low = i * n2
-            hit = ((flat >= low) & (flat < low + n2)).nonzero()[0]
-            out[hit] = values.take(flat.take(hit) - low)
+            off = np.subtract(flat, i * n2, dtype=np.int64)
+            hit = (off.view(np.uint64) < n2).nonzero()[0]
+            out[hit] = values.take(off.take(hit))
         return out
 
     def _answer(self, rows, cols) -> np.ndarray:
@@ -317,33 +316,14 @@ def open_adaptive(f: MixedMatrix, budget: int | None = UNBOUNDED) -> QueryTape:
     return QueryTape(f, Mode.ADAPTIVE, budget, plan=None)
 
 
-def open_nonadaptive(f: MixedMatrix, queries) -> QueryTape:
-    """Open a tape that answers exactly ``queries``, in order, through
-    :meth:`QueryTape.answers`, and nothing else.
+def open_nonadaptive(f: MixedMatrix, plan: Plan) -> QueryTape:
+    """Open a tape that answers exactly ``plan``, in order, through
+    :meth:`QueryTape.answers`, and nothing else; the budget equals the
+    plan's size.
 
-    ``queries`` is a :class:`Plan` or a sequence of 1-based (i, j) pairs;
-    the budget equals its length. Out-of-range pairs of a sequence are
-    rejected here, before any query is made, and the pairs are converted
-    once into the plan's own flat indices; a plan's indices are rejected
-    block by block, as ``answers`` checks every block.
+    The plan's indices are range-checked block by block, as ``answers``
+    checks every block. Anything but a :class:`Plan` raises ``TypeError``.
     """
-    if isinstance(queries, Plan):
-        return QueryTape(f, Mode.NONADAPTIVE, queries.size, queries)
-    declared = np.asarray(queries, dtype=np.int64)
-    if declared.size == 0:
-        declared = declared.reshape(0, 2)
-    if declared.ndim != 2 or declared.shape[1] != 2:
-        raise ValueError("queries must be a sequence of (i, j) pairs")
-    rows, cols = declared[:, 0], declared[:, 1]
-    spec = f.spec
-    if rows.size and not (_within(rows, spec.n1) and _within(cols, spec.n2)):
-        raise IndexOutOfRange(
-            f"declared indices outside [1, {spec.n1}] x [1, {spec.n2}]"
-        )
-    # (i - 1) * N2 + j - 1, whose partial sums stay below N1 * N2.
-    flat = np.subtract(rows, 1)
-    flat *= spec.n2
-    flat += cols
-    flat -= 1
-    flat.setflags(write=False)
-    return QueryTape(f, Mode.NONADAPTIVE, flat.size, Plan(flat.size, flat))
+    if not isinstance(plan, Plan):
+        raise TypeError(f"open_nonadaptive takes a Plan, not {type(plan).__name__}")
+    return QueryTape(f, Mode.NONADAPTIVE, plan.size, plan)

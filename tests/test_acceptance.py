@@ -12,7 +12,13 @@ import numpy as np
 
 from adaptgap.cli import run as cli_run
 from adaptgap.direct_sum import level_allocation
-from adaptgap.estimators import adaptive_mean_a3, allocate_samples, mc_mean_a2
+from adaptgap.estimators import (
+    adaptive_mean_a3,
+    allocate_samples,
+    draw_plan,
+    mc_mean_a2,
+    run_a2,
+)
 from adaptgap.harness import (
     EstimatorKind,
     ds_experiment,
@@ -22,7 +28,7 @@ from adaptgap.harness import (
     rms_error,
 )
 from adaptgap.hard_instances import HardFamily, Variant
-from adaptgap.oracle import open_adaptive
+from adaptgap.oracle import open_adaptive, open_nonadaptive
 from adaptgap.rng import RngStream
 from adaptgap.spaces import (
     INF,
@@ -177,8 +183,9 @@ def test_criterion_05_cost_bounds():
     for t in range(runs):
         n = int(g.integers(1, 513))
         f = family.sample(RngStream(SEED + 7, (t,)))
-        tape = open_adaptive(f)
-        rep = mc_mean_a2(tape, n, RngStream(SEED + 8, (t,)))
+        # run_a2 with its tape kept, to check the tape's count too.
+        tape = open_nonadaptive(f, draw_plan(spec, n, RngStream(SEED + 8, (t,))))
+        rep = mc_mean_a2(tape)
         if rep.cards != n or tape.card() != n:
             a2_violations += 1
     ok = a3_violations == 0 and a2_violations == 0
@@ -240,7 +247,7 @@ def measure_07(seed: int) -> list[Check]:
         truth = scalar_mean(f)
         values = np.array(
             [
-                mc_mean_a2(open_adaptive(f), 64, RngStream(seed + 1, (idx, t))).value
+                run_a2(f, 64, RngStream(seed + 1, (idx, t))).value
                 for t in range(estimates_per_matrix)
             ]
         )

@@ -19,7 +19,6 @@ from adaptgap.estimators import (
     adaptive_mean_a3,
     allocate_samples,
     default_probe_count,
-    draw_indices,
     draw_plan,
     mc_mean_a2,
     median,
@@ -29,9 +28,10 @@ from adaptgap.estimators import (
 )
 from adaptgap import estimators, oracle
 from adaptgap.hard_instances import HardFamily, Variant, sample_mu1, sample_mu4
-from adaptgap.oracle import open_adaptive, open_nonadaptive
+from adaptgap.oracle import Plan, open_adaptive, open_nonadaptive
 from adaptgap.rng import RngStream
 from adaptgap.spaces import INF, MixedMatrix, ProblemSpec, scalar_mean
+from reference import a2_by_pairs, draw_pairs, pairs_plan
 
 
 def constant_matrix(c, n1=4, n2=4, p=1.0, u=INF):
@@ -152,8 +152,8 @@ class TestNormEstA1:
 class TestMcMeanA2:
     def test_constant_exact(self):
         f = constant_matrix(2.5)
-        tape = open_adaptive(f)
-        report = mc_mean_a2(tape, 12, RngStream(4))
+        tape = open_nonadaptive(f, draw_plan(f.spec, 12, RngStream(4)))
+        report = mc_mean_a2(tape)
         assert report.value == 2.5
         assert report.cards == 12
         assert tape.card() == 12
@@ -162,16 +162,29 @@ class TestMcMeanA2:
         f = constant_matrix(1.0, 3, 5)
         for seed in range(10):
             rng = RngStream(seed)
-            tape = open_nonadaptive(f, draw_indices(f.spec, 20, rng))
-            report = mc_mean_a2(tape, 20, rng)
+            tape = open_nonadaptive(f, pairs_plan(f.spec, draw_pairs(f.spec, 20, rng)))
+            report = mc_mean_a2(tape)
             assert report.cards == tape.card() == 20
 
     def test_reproducible(self):
         spec = ProblemSpec(6, 6, 1.0, INF)
         f = sample_mu4(spec, RngStream(3))
-        r1 = mc_mean_a2(open_adaptive(f), 50, RngStream(9))
-        r2 = mc_mean_a2(open_adaptive(f), 50, RngStream(9))
+        r1 = run_a2(f, 50, RngStream(9))
+        r2 = run_a2(f, 50, RngStream(9))
         assert r1.value == r2.value and r1.cards == r2.cards
+
+    def test_requires_a_nonadaptive_tape(self):
+        # An ADAPTIVE tape has no plan, as a3 refuses a NONADAPTIVE one.
+        tape = open_adaptive(constant_matrix(1.0))
+        with pytest.raises(PreconditionViolated):
+            mc_mean_a2(tape)
+        assert tape.card() == 0
+
+    def test_empty_plan_is_refused(self):
+        tape = open_nonadaptive(constant_matrix(1.0), Plan(0, np.empty(0, np.int64)))
+        with pytest.raises(ValueError):
+            mc_mean_a2(tape)
+        assert tape.card() == 0
 
     def test_unbiased_quick(self):
         rng = np.random.default_rng(12)
@@ -180,7 +193,7 @@ class TestMcMeanA2:
         trials = 3000
         values = np.array(
             [
-                mc_mean_a2(open_adaptive(f), 32, RngStream(5, (t,))).value
+                run_a2(f, 32, RngStream(5, (t,))).value
                 for t in range(trials)
             ]
         )
@@ -203,33 +216,30 @@ class TestA2DeclaredPlan:
             entries = np.asfortranarray(entries)
         f = MixedMatrix(ProblemSpec(n1, n2, 1.0, INF), entries)
         rng = RngStream(seed)
-        plan = draw_indices(f.spec, n, rng)
-        tape = open_nonadaptive(f, plan)
-        report = mc_mean_a2(tape, n, rng)
+        plan = draw_pairs(f.spec, n, rng)
+        tape = open_nonadaptive(f, pairs_plan(f.spec, plan))
+        report = mc_mean_a2(tape)
         reference = entries[plan[:, 0] - 1, plan[:, 1] - 1].mean()
         assert report.value == float(reference)
         assert report.cards == tape.card() == n
-        # The same stream on an ADAPTIVE tape draws and answers the same plan.
-        assert mc_mean_a2(open_adaptive(f), n, rng).value == report.value
+        # The same stream, drawn as a plan or asked as pairs on an ADAPTIVE
+        # tape, draws and answers the same plan.
+        assert run_a2(f, n, rng).value == report.value
+        assert a2_by_pairs(f, n, rng).value == report.value
 
     def test_explicit_plan_is_one_flat_array(self):
-        # Pairs are converted once into int64 flat indices, 8 bytes per
-        # query, that the caller's array does not share.
+        # The reference pairs are converted once into int64 flat indices, 8
+        # bytes per query, that the caller's array does not share, and the
+        # tape keeps that plan as it is.
         f = constant_matrix(1.0, 3, 5)
-        plan = draw_indices(f.spec, 40, RngStream(2))
+        plan = draw_pairs(f.spec, 40, RngStream(2))
         assert plan.shape == (40, 2)
-        kept = open_nonadaptive(f, plan).plan
+        explicit = pairs_plan(f.spec, plan)
+        kept = open_nonadaptive(f, explicit).plan
+        assert kept is explicit
         assert kept.flat.dtype == np.int64 and kept.flat.nbytes == 8 * 40
         assert kept.flat.tolist() == ((plan[:, 0] - 1) * 5 + plan[:, 1] - 1).tolist()
         assert not np.shares_memory(kept.flat, plan) and not kept.flat.flags.writeable
-
-    @pytest.mark.parametrize("length", [19, 21])
-    def test_plan_of_the_wrong_length(self, length):
-        f = constant_matrix(1.0, 3, 5)
-        tape = open_nonadaptive(f, draw_indices(f.spec, length, RngStream(1)))
-        with pytest.raises(PreconditionViolated):
-            mc_mean_a2(tape, 20, RngStream(1))
-        assert tape.card() == 0
 
 
 def drawn_pairs(spec, n, rng):
@@ -249,23 +259,24 @@ class TestFlatMapping:
         spec = ProblemSpec(n1, n2, 1.0, INF)
         n = 500
         flat = RngStream(n1, (n2,)).generator().integers(0, n1 * n2, size=n)
-        pairs = draw_indices(spec, n, RngStream(n1, (n2,)))
+        pairs = draw_pairs(spec, n, RngStream(n1, (n2,)))
         assert pairs[:, 0].min() >= 1 and pairs[:, 0].max() <= n1
         assert pairs[:, 1].min() >= 1 and pairs[:, 1].max() <= n2
         assert ((pairs[:, 0] - 1) * n2 + pairs[:, 1] - 1).tolist() == flat.tolist()
         # Entries that hold their own row-major position answer the draw.
         f = MixedMatrix(spec, np.arange(n1 * n2, dtype=float).reshape(n1, n2))
-        for plan in (pairs, draw_plan(spec, n, RngStream(n1, (n2,)))):
+        for plan in (pairs_plan(spec, pairs), draw_plan(spec, n, RngStream(n1, (n2,)))):
             answers = np.concatenate(list(open_nonadaptive(f, plan).answers()))
             assert answers.tolist() == flat.tolist()
         want = float(np.add.reduce(flat.astype(float)) / n)
-        assert mc_mean_a2(open_adaptive(f), n, RngStream(n1, (n2,))).value == want
+        assert run_a2(f, n, RngStream(n1, (n2,))).value == want
+        assert a2_by_pairs(f, n, RngStream(n1, (n2,))).value == want
 
     def test_every_cell_is_uniform(self):
         # 150,000 draws on a 3 x 5 grid: each cell's count is binomial with
         # mean 10,000 and standard deviation about 96.6.
         n = 150_000
-        pairs = draw_indices(ProblemSpec(3, 5, 1.0, INF), n, RngStream(12))
+        pairs = draw_pairs(ProblemSpec(3, 5, 1.0, INF), n, RngStream(12))
         counts = np.zeros((3, 5))
         np.add.at(counts, (pairs[:, 0] - 1, pairs[:, 1] - 1), 1)
         sd = math.sqrt(n * (1 / 15) * (14 / 15))
@@ -275,7 +286,7 @@ class TestFlatMapping:
         spec = ProblemSpec(3, 5, 1.0, INF)
         # A drawn plan allocates nothing, so 2^53 queries are only declared.
         assert draw_plan(spec, 2**53, RngStream(1)).size == 2**53
-        for draw in (draw_plan, draw_indices):
+        for draw in (draw_plan, draw_pairs):
             with pytest.raises(ValueError, match=str(2**53 + 1)):
                 draw(spec, 2**53 + 1, RngStream(1))
 
@@ -299,9 +310,11 @@ class TestA2Blocks:
     @pytest.mark.parametrize("n2", [1, 255, 256, 300])
     @pytest.mark.parametrize("n", [1, 6, 7, 8, 14, 15, 50])
     def test_drawn_pairs_equal_draw_indices(self, n1, n2, n):
+        # The reference draw_pairs is the one-shot draw the package once
+        # shipped as draw_indices.
         spec = ProblemSpec(n1, n2, 1.0, INF)
         rng = RngStream(n1 * n2 + n, (3,))
-        assert drawn_pairs(spec, n, rng).tolist() == draw_indices(spec, n, rng).tolist()
+        assert drawn_pairs(spec, n, rng).tolist() == draw_pairs(spec, n, rng).tolist()
         assert draw_plan(spec, n, rng).flat is None
 
     @settings(max_examples=150, deadline=None)
@@ -317,7 +330,7 @@ class TestA2Blocks:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(oracle, "PLAN_BLOCK", block)
             got = drawn_pairs(spec, n, RngStream(seed))
-        assert got.tolist() == draw_indices(spec, n, RngStream(seed)).tolist()
+        assert got.tolist() == draw_pairs(spec, n, RngStream(seed)).tolist()
 
     @staticmethod
     def instances(seed, n1=9, n2=11):
@@ -330,7 +343,7 @@ class TestA2Blocks:
     @staticmethod
     def reference(f, n, rng):
         """The whole-plan mean: every answer at once, as x.mean() sums."""
-        plan = draw_indices(f.spec, n, rng)
+        plan = draw_pairs(f.spec, n, rng)
         vals = f.entries[plan[:, 0] - 1, plan[:, 1] - 1]
         return float(np.add.reduce(vals) / n), vals
 
@@ -340,10 +353,10 @@ class TestA2Blocks:
         for f in self.instances(seed):
             rng = RngStream(seed, (2,))
             want, _ = self.reference(f, n, rng)
-            explicit = open_nonadaptive(f, draw_indices(f.spec, n, rng))
+            explicit = open_nonadaptive(f, pairs_plan(f.spec, draw_pairs(f.spec, n, rng)))
             assert run_a2(f, n, rng).value == want
-            assert mc_mean_a2(explicit, n, rng).value == want
-            assert mc_mean_a2(open_adaptive(f), n, rng).value == want
+            assert mc_mean_a2(explicit).value == want
+            assert a2_by_pairs(f, n, rng).value == want
 
     @pytest.mark.parametrize("n", [8, 50, 301, 2000])
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -359,33 +372,23 @@ class TestA2Blocks:
         got = run_a2(f, n, rng).value
         assert abs(got - want) <= (n + 1) * np.finfo(float).eps * np.abs(vals).mean()
         # Explicit, drawn and adaptive runs sum the same blocks.
-        explicit = open_nonadaptive(f, draw_indices(spec, n, rng))
-        assert mc_mean_a2(explicit, n, rng).value == got
-        assert mc_mean_a2(open_adaptive(f), n, rng).value == got
+        explicit = open_nonadaptive(f, pairs_plan(spec, draw_pairs(spec, n, rng)))
+        assert mc_mean_a2(explicit).value == got
+        assert a2_by_pairs(f, n, rng).value == got
 
     @pytest.mark.parametrize("n", [1, 7, 8, 21, 22])
     def test_cards_equal_n(self, n):
         f = constant_matrix(1.5, 3, 5)
         rng = RngStream(n)
-        for tape in (
-            open_nonadaptive(f, draw_plan(f.spec, n, rng)),
-            open_nonadaptive(f, draw_indices(f.spec, n, rng)),
-            open_adaptive(f),
-        ):
-            report = mc_mean_a2(tape, n, rng)
-            assert report.cards == tape.card() == n and report.value == 1.5
-
-    @pytest.mark.parametrize("length", [13, 15])
-    def test_plan_of_the_wrong_length(self, length):
-        f = constant_matrix(1.0, 3, 5)
         for plan in (
-            draw_indices(f.spec, length, RngStream(1)),
-            draw_plan(f.spec, length, RngStream(1)),
+            draw_plan(f.spec, n, rng),
+            pairs_plan(f.spec, draw_pairs(f.spec, n, rng)),
         ):
             tape = open_nonadaptive(f, plan)
-            with pytest.raises(PreconditionViolated):
-                mc_mean_a2(tape, 14, RngStream(1))
-            assert tape.card() == 0
+            report = mc_mean_a2(tape)
+            assert report.cards == tape.card() == n and report.value == 1.5
+        report = a2_by_pairs(f, n, rng)
+        assert report.cards == n and report.value == 1.5
 
 
 class TestA2Memory:
@@ -672,7 +675,7 @@ class TestAdaptiveMeanA3:
             adaptive_mean_a3(open_adaptive(f), 16, 2, 2.0, RngStream(0))
         with pytest.raises(PreconditionViolated):
             adaptive_mean_a3(open_adaptive(f), 16, 0, 1.0, RngStream(0))
-        tape = open_nonadaptive(f, [(1, 1)])
+        tape = open_nonadaptive(f, Plan(1, np.zeros(1, np.int64)))
         with pytest.raises(PreconditionViolated):
             adaptive_mean_a3(tape, 16, 2, 1.0, RngStream(0))
 
@@ -778,8 +781,9 @@ class TestA3Blocks:
     @staticmethod
     def instances(n1, n2, seed):
         """Integer dense; non-integer dense, of standard normal entries and
-        with row magnitudes 2^-400 to 2^400; and row-sparse mu1 and mu4
-        samples at p = 1 and p = 1.5."""
+        with row magnitudes 2^-400 to 2^400; row-sparse mu1 and mu4 samples
+        at p = 1 and p = 1.5; and dense matrices of all -0.0 and of zeros
+        but one integer row, whose zero blocks give +0.0 row sizes."""
         g = np.random.default_rng(seed)
         integer = g.integers(-9, 10, size=(n1, n2)).astype(float)
         scales = np.ldexp(1.0, g.integers(-400, 401, size=(n1, 1)))
@@ -792,6 +796,11 @@ class TestA3Blocks:
             for sample in (sample_mu1, sample_mu4):
                 f = sample(spec, RngStream(seed, (0,)))
                 yield bool(np.all(f.block == np.round(f.block))), f
+        spec = ProblemSpec(n1, n2, 1.0, INF)
+        yield True, MixedMatrix(spec, np.full((n1, n2), -0.0))
+        one_row = np.zeros((n1, n2))
+        one_row[g.integers(0, n1)] = integer[0]
+        yield True, MixedMatrix(spec, one_row)
 
     @pytest.mark.parametrize("shape", SHAPES)
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -941,14 +950,14 @@ def test_a2_is_invariant_under_permutations(n1, n2, n, seed, sparse):
         permuted = MixedMatrix(spec, entries[row_perm][:, col_perm])
     assert np.array_equal(permuted.entries, f.entries[row_perm][:, col_perm])
     rng = RngStream(seed)
-    plan = draw_indices(spec, n, rng)
+    plan = draw_pairs(spec, n, rng)
     mapped = np.column_stack(
         [inv_rows[plan[:, 0] - 1] + 1, inv_cols[plan[:, 1] - 1] + 1]
     )
-    tape = open_nonadaptive(f, plan)
-    tape_permuted = open_nonadaptive(permuted, mapped)
-    report = mc_mean_a2(tape, n, rng)
-    report_permuted = mc_mean_a2(tape_permuted, n, rng)
+    tape = open_nonadaptive(f, pairs_plan(spec, plan))
+    tape_permuted = open_nonadaptive(permuted, pairs_plan(spec, mapped))
+    report = mc_mean_a2(tape)
+    report_permuted = mc_mean_a2(tape_permuted)
     assert report_permuted.value == report.value
     assert report_permuted.cards == report.cards == n
     assert tape_permuted.card() == tape.card() == n
@@ -970,9 +979,7 @@ def test_adaptive_beats_nonadaptive_at_equal_budget():
         rep3 = adaptive_mean_a3(
             open_adaptive(f, budget=6 * m * n), n, m, 1.0, stream.child(1)
         )
-        rng2 = stream.child(2)
-        tape2 = open_nonadaptive(f, draw_indices(spec, rep3.cards, rng2))
-        rep2 = mc_mean_a2(tape2, rep3.cards, rng2)
+        rep2 = run_a2(f, rep3.cards, stream.child(2))
         sq3.append((rep3.value - truth) ** 2)
         sq2.append((rep2.value - truth) ** 2)
     assert math.sqrt(np.mean(sq3)) < math.sqrt(np.mean(sq2))
@@ -1005,7 +1012,7 @@ def test_negated_samples_negate_both_estimates(variant, n1, n2, extra, p, seed):
     a2 = []
     for h in (f, g):
         rng = RngStream(seed, (2,))
-        a2.append(mc_mean_a2(open_nonadaptive(h, draw_indices(h.spec, n, rng)), n, rng))
+        a2.append(run_a2(h, n, rng))
     assert a2[1].value == -a2[0].value and a2[1].cards == a2[0].cards == n
 
 

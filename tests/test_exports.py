@@ -5,10 +5,14 @@ import inspect
 import pkgutil
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import adaptgap
 from adaptgap.direct_sum import DirectSumSpec, LevelAllocation
 from adaptgap.hard_instances import HardFamily
-from adaptgap.oracle import QueryTape
+from adaptgap.oracle import QueryTape, open_nonadaptive
+from adaptgap.spaces import INF, MixedMatrix, ProblemSpec
 
 
 def test_every_export_resolves_and_removed_names_are_gone():
@@ -37,3 +41,10 @@ def test_every_export_resolves_and_removed_names_are_gone():
     samplers = [getattr(modules["hard_instances"], f"sample_mu{i}") for i in (1, 2, 3, 4)]
     for sampler in samplers + [HardFamily.sample]:
         assert "antithetic" not in inspect.signature(sampler).parameters
+    # Plain Monte Carlo answers only a plan: no pairs, no one-shot draw.
+    assert not hasattr(adaptgap, "draw_indices")
+    assert not hasattr(modules["estimators"], "draw_indices")
+    assert list(inspect.signature(adaptgap.mc_mean_a2).parameters) == ["tape"]
+    f = MixedMatrix(ProblemSpec(1, 1, 1.0, INF), np.ones((1, 1)))
+    with pytest.raises(TypeError):
+        open_nonadaptive(f, [(1, 1)])
