@@ -174,7 +174,8 @@ class TestMcMeanA2:
         assert r1.value == r2.value and r1.cards == r2.cards
 
     def test_requires_a_nonadaptive_tape(self):
-        # An ADAPTIVE tape has no plan, as a3 refuses a NONADAPTIVE one.
+        # An ADAPTIVE tape has no plan to average; a3 likewise refuses a
+        # NONADAPTIVE tape.
         tape = open_adaptive(constant_matrix(1.0))
         with pytest.raises(PreconditionViolated):
             mc_mean_a2(tape)
@@ -310,8 +311,8 @@ class TestA2Blocks:
     @pytest.mark.parametrize("n2", [1, 255, 256, 300])
     @pytest.mark.parametrize("n", [1, 6, 7, 8, 14, 15, 50])
     def test_drawn_pairs_equal_draw_indices(self, n1, n2, n):
-        # The reference draw_pairs is the one-shot draw the package once
-        # shipped as draw_indices.
+        # Named for draw_indices, the one-shot draw that the tests keep as
+        # reference.draw_pairs.
         spec = ProblemSpec(n1, n2, 1.0, INF)
         rng = RngStream(n1 * n2 + n, (3,))
         assert drawn_pairs(spec, n, rng).tolist() == draw_pairs(spec, n, rng).tolist()
