@@ -62,7 +62,6 @@ from .oracle import (
     Mode,
     Plan,
     QueryTape,
-    UNBOUNDED,
     open_adaptive,
     open_nonadaptive,
 )

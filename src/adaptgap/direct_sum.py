@@ -29,7 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidParameters, PreconditionViolated
-from .estimators import EstimateReport, require_adaptive_regime, run_a2, run_a3
+from .estimators import (
+    EstimateReport, mc_mean_a2, require_adaptive_regime, run_a2, run_a3
+)
 from .oracle import Mode, Plan, open_nonadaptive
 from .rng import RngStream
 from .spaces import INF, MixedMatrix, ProblemSpec, as_exponent, scalar_mean
@@ -110,18 +112,19 @@ class DirectSumElement:
     def readout(self, k: int) -> tuple[float, int]:
         """The mean of level k read in full, and the queries the read took.
 
-        The level is read on its first request, every entry once, as a
-        non-adaptive plan, and the result is kept: the levels never change,
-        so a later request returns the same mean and the same count.
+        The level is read on its first request, every entry once in
+        row-major order, as the plan of flat indices 0, 1, ... that
+        ``mc_mean_a2`` averages, and the result is kept: the levels never
+        change, so a later request returns the same mean and the same count.
+        The mean sums the plan's block sums, so above two blocks (k >= 9) it
+        may differ in its last bits from the mean of all entries at once.
         """
         result = self._readouts.get(k)
         if result is None:
             f_k = self._levels[k]
-            # Every entry once, in row-major order: flat indices 0, 1, ...
-            size = f_k.spec.n_entries
-            tape = open_nonadaptive(f_k, Plan(size, np.arange(size)))
-            vals = np.concatenate(list(tape.answers()))
-            result = self._readouts[k] = (float(vals.mean()), tape.card())
+            plan = Plan(np.arange(f_k.spec.n_entries))
+            report = mc_mean_a2(open_nonadaptive(f_k, plan))
+            result = self._readouts[k] = (report.value, report.cards)
         return result
 
     def items(self):

@@ -3,7 +3,8 @@
 Three estimators are provided:
 
 * ``norm_est_a1`` -- empirical L_v norm from n i.i.d. uniform draws of a
-  population; the building block of the adaptive estimator's first stage.
+  population vector; the building block of the adaptive estimator's first
+  stage.
 * ``mc_mean_a2`` -- plain Monte Carlo: the average of the answers to a
   NONADAPTIVE tape's plan, normally ``draw_plan``'s n uniform
   with-replacement entries. Non-adaptive (the plan is fixed before any
@@ -15,7 +16,8 @@ Three estimators are provided:
   integer entries, and whenever n <= ``PLAN_BLOCK``, the value equals the
   mean of all n answers at once bit for bit; otherwise it may differ in the
   last bits.
-* ``adaptive_mean_a3`` -- two-stage adaptive estimator for 1 <= p < 2.
+* ``adaptive_mean_a3`` -- two-stage adaptive estimator for 1 <= p < 2, the
+  p of its tape's spec.
   Stage one probes every row with m independent empirical L_2 norms of
   ceil(n/N1) samples each and takes the per-row median as a robust row-size
   estimate. Stage two splits a budget of about n row samples proportionally
@@ -117,31 +119,27 @@ def median(values, axis: int | None = None):
     return float(mid) if z.ndim == 1 else mid
 
 
-def norm_est_a1(sample_access, population_size: int, v, n: int, rng: RngStream) -> float:
+def norm_est_a1(population, v, n: int, rng: RngStream) -> float:
     """Empirical L_v norm from n uniform draws of a finite population.
 
-    ``sample_access`` maps an array of 1-based population indices to their
-    values (it is applied once to the whole draw array). Returns
-    ((1/n) * sum |value|^v)^(1/v), as ``row_norm`` of the sampled values
-    computes it. The expected deviation from the true
+    ``population`` is a nonempty vector of values. The draws are 1-based
+    indices ``integers(1, size + 1, size=n)``, and the estimate is
+    ((1/n) * sum |value|^v)^(1/v) over the values they pick, as ``row_norm``
+    of those values computes it. The expected deviation from the true
     averaged L_v norm decays like n^max(1/u - 1/v, -1/2) for populations
     bounded in L_u.
     """
     v = as_exponent(v)
     if v == INF:
         raise InvalidExponent("v must be finite")
-    population_size = int(population_size)
-    if population_size < 1:
-        raise ValueError("population_size must be positive")
+    population = np.asarray(population, dtype=np.float64)
+    if population.ndim != 1 or population.size < 1:
+        raise ValueError("population must be a nonempty 1-D vector")
     n = int(n)
     if n < 1:
         raise ValueError("n must be positive")
-    g = rng.generator()
-    idx = g.integers(1, population_size + 1, size=n)
-    vals = np.asarray(sample_access(idx), dtype=np.float64)
-    if vals.shape != (n,):
-        raise ValueError("sample_access must return one value per index")
-    return row_norm(vals, v)
+    idx = rng.generator().integers(1, population.size + 1, size=n)
+    return row_norm(population[idx - 1], v)
 
 
 def _plan_length(n) -> int:
@@ -262,13 +260,12 @@ def default_probe_count(n1: int) -> int:
     return max(1, math.ceil(math.log2(n1 + 1)))
 
 
-def adaptive_mean_a3(
-    tape: QueryTape, n: int, m: int, p, rng: RngStream
-) -> EstimateReport:
+def adaptive_mean_a3(tape: QueryTape, n: int, m: int, rng: RngStream) -> EstimateReport:
     """Two-stage adaptive mean estimate; see the module docstring.
 
-    Requires an ADAPTIVE tape, n >= N1, and 1 <= p < 2. Cost is at most
-    6*m*n, so a tape budget of 6*m*n never raises ``BudgetExceeded``.
+    Requires an ADAPTIVE tape, n >= N1, and 1 <= p < 2 for the p of
+    ``tape.spec``. Cost is at most 6*m*n, so a tape budget of 6*m*n never
+    raises ``BudgetExceeded``.
     """
     if tape.mode is not Mode.ADAPTIVE:
         raise PreconditionViolated("adaptive_mean_a3 requires an ADAPTIVE tape")
@@ -280,9 +277,8 @@ def adaptive_mean_a3(
     m = int(m)
     if m < 1:
         raise PreconditionViolated("m must be a positive integer")
-    p = as_exponent(p)
-    if not p < 2.0:
-        raise PreconditionViolated(f"p must lie in [1, 2), got {p}")
+    if not spec.p < 2.0:
+        raise PreconditionViolated(f"p must lie in [1, 2), got {spec.p}")
 
     block = oracle.PLAN_BLOCK
     per_probe = -(-n // n1)  # ceil(n / N1) samples per probe
@@ -340,7 +336,7 @@ def adaptive_mean_a3(
     # PLAN_BLOCK at a time, and each block adds its part of every row it
     # covers into that row's sum, in block order. The sums start at -0.0,
     # which leaves the first part added, +0.0 included, exactly as it is.
-    allocation = allocate_samples(a_tilde, p, n)
+    allocation = allocate_samples(a_tilde, spec.p, n)
     ends = np.add.accumulate(allocation)
     starts = ends - allocation
     total = int(ends[-1])
@@ -390,4 +386,4 @@ def run_a3(f: MixedMatrix, n: int, m: int | None, rng: RngStream) -> EstimateRep
     require_adaptive_regime(spec.p, spec.u)
     m = default_probe_count(spec.n1) if m is None else int(m)
     tape = open_adaptive(f, budget=6 * m * n)
-    return adaptive_mean_a3(tape, n, m, spec.p, rng)
+    return adaptive_mean_a3(tape, n, m, rng)

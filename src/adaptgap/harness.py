@@ -97,7 +97,6 @@ class RateFit:
     slope: float
     intercept: float
     r_squared: float
-    points: tuple[tuple[float, float], ...]
 
 
 @dataclass(frozen=True)
@@ -267,12 +266,7 @@ def rate_fit(points) -> RateFit:
     ss_res = float((residuals**2).sum())
     ss_tot = float(((y - ym) ** 2).sum())
     r_squared = 1.0 if ss_tot == 0.0 else max(0.0, 1.0 - ss_res / ss_tot)
-    return RateFit(
-        slope=slope,
-        intercept=intercept,
-        r_squared=r_squared,
-        points=tuple(zip(x.tolist(), y.tolist())),
-    )
+    return RateFit(slope=slope, intercept=intercept, r_squared=r_squared)
 
 
 def _try_fit(points) -> RateFit | None:
@@ -635,7 +629,7 @@ _NormRow = namedtuple("NormRow", "v u pop_size n trials rms_dev stderr seed")
 def _norm_trial(
     pop: np.ndarray, v: float, n: int, true_norm: float, stream: RngStream
 ) -> tuple[tuple[float, int]]:
-    est = norm_est_a1(lambda idx: pop[idx - 1], pop.size, v, n, stream)
+    est = norm_est_a1(pop, v, n, stream)
     return ((est - true_norm, n),)
 
 

@@ -1,8 +1,8 @@
 """Counted, budgeted access to matrix entries.
 
 Algorithms never touch a matrix directly: they read entries through a
-:class:`QueryTape`, which counts every query (repeats included), enforces an
-optional budget, and enforces the access discipline:
+:class:`QueryTape`, which counts every query (repeats included), enforces a
+budget, and enforces the access discipline, set by whether it holds a plan:
 
 * ADAPTIVE tapes answer any in-range batch through ``query_many``, so later
   queries may depend on earlier answers.
@@ -10,14 +10,15 @@ optional budget, and enforces the access discipline:
   :class:`Plan`, and only answer it: ``answers`` yields the answers to the
   plan in order, once, in blocks of at most ``PLAN_BLOCK`` queries. Any
   other query raises :class:`DisciplineViolation`. Non-adaptivity thereby
-  holds by construction: no answer can reach the choice of a query.
+  holds by construction: no answer can reach the choice of a query. The
+  budget is the plan's size.
 
 A plan holds flat entry indices: the query (i, j) is the 0-based row-major
 position ``f = (i - 1) * N2 + (j - 1)``, which int64 holds because a
 :class:`ProblemSpec` has fewer than 2^63 entries. A plan is explicit or
-drawn. An explicit plan is ``Plan(size, flat)`` over one int64 array of
-its flat indices, 8 bytes per query, as ``DirectSumElement.readout``
-builds it. A drawn plan (:meth:`Plan.drawn`) holds only its generator and
+drawn. An explicit plan is ``Plan(flat)``, its int64 flat indices, 8 bytes
+per query, as ``DirectSumElement.readout`` builds it; its size is their
+count. A drawn plan (:meth:`Plan.drawn`) holds only its generator and
 its length, and draws each block of uniform flat indices as it hands the
 block out: one bounded draw per query. Its values equal one draw of all n
 indices, because numpy's ``Generator.integers`` drawn in pieces continues
@@ -57,7 +58,6 @@ from .spaces import MixedMatrix, ProblemSpec
 
 __all__ = [
     "Mode",
-    "UNBOUNDED",
     "PLAN_BLOCK",
     "Plan",
     "QueryTape",
@@ -70,9 +70,6 @@ class Mode(enum.Enum):
     ADAPTIVE = "adaptive"
     NONADAPTIVE = "nonadaptive"
 
-
-#: Sentinel budget: the tape never refuses a query on budget grounds.
-UNBOUNDED = None
 
 #: Queries per block in which a plan is drawn and handed out, and about the
 #: answers per block in which the adaptive estimator asks: 256 KiB per int64
@@ -112,17 +109,20 @@ class Plan:
     """The declared query sequence of a NONADAPTIVE tape, as flat entry
     indices ``(i - 1) * N2 + (j - 1)``.
 
-    Build an explicit plan from int64 flat indices as ``Plan(size, flat)``,
-    and a drawn one with :meth:`Plan.drawn`. ``flat`` holds every index of
-    an explicit plan, and is None for a drawn one, whose indices exist only
-    a block at a time.
-    :meth:`blocks` hands the plan out, once.
+    Build an explicit plan from a 1-D integer array of flat indices as
+    ``Plan(flat)``, and a drawn one with :meth:`Plan.drawn`. ``flat`` holds
+    every index of an explicit plan as int64, with no copy of int64 input,
+    and is None for a drawn one, whose indices exist only a block at a time.
+    ``size`` is the number of queries. :meth:`blocks` hands the plan out,
+    once. Float indices raise ``TypeError``, other shapes ``ValueError``.
     """
 
-    def __init__(self, size: int, flat: np.ndarray | None = None, draw=None) -> None:
-        self.size = size
-        self.flat = flat
-        self._draw = draw
+    def __init__(self, flat) -> None:
+        self.flat = np.asarray(flat).astype(np.int64, casting="same_kind", copy=False)
+        if self.flat.ndim != 1:
+            raise ValueError("a plan's flat indices are a 1-D array")
+        self.size = len(self.flat)
+        self._draw = None
         self._handed = False
 
     @classmethod
@@ -130,8 +130,10 @@ class Plan:
         """n uniform entries of a ``spec`` matrix from a numpy ``Generator``:
         the same flat indices as ``generator.integers(0, N1 * N2, size=n)``,
         drawn a block at a time as ``blocks`` hands them out."""
-        draw = functools.partial(generator.integers, 0, spec.n_entries)
-        return cls(n, draw=draw)
+        plan = cls.__new__(cls)
+        plan.flat, plan.size, plan._handed = None, n, False
+        plan._draw = functools.partial(generator.integers, 0, spec.n_entries)
+        return plan
 
     def blocks(self):
         """Yield the plan in order as int64 flat index blocks of at most
@@ -155,30 +157,24 @@ class Plan:
 class QueryTape:
     """Single-owner handle mediating all entry access to one matrix.
 
-    Construct via :func:`open_adaptive`, whose tape answers ``query_many``,
-    or :func:`open_nonadaptive`, whose tape only answers its plan, through
-    ``answers``.
+    Construct via :func:`open_adaptive`, whose tape answers ``query_many``
+    up to its budget, or :func:`open_nonadaptive`, whose tape only answers
+    its plan, through ``answers``, and whose budget is the plan's size.
     """
 
-    def __init__(
-        self,
-        target: MixedMatrix,
-        mode: Mode,
-        budget: int | None,
-        plan: Plan | None,
-    ) -> None:
+    def __init__(self, target: MixedMatrix, plan_or_budget: Plan | int) -> None:
         _keep_freed_blocks()
         self._spec = target.spec
         # The stored rows: the whole C-ordered matrix when dense.
         self._row_ids = target.row_ids
         self._block = target.block
-        self._mode = mode
-        if budget is not UNBOUNDED:
-            budget = int(budget)
+        if isinstance(plan_or_budget, Plan):
+            self._plan, budget = plan_or_budget, plan_or_budget.size
+        else:
+            self._plan, budget = None, int(plan_or_budget)
             if budget < 0:
-                raise ValueError("budget must be nonnegative or UNBOUNDED")
+                raise ValueError("budget must be nonnegative")
         self._budget = budget
-        self._plan = plan
         self._issued = 0
 
     @property
@@ -187,10 +183,10 @@ class QueryTape:
 
     @property
     def mode(self) -> Mode:
-        return self._mode
+        return Mode.ADAPTIVE if self._plan is None else Mode.NONADAPTIVE
 
     @property
-    def budget(self) -> int | None:
+    def budget(self) -> int:
         return self._budget
 
     @property
@@ -223,7 +219,7 @@ class QueryTape:
         """Raise ``BudgetExceeded`` unless ``count`` more queries fit in the
         budget. Charges nothing, so a caller that asks in several batches can
         refuse the whole before answering any of them."""
-        if self._budget is not UNBOUNDED and self._issued + count > self._budget:
+        if self._issued + count > self._budget:
             raise BudgetExceeded(
                 f"{self._issued} issued + {count} requested exceeds "
                 f"budget {self._budget}"
@@ -240,7 +236,7 @@ class QueryTape:
         tape unchanged. A NONADAPTIVE tape answers only its plan, through
         :meth:`answers`, and raises ``DisciplineViolation`` here.
         """
-        if self._mode is Mode.NONADAPTIVE:
+        if self._plan is not None:
             raise DisciplineViolation(
                 "a NONADAPTIVE tape answers only its plan, through answers()"
             )
@@ -255,18 +251,17 @@ class QueryTape:
         The plan is answered once: iterating a second ``answers()`` raises
         ``DisciplineViolation``, and so does calling it on an ADAPTIVE tape.
         """
-        if self._mode is not Mode.NONADAPTIVE:
+        if self._plan is None:
             raise DisciplineViolation("an ADAPTIVE tape has no plan to answer")
         return (self._answer_flat(flat) for flat in self._plan.blocks())
 
     def _answer_flat(self, flat: np.ndarray) -> np.ndarray:
         """Answer a block of flat entry indices: checked and charged as a
-        ``query_many`` batch is."""
+        ``query_many`` batch is. ``flat`` is int64: read as unsigned, a
+        negative index is 2^63 or more, so one pass checks both ends."""
         spec = self._spec
         count = flat.size
-        if count and not (
-            np.minimum.reduce(flat) >= 0 and np.maximum.reduce(flat) < spec.n_entries
-        ):
+        if count and not np.maximum.reduce(flat.view(np.uint64)) < spec.n_entries:
             raise IndexOutOfRange(
                 f"plan entry indices outside [0, {spec.n_entries}) of a "
                 f"{spec.n1} x {spec.n2} matrix"
@@ -311,19 +306,17 @@ class QueryTape:
         return out.reshape(-1)
 
 
-def open_adaptive(f: MixedMatrix, budget: int | None = UNBOUNDED) -> QueryTape:
-    """Open a tape whose queries may depend on earlier answers."""
-    return QueryTape(f, Mode.ADAPTIVE, budget, plan=None)
+def open_adaptive(f: MixedMatrix, budget: int) -> QueryTape:
+    """Open a tape whose queries may depend on earlier answers, refusing any
+    batch that would take it past ``budget`` queries."""
+    return QueryTape(f, int(budget))
 
 
 def open_nonadaptive(f: MixedMatrix, plan: Plan) -> QueryTape:
     """Open a tape that answers exactly ``plan``, in order, through
     :meth:`QueryTape.answers`, and nothing else; the budget equals the
-    plan's size.
-
-    The plan's indices are range-checked block by block, as ``answers``
-    checks every block. Anything but a :class:`Plan` raises ``TypeError``.
+    plan's size. Anything but a :class:`Plan` raises ``TypeError``.
     """
     if not isinstance(plan, Plan):
         raise TypeError(f"open_nonadaptive takes a Plan, not {type(plan).__name__}")
-    return QueryTape(f, Mode.NONADAPTIVE, plan.size, plan)
+    return QueryTape(f, plan)

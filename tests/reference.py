@@ -61,15 +61,15 @@ def pairs_plan(spec, pairs):
     flat += cols
     flat -= 1
     flat.setflags(write=False)
-    return Plan(flat.size, flat)
+    return Plan(flat)
 
 
 def a2_by_pairs(f, n, rng):
     """a2 on an ADAPTIVE tape of ``f``: ``draw_plan(f.spec, n, rng)`` split
     into pairs and asked block by block through ``query_many``; the value is
     the sum of the block sums over n."""
-    tape = open_adaptive(f)
     plan = draw_plan(f.spec, n, rng)
+    tape = open_adaptive(f, budget=plan.size)
     total = None
     for flat in plan.blocks():
         block = np.add.reduce(tape.query_many(*_pairs(flat, f.spec.n2)))

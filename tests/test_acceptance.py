@@ -174,7 +174,7 @@ def test_criterion_05_cost_bounds():
         family = HardFamily(Variant.ACTIVE_ROW_BERNOULLI, spec)
         f = family.sample(RngStream(SEED + 5, (t,)))
         tape = open_adaptive(f, budget=6 * m * n)
-        rep = adaptive_mean_a3(tape, n, m, 1.0, RngStream(SEED + 6, (t,)))
+        rep = adaptive_mean_a3(tape, n, m, RngStream(SEED + 6, (t,)))
         if rep.cards > 6 * m * n or rep.cards != tape.card():
             a3_violations += 1
     a2_violations = 0

@@ -112,7 +112,7 @@ class TestNormEstA1:
     def test_constant_population_exact(self):
         pop = np.full(10, 3.0)
         for seed in range(5):
-            est = norm_est_a1(lambda i: pop[i - 1], 10, 2.0, 7, RngStream(seed))
+            est = norm_est_a1(pop, 2.0, 7, RngStream(seed))
             assert est == 3.0
 
     def test_single_draw_hits_spike(self):
@@ -122,12 +122,12 @@ class TestNormEstA1:
             for s in range(100)
             if RngStream(s).generator().integers(1, 5, size=1)[0] == 1
         )
-        est = norm_est_a1(lambda i: pop[i - 1], 4, 2.0, 1, RngStream(seed))
+        est = norm_est_a1(pop, 2.0, 1, RngStream(seed))
         assert est == 2.0
 
     def test_infinite_v_rejected(self):
         with pytest.raises(InvalidExponent):
-            norm_est_a1(lambda i: i, 4, INF, 2, RngStream(0))
+            norm_est_a1(np.arange(1.0, 5.0), INF, 2, RngStream(0))
 
     def test_rms_deviation_rate(self):
         # Spike population, true averaged L2 norm = 1; RMS deviation should
@@ -139,7 +139,7 @@ class TestNormEstA1:
         for i, n in enumerate(budgets):
             devs = np.array(
                 [
-                    norm_est_a1(lambda i_: pop[i_ - 1], 4, 2.0, n, RngStream(11, (i, t)))
+                    norm_est_a1(pop, 2.0, n, RngStream(11, (i, t)))
                     - 1.0
                     for t in range(trials)
                 ]
@@ -176,13 +176,13 @@ class TestMcMeanA2:
     def test_requires_a_nonadaptive_tape(self):
         # An ADAPTIVE tape has no plan to average; a3 likewise refuses a
         # NONADAPTIVE tape.
-        tape = open_adaptive(constant_matrix(1.0))
+        tape = open_adaptive(constant_matrix(1.0), budget=16)
         with pytest.raises(PreconditionViolated):
             mc_mean_a2(tape)
         assert tape.card() == 0
 
     def test_empty_plan_is_refused(self):
-        tape = open_nonadaptive(constant_matrix(1.0), Plan(0, np.empty(0, np.int64)))
+        tape = open_nonadaptive(constant_matrix(1.0), Plan(np.empty(0, np.int64)))
         with pytest.raises(ValueError):
             mc_mean_a2(tape)
         assert tape.card() == 0
@@ -621,8 +621,8 @@ class TestAllocationOutOfRange:
 class TestAdaptiveMeanA3:
     def test_constant_exact(self):
         f = constant_matrix(-1.25, 4, 6)
-        tape = open_adaptive(f)
-        report = adaptive_mean_a3(tape, 8, 3, 1.0, RngStream(2))
+        tape = open_adaptive(f, budget=6 * 3 * 8)
+        report = adaptive_mean_a3(tape, 8, 3, RngStream(2))
         assert report.value == -1.25
         assert report.cards == tape.card()
         assert sum(report.allocation) == report.stage_cards[1]
@@ -635,8 +635,8 @@ class TestAdaptiveMeanA3:
         for seed in range(6):
             f = sample_mu4(spec, RngStream(seed))
             active = int(np.flatnonzero(np.abs(f.entries).sum(axis=1))[0])
-            tape = open_adaptive(f)
-            report = adaptive_mean_a3(tape, n, 3, 1.0, RngStream(seed + 100))
+            tape = open_adaptive(f, budget=6 * 3 * n)
+            report = adaptive_mean_a3(tape, n, 3, RngStream(seed + 100))
             alloc = report.allocation.tolist()
             assert alloc[active] == n
             assert all(
@@ -653,7 +653,7 @@ class TestAdaptiveMeanA3:
             spec = ProblemSpec(n1, n2, 1.0, INF)
             f = sample_mu4(spec, RngStream(int(g.integers(0, 1 << 32))))
             tape = open_adaptive(f, budget=6 * m * n)
-            report = adaptive_mean_a3(tape, n, m, 1.0, RngStream(7, (n1, n)))
+            report = adaptive_mean_a3(tape, n, m, RngStream(7, (n1, n)))
             assert report.cards <= 6 * m * n
             assert report.cards == tape.card()
 
@@ -661,7 +661,7 @@ class TestAdaptiveMeanA3:
         spec = ProblemSpec(5, 9, 1.5, INF)
         f = sample_mu4(spec, RngStream(1))
         reports = [
-            adaptive_mean_a3(open_adaptive(f), 25, 4, 1.5, RngStream(77))
+            adaptive_mean_a3(open_adaptive(f, budget=6 * 4 * 25), 25, 4, RngStream(77))
             for _ in range(2)
         ]
         assert reports[0].value == reports[1].value
@@ -671,20 +671,22 @@ class TestAdaptiveMeanA3:
     def test_preconditions(self):
         f = constant_matrix(1.0, 8, 8)
         with pytest.raises(PreconditionViolated):
-            adaptive_mean_a3(open_adaptive(f), 4, 2, 1.0, RngStream(0))
+            adaptive_mean_a3(open_adaptive(f, budget=1000), 4, 2, RngStream(0))
+        # The exponent is the p of the tape's spec.
+        at_two = constant_matrix(1.0, 8, 8, p=2.0)
         with pytest.raises(PreconditionViolated):
-            adaptive_mean_a3(open_adaptive(f), 16, 2, 2.0, RngStream(0))
+            adaptive_mean_a3(open_adaptive(at_two, budget=1000), 16, 2, RngStream(0))
         with pytest.raises(PreconditionViolated):
-            adaptive_mean_a3(open_adaptive(f), 16, 0, 1.0, RngStream(0))
-        tape = open_nonadaptive(f, Plan(1, np.zeros(1, np.int64)))
+            adaptive_mean_a3(open_adaptive(f, budget=1000), 16, 0, RngStream(0))
+        tape = open_nonadaptive(f, Plan(np.zeros(1, np.int64)))
         with pytest.raises(PreconditionViolated):
-            adaptive_mean_a3(tape, 16, 2, 1.0, RngStream(0))
+            adaptive_mean_a3(tape, 16, 2, RngStream(0))
 
     def test_budget_exceeded_propagates(self):
         f = constant_matrix(1.0, 2, 2)
         tape = open_adaptive(f, budget=5)
         with pytest.raises(BudgetExceeded):
-            adaptive_mean_a3(tape, 4, 2, 1.0, RngStream(0))
+            adaptive_mean_a3(tape, 4, 2, RngStream(0))
 
     @pytest.mark.parametrize("block", [7, 1 << 15])
     def test_a_failing_stage_charges_nothing(self, monkeypatch, block):
@@ -696,10 +698,10 @@ class TestAdaptiveMeanA3:
         for budget, charged in ((35, 0), (36 + 11, 36)):
             tape = open_adaptive(f, budget=budget)
             with pytest.raises(BudgetExceeded):
-                adaptive_mean_a3(tape, 12, 3, 1.0, RngStream(0))
+                adaptive_mean_a3(tape, 12, 3, RngStream(0))
             assert tape.card() == charged
         tape = open_adaptive(f, budget=36 + 12)
-        report = adaptive_mean_a3(tape, 12, 3, 1.0, RngStream(0))
+        report = adaptive_mean_a3(tape, 12, 3, RngStream(0))
         assert report.stage_cards == (36, 12) and tape.card() == 48
 
     def test_default_probe_count(self):
@@ -708,7 +710,7 @@ class TestAdaptiveMeanA3:
         assert default_probe_count(256) == 9
 
 
-def whole_grid_a3(tape, n, m, p, rng):
+def whole_grid_a3(tape, n, m, rng):
     """a3 as it was before blocks: the whole stage-1 grid asked row-major at
     once and scaled by its largest answer, then the whole stage 2 at once.
     Returns the report's fields, the stage-1 row sizes ``a_tilde``, whether
@@ -733,7 +735,7 @@ def whole_grid_a3(tape, n, m, p, rng):
         np.all((scaled == 0.0) | (squares >= tiny))
         and np.all((means == 0.0) | (means >= tiny))
     )
-    allocation = allocate_samples(a_tilde, p, n)
+    allocation = allocate_samples(a_tilde, tape.spec.p, n)
     ends = np.cumsum(allocation)
     cols2 = rng.child(2).generator().integers(1, n2 + 1, size=int(ends[-1]))
     vals2 = tape.query_many(np.repeat(row_ids, allocation), cols2)
@@ -760,8 +762,8 @@ def a3_row_sizes(monkeypatch, f, n, m, rng):
 
     with monkeypatch.context() as mp:
         mp.setattr(estimators, "allocate_samples", recording)
-        tape = open_adaptive(f)
-        report = adaptive_mean_a3(tape, n, m, f.spec.p, rng)
+        tape = open_adaptive(f, budget=6 * m * n)
+        report = adaptive_mean_a3(tape, n, m, rng)
     assert report.cards == tape.card()
     return report, seen[0]
 
@@ -810,7 +812,7 @@ class TestA3Blocks:
         for integer, f in self.instances(n1, n2, seed):
             rng = RngStream(seed, (1,))
             got, a_tilde = a3_row_sizes(monkeypatch, f, n, m, rng)
-            want = whole_grid_a3(open_adaptive(f), n, m, f.spec.p, rng)
+            want = whole_grid_a3(open_adaptive(f, budget=6 * m * n), n, m, rng)
             if want.normal:
                 assert a_tilde.tobytes() == want.a_tilde.tobytes()
             assert got.allocation.tolist() == want.allocation.tolist()
@@ -859,7 +861,7 @@ class TestA3Blocks:
             exact.append(float(root))
         assert exact == [0.0, 2.0**-600]
         got, a_tilde = a3_row_sizes(monkeypatch, f, n, m, rng)
-        whole = whole_grid_a3(open_adaptive(f), n, m, 1.0, rng)
+        whole = whole_grid_a3(open_adaptive(f, budget=6 * m * n), n, m, rng)
         assert whole.a_tilde.tolist() == [0.0, 0.0]
         assert whole.allocation.tolist() == [1, 1]
         if block < 2 * len(cols):  # one row a block: exact
@@ -915,8 +917,10 @@ def test_a3_is_homogeneous(n1, n2, extra, seed, power):
     scaled = MixedMatrix(spec, np.ldexp(f.entries, power))
     n = n1 + extra
     m = default_probe_count(n1)
-    base = adaptive_mean_a3(open_adaptive(f), n, m, 1.0, RngStream(seed, (1,)))
-    big = adaptive_mean_a3(open_adaptive(scaled), n, m, 1.0, RngStream(seed, (1,)))
+    base, big = [
+        adaptive_mean_a3(open_adaptive(h, budget=6 * m * n), n, m, RngStream(seed, (1,)))
+        for h in (f, scaled)
+    ]
     assert big.value == math.ldexp(base.value, power)
     assert big.cards == base.cards and big.stage_cards == base.stage_cards
     assert big.allocation.tolist() == base.allocation.tolist()
@@ -978,7 +982,7 @@ def test_adaptive_beats_nonadaptive_at_equal_budget():
         f = sample_mu4(spec, stream.child(0))
         truth = scalar_mean(f)
         rep3 = adaptive_mean_a3(
-            open_adaptive(f, budget=6 * m * n), n, m, 1.0, stream.child(1)
+            open_adaptive(f, budget=6 * m * n), n, m, stream.child(1)
         )
         rep2 = run_a2(f, rep3.cards, stream.child(2))
         sq3.append((rep3.value - truth) ** 2)
@@ -1004,7 +1008,7 @@ def test_negated_samples_negate_both_estimates(variant, n1, n2, extra, p, seed):
     n = n1 + extra
     m = default_probe_count(n1)
     a3 = [
-        adaptive_mean_a3(open_adaptive(h), n, m, p, RngStream(seed, (1,)))
+        adaptive_mean_a3(open_adaptive(h, budget=6 * m * n), n, m, RngStream(seed, (1,)))
         for h in (f, g)
     ]
     assert a3[1].value == -a3[0].value
@@ -1031,5 +1035,5 @@ def test_a3_cost_within_6mn(variant, n1, n2, extra, m, seed):
     f = HardFamily(variant, spec).sample(RngStream(seed, (0,)))
     n = n1 + extra
     tape = open_adaptive(f, budget=6 * m * n)
-    report = adaptive_mean_a3(tape, n, m, 1.5, RngStream(seed, (1,)))
+    report = adaptive_mean_a3(tape, n, m, RngStream(seed, (1,)))
     assert report.cards == tape.card() <= 6 * m * n

@@ -11,7 +11,8 @@ import pytest
 import adaptgap
 from adaptgap.direct_sum import DirectSumSpec, LevelAllocation
 from adaptgap.hard_instances import HardFamily
-from adaptgap.oracle import QueryTape, open_nonadaptive
+from adaptgap.harness import RateFit
+from adaptgap.oracle import QueryTape, open_adaptive, open_nonadaptive
 from adaptgap.spaces import INF, MixedMatrix, ProblemSpec
 
 
@@ -48,3 +49,18 @@ def test_every_export_resolves_and_removed_names_are_gone():
     f = MixedMatrix(ProblemSpec(1, 1, 1.0, INF), np.ones((1, 1)))
     with pytest.raises(TypeError):
         open_nonadaptive(f, [(1, 1)])
+
+
+def test_values_follow_from_what_holds_them():
+    # A tape's budget is its plan's size or, when adaptive, a required
+    # argument: no sentinel for an unbounded tape.
+    assert not hasattr(adaptgap, "UNBOUNDED")
+    assert not hasattr(adaptgap.oracle, "UNBOUNDED")
+    f = MixedMatrix(ProblemSpec(1, 1, 1.0, INF), np.ones((1, 1)))
+    with pytest.raises(TypeError):
+        open_adaptive(f)
+    # a3's exponent is its tape's spec's p; a1 samples a population vector.
+    assert "p" not in inspect.signature(adaptgap.adaptive_mean_a3).parameters
+    assert list(inspect.signature(adaptgap.norm_est_a1).parameters)[0] == "population"
+    fields = [field.name for field in dataclasses.fields(RateFit)]
+    assert fields == ["slope", "intercept", "r_squared"]

@@ -443,7 +443,7 @@ class TestRowSparsePathsStaySparse:
     def test_single_queries(self):
         spec = ProblemSpec(3, 4, 1.0, INF)
         f = HardFamily(Variant.ACTIVE_ROW_BERNOULLI, spec).sample(RngStream(1))
-        tape = open_adaptive(f)
+        tape = open_adaptive(f, budget=12)
         values = [tape.query_many(i, j)[0] for i in (1, 2, 3) for j in (1, 2, 3, 4)]
         assert sum(v != 0.0 for v in values) == 4
 

@@ -5,11 +5,10 @@ from hypothesis import strategies as st
 
 from adaptgap.errors import BudgetExceeded, DisciplineViolation, IndexOutOfRange
 from adaptgap import oracle
+from adaptgap.estimators import mc_mean_a2
 from adaptgap.oracle import (
     Mode,
-    UNBOUNDED,
     Plan,
-    QueryTape,
     open_adaptive,
     open_nonadaptive,
 )
@@ -17,6 +16,10 @@ from adaptgap.hard_instances import HardFamily, Variant
 from adaptgap.rng import RngStream
 from adaptgap.spaces import INF, MixedMatrix, ProblemSpec
 from reference import pairs_plan
+
+
+#: A budget that no test here reaches.
+ENOUGH = 1 << 30
 
 
 def matrix(entries):
@@ -31,10 +34,18 @@ def f22():
 
 class TestOpenAdaptive:
     def test_fresh_card_zero(self, f22):
-        tape = open_adaptive(f22)
+        tape = open_adaptive(f22, budget=7)
         assert tape.card() == 0
         assert tape.mode is Mode.ADAPTIVE
-        assert tape.budget is UNBOUNDED
+        assert tape.budget == 7 and tape.plan is None
+
+    def test_budget_is_a_nonnegative_integer(self, f22):
+        with pytest.raises(ValueError):
+            open_adaptive(f22, budget=-1)
+        # A plan would make the tape non-adaptive: only open_nonadaptive
+        # takes one.
+        with pytest.raises(TypeError):
+            open_adaptive(f22, Plan(np.array([0])))
 
     def test_budget_five_allows_five(self, f22):
         tape = open_adaptive(f22, budget=5)
@@ -51,12 +62,12 @@ class TestOpenAdaptive:
 
 class TestOpenNonadaptive:
     def test_declared_sets_budget(self, f22):
-        tape = open_nonadaptive(f22, Plan(2, np.array([0, 3])))
+        tape = open_nonadaptive(f22, Plan(np.array([0, 3])))
         assert tape.budget == 2
         assert tape.mode is Mode.NONADAPTIVE
 
     def test_empty_declaration(self, f22):
-        tape = open_nonadaptive(f22, Plan(0, np.empty(0, np.int64)))
+        tape = open_nonadaptive(f22, Plan(np.empty(0, np.int64)))
         assert tape.card() == 0
         assert tape.budget == 0
         assert list(tape.answers()) == []
@@ -67,29 +78,29 @@ class TestOpenNonadaptive:
 
 class TestQuery:
     def test_answers_value(self):
-        tape = open_adaptive(matrix([[7.0]]))
+        tape = open_adaptive(matrix([[7.0]]), budget=1)
         assert tape.query_many(1, 1)[0] == 7.0
         assert tape.card() == 1
 
     def test_repeats_counted(self, f22):
-        tape = open_adaptive(f22)
+        tape = open_adaptive(f22, budget=ENOUGH)
         assert tape.query_many(2, 1)[0] == tape.query_many(2, 1)[0] == 3.0
         assert tape.card() == 2
 
     def test_discipline_violation(self, f22):
-        tape = open_nonadaptive(f22, Plan(1, np.array([0])))
+        tape = open_nonadaptive(f22, Plan(np.array([0])))
         with pytest.raises(DisciplineViolation):
             tape.query_many(1, 2)
         assert tape.card() == 0
 
     def test_adaptive_tape_has_no_plan_to_answer(self, f22):
-        tape = open_adaptive(f22)
+        tape = open_adaptive(f22, budget=ENOUGH)
         with pytest.raises(DisciplineViolation):
             list(tape.answers())
         assert tape.card() == 0
 
     def test_out_of_range(self, f22):
-        tape = open_adaptive(f22)
+        tape = open_adaptive(f22, budget=ENOUGH)
         with pytest.raises(IndexOutOfRange):
             tape.query_many(0, 1)
         with pytest.raises(IndexOutOfRange):
@@ -106,8 +117,8 @@ class TestQuery:
 
 class TestQueryMany:
     def test_matches_single_queries(self, f22):
-        batch = open_adaptive(f22)
-        single = open_adaptive(f22)
+        batch = open_adaptive(f22, budget=ENOUGH)
+        single = open_adaptive(f22, budget=ENOUGH)
         rows = np.array([1, 1, 2, 2, 1])
         cols = np.array([1, 2, 1, 2, 1])
         got = batch.query_many(rows, cols)
@@ -136,18 +147,18 @@ def test_replay_is_deterministic(f22):
 
 class TestBroadcastQueries:
     def test_grid_is_answered_in_c_order(self, f22):
-        tape = open_adaptive(f22)
+        tape = open_adaptive(f22, budget=ENOUGH)
         got = tape.query_many([[1], [2]], [[2, 1, 2]])
         assert got.tolist() == [2.0, 1.0, 2.0, 4.0, 3.0, 4.0]
         assert tape.card() == 6
 
     def test_scalar_against_vector(self, f22):
-        tape = open_adaptive(f22)
+        tape = open_adaptive(f22, budget=ENOUGH)
         assert tape.query_many(2, [1, 2, 1]).tolist() == [3.0, 4.0, 3.0]
         assert tape.card() == 3
 
     def test_shapes_that_do_not_broadcast(self, f22):
-        tape = open_adaptive(f22)
+        tape = open_adaptive(f22, budget=ENOUGH)
         with pytest.raises(ValueError):
             tape.query_many([1, 2], [1, 2, 1])
         assert tape.card() == 0
@@ -166,7 +177,7 @@ class TestBroadcastQueries:
     def test_batch_outside_the_range(self, f22, rows, cols):
         for sparse in (False, True):
             f = MixedMatrix.from_rows(f22.spec, [1], [[3.0, 4.0]]) if sparse else f22
-            tape = open_adaptive(f)
+            tape = open_adaptive(f, budget=ENOUGH)
             with pytest.raises(IndexOutOfRange):
                 tape.query_many(rows, cols)
             assert tape.card() == 0
@@ -200,16 +211,31 @@ class TestBroadcastQueries:
         # A plan built by hand is range-checked block by block: a flat index
         # outside [0, 4) is refused before its block is charged.
         for flat in ([0, 4], [-1, 0]):
-            tape = open_nonadaptive(f22, Plan(2, np.array(flat)))
+            tape = open_nonadaptive(f22, Plan(flat))
             with pytest.raises(IndexOutOfRange):
                 list(tape.answers())
             assert tape.card() == 0
 
-    def test_block_over_the_budget_is_not_charged(self, f22):
-        tape = QueryTape(f22, Mode.NONADAPTIVE, 2, Plan(3, np.array([0, 1, 2])))
-        with pytest.raises(BudgetExceeded):
-            list(tape.answers())
-        assert tape.card() == 0
+    def test_size_and_budget_are_the_length_of_the_indices(self, f22):
+        # The mean of the entries 1 and 4 is 2.5, at a cost of two queries.
+        tape = open_nonadaptive(f22, Plan(np.array([0, 3])))
+        report = mc_mean_a2(tape)
+        assert report.value == 2.5
+        assert report.cards == tape.card() == tape.budget == tape.plan.size == 2
+
+    def test_int64_indices_are_kept_without_a_copy(self, f22):
+        # Other integer arrays and lists are converted once to int64.
+        flat = np.array([3, 0, 1], dtype=np.int64)
+        assert Plan(flat).flat is flat
+        for given in ([3, 0, 1], np.array([3, 0, 1], dtype=np.int32)):
+            plan = Plan(given)
+            assert plan.flat.dtype == np.int64 and plan.flat.tolist() == [3, 0, 1]
+            assert plan.size == 3
+        # Float indices are not truncated, and a plan is one flat sequence.
+        with pytest.raises(TypeError):
+            Plan([0.0, 1.5])
+        with pytest.raises(ValueError):
+            Plan(np.zeros((2, 2), np.int64))
 
 
 class TestDrawnPlan:
@@ -344,7 +370,7 @@ def test_row_sparse_and_dense_answer_alike(variant, n1, n2, p, u, seed, data):
     shape = (2, length // 2) if length % 2 == 0 else (length, 1)
     grid_rows = indices(n1, 5)[:, None]
     grid_cols = indices(n2, 5)[None, :]
-    tapes = [open_adaptive(sparse), open_adaptive(dense)]
+    tapes = [open_adaptive(f, budget=ENOUGH) for f in (sparse, dense)]
     answers = []
     for tape in tapes:
         single = [tape.query_many(i, j)[0] for i, j in zip(rows, cols)]
@@ -385,7 +411,7 @@ def test_row_sparse_blocks_answer_their_rows(n1, n2, seed, data):
     # flat row-ordered pairs of a3's second stage.
     probes = cols.reshape(-1, 1, 2 - cols.size % 2)
     grids = [(block.reshape(1, -1, 1), probes), (block[:, None], cols[None, :])]
-    tape = open_adaptive(f)
+    tape = open_adaptive(f, budget=2 * block.size * cols.size + rows.size)
     entries = f.entries
     for grid_rows, grid_cols in grids:
         want = entries[grid_rows - 1, grid_cols - 1].ravel()
@@ -416,7 +442,7 @@ def test_plan_indices_at_the_edges_of_stored_rows(n1, n2, stored):
     flat = np.array([e for e in edges if 0 <= e < n1 * n2], dtype=np.int64)
     answers = []
     for f in (sparse, dense):
-        tape = open_nonadaptive(f, Plan(flat.size, flat))
+        tape = open_nonadaptive(f, Plan(flat))
         answers.append(np.concatenate([np.empty(0), *tape.answers()]).tolist())
         assert tape.card() == flat.size
     assert answers[0] == answers[1] == dense.entries.ravel()[flat].tolist()
