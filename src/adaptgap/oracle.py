@@ -309,7 +309,7 @@ class QueryTape:
 def open_adaptive(f: MixedMatrix, budget: int) -> QueryTape:
     """Open a tape whose queries may depend on earlier answers, refusing any
     batch that would take it past ``budget`` queries."""
-    return QueryTape(f, int(budget))
+    return QueryTape(f, int(budget))  # int() refuses a Plan
 
 
 def open_nonadaptive(f: MixedMatrix, plan: Plan) -> QueryTape:

@@ -209,8 +209,10 @@ class TestBroadcastQueries:
 
     def test_own_arrays_are_still_range_checked(self, f22):
         # A plan built by hand is range-checked block by block: a flat index
-        # outside [0, 4) is refused before its block is charged.
-        for flat in ([0, 4], [-1, 0]):
+        # outside [0, 4) is refused before its block is charged. Read as
+        # unsigned, every negative index is at least 2^63.
+        extremes = np.iinfo(np.int64)
+        for flat in ([0, 4], [-1, 0], [extremes.min, 0], [3, extremes.max]):
             tape = open_nonadaptive(f22, Plan(flat))
             with pytest.raises(IndexOutOfRange):
                 list(tape.answers())
