@@ -11,7 +11,8 @@ decaying budgets ceil(c0 * 2^(2*k0 - delta*(k - k0))) - 1, and levels above
 k1 are dropped. The schedule's total is at most
 (1/3 + c0/(1 - 2^-delta)) * 2^(2*k0), reported alongside the levels.
 
-``ds_estimate`` runs the composite estimator: exact readout below k0, then
+``ds_estimate`` spends the schedule it is given, so a caller builds each
+schedule once for all its composites: exact readout below its k0, then
 per-level mean estimation (adaptive two-stage or plain Monte Carlo) at the
 scheduled budgets, all through counting tapes. Each level draws from its own
 child stream, so enlarging the truncation level of the input never perturbs
@@ -191,26 +192,23 @@ def level_allocation(
 
 def ds_estimate(
     x: DirectSumElement,
-    k0: int,
-    delta: float,
+    schedule: LevelAllocation,
     mode: Mode,
     m: int | None,
     rng: RngStream,
-    *,
-    c0: float = 0.5,
 ) -> EstimateReport:
-    """Composite estimate of ``ds_integral(x)`` under the k0 schedule.
+    """Composite estimate of ``ds_integral(x)`` spending ``schedule``.
 
-    Levels below k0 are read in full (exact; each level once per element,
-    charged to every composite), levels k0 .. k1 are estimated
-    with the adaptive two-stage estimator (ADAPTIVE mode; requires
-    p < 2 < u and a schedule budget of at least N_k at every estimated
-    level) or plain Monte Carlo (NONADAPTIVE mode), and levels above k1 are
-    dropped. ``m`` is the stage-one repetition count per level; ``None``
-    selects max(1, ceil(log2(N_k + 1))) per level.
+    Levels below ``schedule.k0`` are read in full (exact; each level once
+    per element, charged to every composite), the scheduled levels from k0
+    up are estimated at their budgets with the adaptive two-stage estimator
+    (ADAPTIVE mode; requires p < 2 < u and a budget of at least N_k at every
+    estimated level) or plain Monte Carlo (NONADAPTIVE mode), and levels
+    beyond the schedule are dropped. The weights come from ``x.spec.alpha``.
+    ``m`` is the stage-one repetition count per level; ``None`` selects
+    max(1, ceil(log2(N_k + 1))) per level.
     """
     spec = x.spec
-    schedule = level_allocation(k0, spec.alpha, delta, c0)
     if mode is Mode.ADAPTIVE:
         require_adaptive_regime(spec.p, spec.u)
     value = 0.0
@@ -221,7 +219,7 @@ def ds_estimate(
             continue
         weight = 2.0 ** (-spec.alpha * k)
         side = level_size(k)
-        if k < k0:
+        if k < schedule.k0:
             mean, card = x.readout(k)
             value += weight * mean
             cards += card

@@ -34,7 +34,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .direct_sum import DirectSumElement, DirectSumSpec, ds_estimate, ds_integral
+from .direct_sum import (DirectSumElement, DirectSumSpec, LevelAllocation, ds_estimate,
+                         ds_integral, level_allocation)
 from .errors import (
     InsufficientPoints,
     InvalidParameters,
@@ -519,37 +520,33 @@ def rate_experiment(
 _DsRow = namedtuple("DsRow", "k0 mode trials rms stderr mean_card seed")
 
 
-def sample_ds_input(
-    spec: DirectSumSpec, rng: RngStream, variant: Variant = Variant.ACTIVE_ROW_BERNOULLI
-) -> DirectSumElement:
-    """One random element with an independent draw at every level <= k_max."""
+def sample_ds_input(spec: DirectSumSpec, rng: RngStream) -> DirectSumElement:
+    """One random element: an independent active-row draw at every level <= k_max."""
     levels = []
     for k in range(spec.k_max + 1):
-        family = HardFamily(variant, spec.level_spec(k))
+        family = HardFamily(Variant.ACTIVE_ROW_BERNOULLI, spec.level_spec(k))
         levels.append((k, family.sample(rng.child(k))))
     return DirectSumElement(spec, levels)
 
 
 def _ds_trial(
     spec: DirectSumSpec,
-    k0_values: tuple[int, ...],
+    schedules: tuple[LevelAllocation, ...],
     modes: tuple[Mode, ...],
-    delta: float,
-    c0: float,
     m: int | None,
     stream: RngStream,
 ) -> list[tuple[float, int]]:
-    """One ``(signed error, cost)`` pair per k0 and mode, in that order."""
+    """One ``(signed error, cost)`` pair per schedule and mode, in that order."""
     x = sample_ds_input(spec, stream.child(0))
     truth = ds_integral(x)
     out = []
-    for i, k0 in enumerate(k0_values):
+    for i, schedule in enumerate(schedules):
         for mode in modes:
             # Stream ids are fixed per (k0, mode), not per position in the
             # requested mode list, so single-mode runs reproduce the
             # corresponding rows of a both-mode run.
             j = 0 if mode is Mode.ADAPTIVE else 1
-            rep = ds_estimate(x, k0, delta, mode, m, stream.child(1 + i * 2 + j), c0=c0)
+            rep = ds_estimate(x, schedule, mode, m, stream.child(1 + i * 2 + j))
             out.append((rep.value - truth, rep.cards))
     return out
 
@@ -577,32 +574,30 @@ def ds_experiment(
     or ``"both"``) on the same input. ``delta`` defaults to the midpoint
     (alpha - 1) / 2 of its admissible interval. Ratios are reported when
     both modes run. The settings hold ``alpha``, ``p``, ``u``, and
-    ``delta`` and ``k_max`` as resolved.
+    ``delta`` and ``k_max`` as resolved. Every k0's schedule is built, and
+    checked, once before the first trial.
     """
-    k0_values = tuple(int(k) for k in k0)
-    if not k0_values or any(k < 1 for k in k0_values):
-        raise InvalidParameters("k0 values must be positive integers")
     modes = tuple(Mode) if mode == "both" else (Mode(mode),)
-    # A NaN or infinite alpha would reach math.floor through beta.
-    if not 1.0 < alpha < INF:
-        raise InvalidParameters(f"alpha must be finite and exceed 1, got {alpha}")
     if delta is None:
         delta = (alpha - 1.0) / 2.0
-    beta = (alpha + 1.0) / alpha
-    needed = max(math.floor(beta * k) for k in k0_values)
+    alpha, delta, c0 = float(alpha), float(delta), float(c0)
+    schedules = tuple(level_allocation(k, alpha, delta, c0) for k in k0)
+    if not schedules:
+        raise InvalidParameters("k0 values must be positive integers")
+    needed = max(s.k1 for s in schedules)
     k_max = needed if k_max is None else int(k_max)
     if k_max < needed:
         raise InvalidParameters(
             f"k_max = {k_max} truncates below the largest estimated level {needed}"
         )
 
-    spec = DirectSumSpec(float(alpha), float(p), float(u), k_max)
-    args = (spec, k0_values, modes, float(delta), float(c0), m)
+    spec = DirectSumSpec(alpha, float(p), float(u), k_max)
+    args = (spec, schedules, modes, m)
     (cell,) = _run_cells([(_ds_trial, args, (), trials)], seed, workers)
     columns = iter(cell)
     rows = []
     footer = []
-    for k in k0_values:
+    for k in (s.k0 for s in schedules):
         rms = {}
         for kind in modes:
             stats = next(columns)
@@ -613,7 +608,7 @@ def ds_experiment(
             adaptive = rms[Mode.ADAPTIVE]
             ratio = rms[Mode.NONADAPTIVE] / adaptive if adaptive > 0 else math.inf
             footer.append(("ratio", f"k0={k}", ratio))
-    settings = {"alpha": float(alpha), "delta": float(delta), "k_max": k_max,
+    settings = {"alpha": alpha, "delta": delta, "k_max": k_max,
                 "p": float(p), "u": float(u)}
     return Table(_DsRow._fields, tuple(rows), tuple(footer), settings)
 

@@ -135,15 +135,16 @@ class TestDsEstimate:
         ]
         x = DirectSumElement(spec, levels)
         for mode in (Mode.ADAPTIVE, Mode.NONADAPTIVE):
-            rep = ds_estimate(x, 4, 0.3, mode, 2, RngStream(3))
+            rep = ds_estimate(x, level_allocation(4, 2.0, 0.3, 0.5), mode, 2, RngStream(3))
             assert rep.value == pytest.approx(ds_integral(x), abs=1e-15)
             assert rep.cards == sum(4**k for k in range(3))
 
     def test_zero_element(self):
         spec = ds_spec(k_max=6)
         x = DirectSumElement(spec, [])
+        schedule = level_allocation(4, 1.5, 0.2, 0.5)
         for mode in (Mode.ADAPTIVE, Mode.NONADAPTIVE):
-            rep = ds_estimate(x, 4, 0.2, mode, 2, RngStream(1))
+            rep = ds_estimate(x, schedule, mode, 2, RngStream(1))
             assert rep.value == 0.0
             assert rep.cards == 0
 
@@ -154,9 +155,10 @@ class TestDsEstimate:
         large = ds_spec(alpha=1.5, k_max=9)
         base = sample_ds_input(small, RngStream(44))
         carried = DirectSumElement(large, list(base.items()))
+        schedule = level_allocation(4, 1.5, 0.2, 0.5)
         for mode in (Mode.ADAPTIVE, Mode.NONADAPTIVE):
-            r1 = ds_estimate(base, 4, 0.2, mode, None, RngStream(7))
-            r2 = ds_estimate(carried, 4, 0.2, mode, None, RngStream(7))
+            r1 = ds_estimate(base, schedule, mode, None, RngStream(7))
+            r2 = ds_estimate(carried, schedule, mode, None, RngStream(7))
             assert r1.value == r2.value
             assert r1.cards == r2.cards
 
@@ -164,7 +166,8 @@ class TestDsEstimate:
         spec = ds_spec(alpha=2.0, k_max=6)
         # k0 = 2, alpha = 2 gives k1 = 3; a level-5 component is never read.
         x = DirectSumElement(spec, [constant_level(spec, 5, 1.0)])
-        rep = ds_estimate(x, 2, 0.5, Mode.NONADAPTIVE, None, RngStream(2))
+        schedule = level_allocation(2, 2.0, 0.5, 0.5)
+        rep = ds_estimate(x, schedule, Mode.NONADAPTIVE, None, RngStream(2))
         assert rep.value == 0.0
         assert rep.cards == 0
 
@@ -172,16 +175,18 @@ class TestDsEstimate:
         spec = ds_spec(p=2.0, u=INF, k_max=4)
         x = DirectSumElement(spec, [])
         with pytest.raises(PreconditionViolated):
-            ds_estimate(x, 2, 0.2, Mode.ADAPTIVE, None, RngStream(0))
+            ds_estimate(x, level_allocation(2, 1.5, 0.2, 0.5), Mode.ADAPTIVE, None,
+                        RngStream(0))
 
     def test_adaptive_budget_floor_enforced(self):
         # alpha = 1.1, k0 = 4, delta = 0.09: the top scheduled level gets a
         # budget below its side length, so the adaptive mode must refuse.
         spec = ds_spec(alpha=1.1, k_max=8)
         x = sample_ds_input(spec, RngStream(5))
+        schedule = level_allocation(4, 1.1, 0.09, 0.5)
         with pytest.raises(PreconditionViolated):
-            ds_estimate(x, 4, 0.09, Mode.ADAPTIVE, None, RngStream(1))
-        rep = ds_estimate(x, 4, 0.09, Mode.NONADAPTIVE, None, RngStream(1))
+            ds_estimate(x, schedule, Mode.ADAPTIVE, None, RngStream(1))
+        rep = ds_estimate(x, schedule, Mode.NONADAPTIVE, None, RngStream(1))
         assert rep.cards > 0
 
     def test_budget_accounting(self):
@@ -190,8 +195,8 @@ class TestDsEstimate:
         k0, delta, c0 = 4, 0.2, 0.5
         alloc = level_allocation(k0, spec.alpha, delta, c0)
         bound = alloc.budget_constant * 4**k0
-        rep_non = ds_estimate(x, k0, delta, Mode.NONADAPTIVE, None, RngStream(2), c0=c0)
+        rep_non = ds_estimate(x, alloc, Mode.NONADAPTIVE, None, RngStream(2))
         assert rep_non.cards <= bound
         m = 3
-        rep_ad = ds_estimate(x, k0, delta, Mode.ADAPTIVE, m, RngStream(2), c0=c0)
+        rep_ad = ds_estimate(x, alloc, Mode.ADAPTIVE, m, RngStream(2))
         assert rep_ad.cards <= 6 * m * bound

@@ -345,24 +345,24 @@ class TestDsTrialReadsEachLowLevelOnce:
         # Only the readouts open their tape through this name.
         monkeypatch.setattr(direct_sum, "open_nonadaptive", counting)
         spec = DirectSumSpec(1.5, 1.0, INF, 10)
-        k0_values = (4, 5, 6)
+        schedules = tuple(direct_sum.level_allocation(k0, 1.5, 0.2, 0.5)
+                          for k0 in (4, 5, 6))
         modes = (Mode.ADAPTIVE, Mode.NONADAPTIVE)
         stream = RngStream(3)
-        out = harness._ds_trial(spec, k0_values, modes, 0.2, 0.5, None, stream)
+        out = harness._ds_trial(spec, schedules, modes, None, stream)
         # Levels 0..5 once each, not once per composite (15 per mode).
         assert sorted(opened) == [2**k for k in range(6)]
         monkeypatch.undo()
 
         # Each composite still costs and returns what it does alone, on an
         # element whose levels were never read.
-        for i, k0 in enumerate(k0_values):
+        for i, schedule in enumerate(schedules):
             for j, mode in enumerate(modes):
                 x = harness.sample_ds_input(spec, stream.child(0))
-                alone = direct_sum.ds_estimate(x, k0, 0.2, mode, None,
+                alone = direct_sum.ds_estimate(x, schedule, mode, None,
                                                stream.child(1 + 2 * i + j))
                 assert out[2 * i + j] == (alone.value - direct_sum.ds_integral(x),
                                           alone.cards)
-            schedule = direct_sum.level_allocation(k0, 1.5, 0.2, 0.5)
             assert out[2 * i + 1][1] == schedule.total
 
 
@@ -405,7 +405,7 @@ class TestA2DrawsItsPlanOnce:
         spec = DirectSumSpec(1.5, 1.0, INF, 6)
         x = harness.sample_ds_input(spec, RngStream(5))
         schedule = direct_sum.level_allocation(4, 1.5, 0.2, 0.5)
-        direct_sum.ds_estimate(x, 4, 0.2, Mode.NONADAPTIVE, None, RngStream(6))
+        direct_sum.ds_estimate(x, schedule, Mode.NONADAPTIVE, None, RngStream(6))
         assert draws == [n for k, n in schedule.levels if k >= 4]
 
 
@@ -438,7 +438,8 @@ class TestRowSparsePathsStaySparse:
         spec = DirectSumSpec(1.5, 1.0, INF, 6)
         x = harness.sample_ds_input(spec, RngStream(5))
         direct_sum.ds_integral(x)
-        direct_sum.ds_estimate(x, 4, 0.2, mode, None, RngStream(6))
+        schedule = direct_sum.level_allocation(4, 1.5, 0.2, 0.5)
+        direct_sum.ds_estimate(x, schedule, mode, None, RngStream(6))
 
     def test_single_queries(self):
         spec = ProblemSpec(3, 4, 1.0, INF)
@@ -458,7 +459,8 @@ def test_adaptive_regime_is_enforced_at_every_entry_point(p, u, capsys):
     # Checked before the level loop, so an element without levels is refused.
     x = DirectSumElement(DirectSumSpec(1.5, p, u, 6), [])
     with pytest.raises(PreconditionViolated, match="p < 2 < u"):
-        direct_sum.ds_estimate(x, 4, 0.2, Mode.ADAPTIVE, None, RngStream(4))
+        schedule = direct_sum.level_allocation(4, 1.5, 0.2, 0.5)
+        direct_sum.ds_estimate(x, schedule, Mode.ADAPTIVE, None, RngStream(4))
     code = cli.run(["estimate", "--family", "mu4", "--alg", "a3", "--n1", "8",
                     "--n2", "8", "--p", str(p), "--u", str(u), "--n", "64"])
     assert code == 3
