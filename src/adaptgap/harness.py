@@ -244,16 +244,16 @@ def rms_error(
 def rate_fit(points) -> RateFit:
     """Ordinary least squares on (log2 n, log2 error).
 
-    Needs at least four points; every error must be finite and strictly
-    positive.
+    Needs at least four points; every n and every error must be finite and
+    strictly positive.
     """
     pts = [(float(n), float(err)) for n, err in points]
     if len(pts) < 4:
         raise InsufficientPoints(f"rate fit needs >= 4 points, got {len(pts)}")
-    if not all(math.isfinite(err) for _, err in pts):
-        raise NonfiniteError("rate fit requires finite errors")
-    if any(err <= 0.0 for _, err in pts):
-        raise NonpositiveError("rate fit requires strictly positive errors")
+    if not all(math.isfinite(n) and math.isfinite(err) for n, err in pts):
+        raise NonfiniteError("rate fit requires finite n and errors")
+    if any(n <= 0.0 or err <= 0.0 for n, err in pts):
+        raise NonpositiveError("rate fit requires strictly positive n and errors")
     x = np.log2([n for n, _ in pts])
     y = np.log2([err for _, err in pts])
     xm = x.mean()

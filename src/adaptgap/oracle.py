@@ -129,7 +129,10 @@ class Plan:
     def drawn(cls, n: int, spec: ProblemSpec, generator) -> Plan:
         """n uniform entries of a ``spec`` matrix from a numpy ``Generator``:
         the same flat indices as ``generator.integers(0, N1 * N2, size=n)``,
-        drawn a block at a time as ``blocks`` hands them out."""
+        drawn a block at a time as ``blocks`` hands them out. A negative n
+        raises ``ValueError``."""
+        if n < 0:
+            raise ValueError("a plan's size must be nonnegative")
         plan = cls.__new__(cls)
         plan.flat, plan.size, plan._handed = None, n, False
         plan._draw = functools.partial(generator.integers, 0, spec.n_entries)

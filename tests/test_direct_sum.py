@@ -112,6 +112,11 @@ class TestLevelAllocation:
         with pytest.raises(InvalidParameters):
             level_allocation(3, 2.0, 0.5, 1.0)
 
+    @pytest.mark.parametrize("k0", [2.5, math.nan, math.inf])
+    def test_k0_must_be_a_positive_integer(self, k0):
+        with pytest.raises(InvalidParameters, match="k0 must be a positive integer"):
+            level_allocation(k0, 1.5, 0.2, 0.5)
+
     def test_budget_bound_exact(self):
         rng = np.random.default_rng(0)
         for _ in range(200):

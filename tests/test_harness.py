@@ -172,6 +172,22 @@ class TestRateFit:
             rate_fit(points)
         assert harness._try_fit(points) is None
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [0, -2])
+    def test_nonpositive_n_is_no_fit(self, bad):
+        points = [(bad, 1.0), (2, 0.5), (4, 0.25), (8, 0.125)]
+        with pytest.raises(NonpositiveError):
+            rate_fit(points)
+        assert harness._try_fit(points) is None
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_nonfinite_n_is_no_fit(self, bad):
+        points = [(bad, 1.0), (2, 0.5), (4, 0.25), (8, 0.125)]
+        with pytest.raises(NonfiniteError):
+            rate_fit(points)
+        assert harness._try_fit(points) is None
+
     def test_noisy_line_recovers_slope(self):
         rng = np.random.default_rng(2)
         points = [
@@ -273,6 +289,15 @@ class TestDsExperiment:
     def test_k_max_floor_checked(self):
         with pytest.raises(InvalidParameters):
             ds_experiment(k0=(4,), trials=10, seed=0, k_max=3)
+
+    def test_schedule_errors_come_before_any_trial(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a trial ran before the schedules were checked")
+
+        monkeypatch.setattr(harness, "_run_cells", unreachable)
+        with pytest.raises(InvalidParameters) as info:
+            ds_experiment(k0=(4,), delta=0.6, trials=2)
+        assert str(info.value) == "delta must lie strictly inside (0, alpha - 1), got 0.6"
 
     def test_mode_may_be_a_mode(self):
         kwargs = dict(k0=(4,), trials=2, seed=15, delta=0.2)

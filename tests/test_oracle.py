@@ -290,6 +290,14 @@ class TestDrawnPlan:
             tape.query_many(1, 1)
         assert tape.card() == answered == 8
 
+    def test_size_is_nonnegative(self, f22):
+        # A negative size would open a tape with a negative budget; an
+        # empty drawn plan stays allowed.
+        with pytest.raises(ValueError, match="nonnegative"):
+            self.drawn(-3)
+        tape = open_nonadaptive(f22, self.drawn(0))
+        assert tape.budget == 0 and list(tape.answers()) == []
+
     def test_skipped_block_fails(self, f22):
         # A block taken from the plan elsewhere cannot be skipped: the
         # tape no longer answers the plan at all.
