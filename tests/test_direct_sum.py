@@ -139,8 +139,9 @@ class TestDsEstimate:
             for k in range(3)
         ]
         x = DirectSumElement(spec, levels)
+        schedule = level_allocation(4, 2.0, 0.3, 0.5)
         for mode in (Mode.ADAPTIVE, Mode.NONADAPTIVE):
-            rep = ds_estimate(x, level_allocation(4, 2.0, 0.3, 0.5), mode, 2, RngStream(3))
+            rep = ds_estimate(x, schedule, mode, 2, RngStream(3))
             assert rep.value == pytest.approx(ds_integral(x), abs=1e-15)
             assert rep.cards == sum(4**k for k in range(3))
 

@@ -173,18 +173,13 @@ class TestRateFit:
         assert harness._try_fit(points) is None
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("bad", [0, -2])
-    def test_nonpositive_n_is_no_fit(self, bad):
+    @pytest.mark.parametrize("bad, error", [
+        (0, NonpositiveError), (-2, NonpositiveError),
+        (math.inf, NonfiniteError), (math.nan, NonfiniteError),
+    ])
+    def test_bad_n_is_no_fit(self, bad, error):
         points = [(bad, 1.0), (2, 0.5), (4, 0.25), (8, 0.125)]
-        with pytest.raises(NonpositiveError):
-            rate_fit(points)
-        assert harness._try_fit(points) is None
-
-    @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("bad", [math.inf, math.nan])
-    def test_nonfinite_n_is_no_fit(self, bad):
-        points = [(bad, 1.0), (2, 0.5), (4, 0.25), (8, 0.125)]
-        with pytest.raises(NonfiniteError):
+        with pytest.raises(error):
             rate_fit(points)
         assert harness._try_fit(points) is None
 
@@ -297,7 +292,8 @@ class TestDsExperiment:
         monkeypatch.setattr(harness, "_run_cells", unreachable)
         with pytest.raises(InvalidParameters) as info:
             ds_experiment(k0=(4,), delta=0.6, trials=2)
-        assert str(info.value) == "delta must lie strictly inside (0, alpha - 1), got 0.6"
+        want = "delta must lie strictly inside (0, alpha - 1), got 0.6"
+        assert str(info.value) == want
 
     def test_mode_may_be_a_mode(self):
         kwargs = dict(k0=(4,), trials=2, seed=15, delta=0.2)
@@ -483,8 +479,8 @@ def test_adaptive_regime_is_enforced_at_every_entry_point(p, u, capsys):
         rms_error(family, EstimatorKind.A3, 64, 2, seed=3)
     # Checked before the level loop, so an element without levels is refused.
     x = DirectSumElement(DirectSumSpec(1.5, p, u, 6), [])
+    schedule = direct_sum.level_allocation(4, 1.5, 0.2, 0.5)
     with pytest.raises(PreconditionViolated, match="p < 2 < u"):
-        schedule = direct_sum.level_allocation(4, 1.5, 0.2, 0.5)
         direct_sum.ds_estimate(x, schedule, Mode.ADAPTIVE, None, RngStream(4))
     code = cli.run(["estimate", "--family", "mu4", "--alg", "a3", "--n1", "8",
                     "--n2", "8", "--p", str(p), "--u", str(u), "--n", "64"])
