@@ -157,7 +157,8 @@ def level_allocation(
     """Per-level sample budgets for base level k0; see module docstring.
 
     Requires alpha > 1, 0 < delta < alpha - 1, 0 < c0 < 1 and an integer
-    k0 >= 1. ``budget_constant`` certifies total <= budget_constant * 2^(2*k0).
+    1 <= k0 <= MAX_LEVEL (no element holds a higher level), checked first.
+    ``budget_constant`` certifies total <= budget_constant * 2^(2*k0).
     """
     if not 1.0 < alpha < INF:
         raise InvalidParameters(f"alpha must be finite and exceed 1, got {alpha}")
@@ -167,8 +168,10 @@ def level_allocation(
         )
     if not 0.0 < c0 < 1.0:
         raise InvalidParameters(f"c0 must lie in (0, 1), got {c0}")
-    if not (k0 >= 1 and float(k0).is_integer()):
-        raise InvalidParameters(f"k0 must be a positive integer, got {k0}")
+    if not (1 <= k0 <= MAX_LEVEL and float(k0).is_integer()):
+        raise InvalidParameters(
+            f"k0 must be a positive integer at most {MAX_LEVEL}, got {k0}"
+        )
     k0 = int(k0)
     beta = (alpha + 1.0) / alpha
     k1 = math.floor(beta * k0)

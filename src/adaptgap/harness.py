@@ -583,7 +583,7 @@ def ds_experiment(
     alpha, delta, c0 = float(alpha), float(delta), float(c0)
     schedules = tuple(level_allocation(k, alpha, delta, c0) for k in k0)
     if not schedules:
-        raise InvalidParameters("k0 values must be positive integers")
+        raise InvalidParameters("k0 needs at least one value")
     needed = max(s.k1 for s in schedules)
     k_max = needed if k_max is None else int(k_max)
     if k_max < needed:

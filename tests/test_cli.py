@@ -488,6 +488,12 @@ class TestOtherCommands:
         assert out == ""
         assert err == f"error: alpha must be finite and exceed 1, got {alpha}\n"
 
+    def test_ds_k0_above_the_levels_is_precondition_violation(self, capsys):
+        code, out, err = capture(capsys, ["ds", "--k0", "600", "--trials", "2"])
+        assert code == 3
+        assert out == ""
+        assert err == "error: k0 must be a positive integer at most 12, got 600\n"
+
     @pytest.mark.parametrize("population", ["nan,1", "inf,1"])
     def test_norm_est_nonfinite_population(self, population, capsys):
         code, out, err = capture(

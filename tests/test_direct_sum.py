@@ -6,6 +6,7 @@ import pytest
 from adaptgap.direct_sum import (
     DirectSumElement,
     DirectSumSpec,
+    MAX_LEVEL,
     ds_estimate,
     ds_integral,
     level_allocation,
@@ -116,6 +117,16 @@ class TestLevelAllocation:
     def test_k0_must_be_a_positive_integer(self, k0):
         with pytest.raises(InvalidParameters, match="k0 must be a positive integer"):
             level_allocation(k0, 1.5, 0.2, 0.5)
+
+    @pytest.mark.parametrize("k0", [0, MAX_LEVEL + 1, 600])
+    def test_k0_outside_the_levels_is_refused(self, k0):
+        # From k0 = 512 on, 2^(2*k0) overflows a float; the bound refuses
+        # such a k0 before any level is built.
+        want = f"k0 must be a positive integer at most {MAX_LEVEL}, got {k0}"
+        with pytest.raises(InvalidParameters) as info:
+            level_allocation(k0, 1.5, 0.2, 0.5)
+        assert str(info.value) == want
+        assert level_allocation(MAX_LEVEL, 1.5, 0.2, 0.5).k1 == 20
 
     def test_budget_bound_exact(self):
         rng = np.random.default_rng(0)

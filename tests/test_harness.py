@@ -295,6 +295,18 @@ class TestDsExperiment:
         want = "delta must lie strictly inside (0, alpha - 1), got 0.6"
         assert str(info.value) == want
 
+    def test_k0_bounds_come_before_any_level_is_built(self, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a trial ran before the schedules were checked")
+
+        monkeypatch.setattr(harness, "_run_cells", unreachable)
+        with pytest.raises(InvalidParameters) as info:
+            ds_experiment(k0=(4, 600), trials=2)
+        assert str(info.value) == "k0 must be a positive integer at most 12, got 600"
+        with pytest.raises(InvalidParameters) as info:
+            ds_experiment(k0=(), trials=2)
+        assert str(info.value) == "k0 needs at least one value"
+
     def test_mode_may_be_a_mode(self):
         kwargs = dict(k0=(4,), trials=2, seed=15, delta=0.2)
         by_name = ds_experiment(mode="adaptive", **kwargs)
