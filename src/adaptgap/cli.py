@@ -295,7 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     ds.add_argument("--u", type=parse_exponent, default=INF)
     ds.add_argument("--k0", type=parse_int_list, default=[4, 5, 6])
     ds.add_argument("--delta", type=float, default=None,
-                    help="decay of level budgets (default (alpha-1)/2)")
+                    help="decay of level budgets (default: the largest multiple "
+                         "of 0.01 up to (alpha-1)/2 that gives every level at "
+                         "least N_k samples)")
     ds.add_argument("--c0", type=float, default=0.5,
                     help="level budget scale constant in (0, 1)")
     ds.add_argument("--m", type=int, default=None)

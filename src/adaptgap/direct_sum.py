@@ -73,7 +73,7 @@ class DirectSumSpec:
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "p", as_exponent(self.p))
         object.__setattr__(self, "u", as_exponent(self.u))
-        if int(self.k_max) != self.k_max or not 0 <= self.k_max <= MAX_LEVEL:
+        if not (0 <= self.k_max <= MAX_LEVEL and float(self.k_max).is_integer()):
             raise InvalidParameters(
                 f"k_max must be an integer in [0, {MAX_LEVEL}], got {self.k_max}"
             )

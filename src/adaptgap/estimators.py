@@ -143,10 +143,9 @@ def norm_est_a1(population, v, n: int, rng: RngStream) -> float:
 
 
 def _plan_length(n) -> int:
-    """n as an int, or ``ValueError`` unless 1 <= n <= 2^53: beyond 2^53
-    queries the count is no longer exact in float64, and neither are
-    ``mean_card`` and ``total / n``."""
-    n = int(n)
+    """n as an int, or ``ValueError`` unless n is an integer and
+    1 <= n <= 2^53: beyond 2^53 queries the count is no longer exact in
+    float64, and neither are ``mean_card`` and ``total / n``."""
     if n < 1:
         raise ValueError("n must be positive")
     if n > 1 << 53:
@@ -154,14 +153,17 @@ def _plan_length(n) -> int:
             f"n = {n} queries exceed 2^53, beyond which counts are not exact "
             "in float64"
         )
-    return n
+    if not float(n).is_integer():
+        raise ValueError(f"n must be an integer, got {n}")
+    return int(n)
 
 
 def draw_plan(spec: ProblemSpec, n: int, rng: RngStream) -> Plan:
     """The n uniform entries that ``run_a2`` asks for ``rng``, as a drawn
     ``Plan`` of flat indices, drawn block by block as it is answered.
 
-    Refuses more than 2^53 queries with ``ValueError``.
+    Refuses an n that is not an integer, or more than 2^53 queries, with
+    ``ValueError``.
     """
     n = _plan_length(n)
     return Plan.drawn(n, spec, rng.generator())
@@ -336,24 +338,32 @@ def adaptive_mean_a3(tape: QueryTape, n: int, m: int, rng: RngStream) -> Estimat
     # PLAN_BLOCK at a time, and each block adds its part of every row it
     # covers into that row's sum, in block order. The sums start at -0.0,
     # which leaves the first part added, +0.0 included, exactly as it is.
+    # When all positions fit one block, that block covers every row whole:
+    # its segment sums are the row sums, and no segment is empty, as every
+    # count is at least ceil(n/N1) >= 1.
     allocation = allocate_samples(a_tilde, spec.p, n)
     ends = np.add.accumulate(allocation)
     starts = ends - allocation
     total = int(ends[-1])
     tape.check_budget(total)
     g2 = rng.child(_STAGE_SAMPLE).generator()
-    row_sums = np.full(n1, -0.0)
-    for start in range(0, total, block):
-        end = min(start + block, total)
-        # The rows [first, last) whose positions meet [start, end).
-        first = ends.searchsorted(start, "right")
-        last = ends.searchsorted(end) + 1
-        offsets = np.maximum(starts[first:last], start)
-        counts = np.minimum(ends[first:last], end) - offsets
-        offsets -= start
-        cols = g2.integers(1, n2 + 1, size=end - start)
-        vals = tape.query_many(row_ids[first:last].repeat(counts), cols)
-        row_sums[first:last] += np.add.reduceat(vals, offsets)
+    if total <= block:
+        cols = g2.integers(1, n2 + 1, size=total)
+        vals = tape.query_many(row_ids.repeat(allocation), cols)
+        row_sums = np.add.reduceat(vals, starts)
+    else:
+        row_sums = np.full(n1, -0.0)
+        for start in range(0, total, block):
+            end = min(start + block, total)
+            # The rows [first, last) whose positions meet [start, end).
+            first = ends.searchsorted(start, "right")
+            last = ends.searchsorted(end) + 1
+            offsets = np.maximum(starts[first:last], start)
+            counts = np.minimum(ends[first:last], end) - offsets
+            offsets -= start
+            cols = g2.integers(1, n2 + 1, size=end - start)
+            vals = tape.query_many(row_ids[first:last].repeat(counts), cols)
+            row_sums[first:last] += np.add.reduceat(vals, offsets)
     row_estimates = row_sums / allocation
 
     return EstimateReport(

@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .direct_sum import (DirectSumElement, DirectSumSpec, LevelAllocation, ds_estimate,
-                         ds_integral, level_allocation)
+                         ds_integral, level_allocation, level_size)
 from .errors import (
     InsufficientPoints,
     InvalidParameters,
@@ -174,6 +174,10 @@ def _stats_from_trials(results: Sequence[tuple[float, int]]) -> TrialStats:
     into [1/2, 1), and rms and stderr are scaled back. The scaling is exact,
     so a cell in range would get the same figures either way; it is left
     unscaled.
+
+    The means and the standard deviation are the ufunc reductions that
+    ``ndarray.mean`` and ``ndarray.std(ddof=1)`` run, called directly, so
+    they equal those methods bit for bit.
     """
     err = np.array([r[0] for r in results], dtype=np.float64)
     cards = np.array([r[1] for r in results], dtype=np.float64)
@@ -186,18 +190,19 @@ def _stats_from_trials(results: Sequence[tuple[float, int]]) -> TrialStats:
         _, exponent = math.frexp(big)
         err = np.ldexp(err, -exponent)
     sq = err * err
-    mean_sq = float(sq.mean())
+    mean_sq = float(np.add.reduce(sq) / t)
     rms = math.sqrt(mean_sq)
     if t > 1 and rms > 0.0:
-        se_mean_sq = float(sq.std(ddof=1)) / math.sqrt(t)
-        stderr = se_mean_sq / (2.0 * rms)
+        d = sq - mean_sq
+        sd_sq = math.sqrt(np.add.reduce(d * d) / (t - 1))
+        stderr = sd_sq / math.sqrt(t) / (2.0 * rms)
     else:
         stderr = 0.0
     return TrialStats(
         rms=math.ldexp(rms, exponent),
         stderr=math.ldexp(stderr, exponent),
-        mean_card=float(cards.mean()),
-        mae=float(ab.mean()),
+        mean_card=float(np.add.reduce(cards) / t),
+        mae=float(np.add.reduce(ab) / t),
         trials=t,
     )
 
@@ -551,6 +556,31 @@ def _ds_trial(
     return out
 
 
+def _default_delta(k0, alpha: float, c0: float) -> float:
+    """The largest multiple of 0.01 in (0, (alpha - 1) / 2] at which every
+    k0's schedule gives each level from k0 up a budget of at least N_k, the
+    least the adaptive estimator takes. The midpoint (alpha - 1) / 2 if there
+    is none, or if alpha is out of range; the schedules then refuse it."""
+    midpoint = (alpha - 1.0) / 2.0
+
+    def fits(i: int) -> bool:
+        delta = i / 100
+        return delta <= midpoint and all(
+            n_k >= level_size(k)
+            for s in (level_allocation(k, alpha, delta, c0) for k in k0)
+            for k, n_k in s.levels[s.k0:]
+        )
+
+    if not (1.0 < alpha < INF and fits(1)):
+        return midpoint
+    # Budgets fall as delta grows, so fits holds up to some i and no further.
+    lo, hi = 1, (int(midpoint) + 1) * 100  # fits(lo) holds, fits(hi) fails
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if fits(mid) else (lo, mid)
+    return lo / 100
+
+
 def ds_experiment(
     k0=(4, 5, 6),
     trials: int = 200,
@@ -571,16 +601,18 @@ def ds_experiment(
     Each trial samples one active-row instance per level up to ``k_max``
     (default: the largest level any tested k0 estimates) and runs the
     composites of every k0 in ``mode`` (``"adaptive"``, ``"nonadaptive"``
-    or ``"both"``) on the same input. ``delta`` defaults to the midpoint
-    (alpha - 1) / 2 of its admissible interval. Ratios are reported when
+    or ``"both"``) on the same input. ``delta`` defaults to the largest
+    multiple of 0.01 up to the midpoint (alpha - 1) / 2 of its admissible
+    interval at which every scheduled level's budget is at least N_k, in
+    every mode, so single-mode rows reproduce both-mode rows; to the
+    midpoint if there is none. Ratios are reported when
     both modes run. The settings hold ``alpha``, ``p``, ``u``, and
     ``delta`` and ``k_max`` as resolved. Every k0's schedule is built, and
     checked, once before the first trial.
     """
     modes = tuple(Mode) if mode == "both" else (Mode(mode),)
-    if delta is None:
-        delta = (alpha - 1.0) / 2.0
-    alpha, delta, c0 = float(alpha), float(delta), float(c0)
+    alpha, c0 = float(alpha), float(c0)
+    delta = _default_delta(k0, alpha, c0) if delta is None else float(delta)
     schedules = tuple(level_allocation(k, alpha, delta, c0) for k in k0)
     if not schedules:
         raise InvalidParameters("k0 needs at least one value")

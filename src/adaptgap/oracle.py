@@ -129,12 +129,12 @@ class Plan:
     def drawn(cls, n: int, spec: ProblemSpec, generator) -> Plan:
         """n uniform entries of a ``spec`` matrix from a numpy ``Generator``:
         the same flat indices as ``generator.integers(0, N1 * N2, size=n)``,
-        drawn a block at a time as ``blocks`` hands them out. A negative n
-        raises ``ValueError``."""
-        if n < 0:
-            raise ValueError("a plan's size must be nonnegative")
+        drawn a block at a time as ``blocks`` hands them out. An n that is
+        negative or not an integer raises ``ValueError``."""
+        if not (n >= 0 and float(n).is_integer()):
+            raise ValueError(f"a plan's size must be a nonnegative integer, got {n}")
         plan = cls.__new__(cls)
-        plan.flat, plan.size, plan._handed = None, n, False
+        plan.flat, plan.size, plan._handed = None, int(n), False
         plan._draw = functools.partial(generator.integers, 0, spec.n_entries)
         return plan
 

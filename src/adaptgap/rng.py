@@ -17,6 +17,10 @@ costs one. ``tests/test_rng.py``
 checks the derived keys and draws against numpy's ``SeedSequence``, which
 guards against a numpy release that changes the hash.
 
+Philox is handed its default all-zero counter explicitly, as one shared
+read-only array: numpy copies an array counter with one ``astype``, where it
+converts the default scalar 0 word by word in a Python loop.
+
 ``numpy.random`` is imported on the first :meth:`RngStream.generator` call,
 not with the package.
 """
@@ -60,7 +64,13 @@ class RngStream:
         stream never share state.
         """
         generator_cls, philox_cls, key_cls = _numpy_random()
-        return generator_cls(philox_cls(key_cls(_philox_key(self.seed, self.stream))))
+        key = key_cls(_philox_key(self.seed, self.stream))
+        return generator_cls(philox_cls(key, counter=_COUNTER))
+
+
+# Philox's default counter; numpy copies it, so one array serves every call.
+_COUNTER = np.zeros(4, dtype=np.uint64)
+_COUNTER.flags.writeable = False
 
 
 # The constants of numpy's seed-sequence hash (numpy/random/bit_generator.pyx).
@@ -104,12 +114,16 @@ def _mix(x: int, y: int) -> int:
 
 
 def _absorb(pool: _Pool, word: int) -> _Pool:
-    """Mix one more entropy word into every pool word."""
+    """Mix one more entropy word into every pool word: ``_hashmix`` of the
+    word, then ``_mix`` into the pool word, inline, as it runs per trial."""
     words, h = pool
     mixed = []
     for x in words:
-        v, h = _hashmix(word, h)
-        mixed.append(_mix(x, v))
+        v = word ^ h
+        h = h * _MULT_A & _MASK32
+        v = v * h & _MASK32
+        v = (_MIX_MULT_L * x - _MIX_MULT_R * (v ^ (v >> 16))) & _MASK32
+        mixed.append(v ^ (v >> 16))
     return tuple(mixed), h
 
 
@@ -146,16 +160,26 @@ def _pool(seed: int, path: tuple[int, ...]) -> _Pool:
     return pool
 
 
+# The output hash constants _INIT_B * _MULT_B^i, i = 0..4 (mod 2^32): pool
+# word i is xored with the i-th and multiplied by the (i+1)-th.
+_OUT_H = [_INIT_B]
+for _ in range(_POOL_SIZE):
+    _OUT_H.append(_OUT_H[-1] * _MULT_B & _MASK32)
+_H0, _H1, _H2, _H3, _H4 = _OUT_H
+del _OUT_H, _
+
+
 def _philox_key(seed: int, path: tuple[int, ...]) -> tuple[int, int]:
     """``SeedSequence(seed, spawn_key=path).generate_state(2, np.uint64)``."""
-    h = _INIT_B
-    out = []
-    for word in _pool(seed, path)[0]:
-        word ^= h
-        h = h * _MULT_B & _MASK32
-        word = word * h & _MASK32
-        out.append(word ^ (word >> 16))
-    return out[0] | out[1] << 32, out[2] | out[3] << 32
+    w0, w1, w2, w3 = _pool(seed, path)[0]
+    w0 = (w0 ^ _H0) * _H1 & _MASK32
+    w1 = (w1 ^ _H1) * _H2 & _MASK32
+    w2 = (w2 ^ _H2) * _H3 & _MASK32
+    w3 = (w3 ^ _H3) * _H4 & _MASK32
+    return (
+        w0 ^ (w0 >> 16) | (w1 ^ (w1 >> 16)) << 32,
+        w2 ^ (w2 >> 16) | (w3 ^ (w3 >> 16)) << 32,
+    )
 
 
 @cache

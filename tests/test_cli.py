@@ -443,6 +443,14 @@ class TestOtherCommands:
         assert code == 0
         assert "ratio" not in out
 
+    def test_ds_runs_at_its_defaults(self, capsys):
+        # At delta = (alpha - 1) / 2 = 0.25, level 10 was scheduled 1023
+        # samples, below N_10 = 1024, and ds exited 3.
+        code, out, err = capture(capsys, ["ds", "--trials", "2"])
+        assert code == 0 and err == ""
+        assert "# delta=0.24\n" in out
+        assert "ratio k0=6" in out
+
     def test_norm_est_smoke(self, capsys):
         code, out, _ = capture(
             capsys,

@@ -37,6 +37,12 @@ class TestSpecValidation:
         with pytest.raises(InvalidParameters):
             ds_spec(k_max=13)
 
+    @pytest.mark.parametrize("k_max", [math.nan, math.inf, 2.5])
+    def test_k_max_must_be_an_integer_level(self, k_max):
+        with pytest.raises(InvalidParameters) as info:
+            ds_spec(k_max=k_max)
+        assert str(info.value) == f"k_max must be an integer in [0, 12], got {k_max}"
+
     def test_level_shape_checked(self):
         spec = ds_spec()
         wrong = MixedMatrix(ProblemSpec(2, 2, spec.p, spec.u), np.zeros((2, 2)))

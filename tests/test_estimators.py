@@ -291,6 +291,15 @@ class TestFlatMapping:
             with pytest.raises(ValueError, match=str(2**53 + 1)):
                 draw(spec, 2**53 + 1, RngStream(1))
 
+    @pytest.mark.parametrize("n", [2.5, math.nan])
+    def test_counts_that_are_not_integers_are_refused(self, n):
+        # int() would truncate 2.5 to a plan of 2 queries.
+        spec = ProblemSpec(3, 5, 1.0, INF)
+        for draw in (draw_plan, draw_pairs):
+            with pytest.raises(ValueError, match=f"n must be an integer, got {n}"):
+                draw(spec, n, RngStream(1))
+        assert draw_plan(spec, 3.0, RngStream(1)).size == 3
+
     def test_entries_beyond_int64_flat_indices_are_refused(self):
         with pytest.raises(ValueError, match=str(2**64)):
             draw_plan(ProblemSpec(2**62, 4, 1.0, INF), 8, RngStream(1))
@@ -832,6 +841,23 @@ class TestA3Blocks:
                 eps = np.finfo(float).eps
                 bound = eps * ((want.allocation + n1) * mean_abs).sum() / n1
                 assert abs(got.value - want.value) <= bound + eps * abs(want.value)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_stage2_block_equals_several(self, monkeypatch, block, seed):
+        # mu4 at p = 1 has integer entries, so every cut of stage 2 sums each
+        # row exactly; at the default PLAN_BLOCK the 500-odd samples are one
+        # block, drawn and asked at once.
+        n1, n2, n, m = 20, 30, 500, 5
+        f = sample_mu4(ProblemSpec(n1, n2, 1.0, INF), RngStream(seed, (0,)))
+        assert np.array_equal(f.block, np.round(f.block))
+        rng = RngStream(seed, (1,))
+        several = adaptive_mean_a3(open_adaptive(f, budget=6 * m * n), n, m, rng)
+        assert several.stage_cards[1] > block
+        monkeypatch.setattr(oracle, "PLAN_BLOCK", 2**15)
+        one = adaptive_mean_a3(open_adaptive(f, budget=6 * m * n), n, m, rng)
+        assert one.value.hex() == several.value.hex()
+        assert one.allocation.tolist() == several.allocation.tolist()
+        assert one.stage_cards == several.stage_cards
 
     def test_scale_is_taken_per_block(self, monkeypatch, block):
         # Row 1 is 2^-600 throughout and row 0 is zero but for 2^600 in the

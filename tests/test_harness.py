@@ -1,7 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from adaptgap import cli, direct_sum, estimators, harness
 from adaptgap.direct_sum import DirectSumElement, DirectSumSpec
@@ -307,6 +310,25 @@ class TestDsExperiment:
             ds_experiment(k0=(), trials=2)
         assert str(info.value) == "k0 needs at least one value"
 
+    def test_default_delta_schedules_every_level_at_least_n_k(self):
+        # At the midpoint 0.25, level 10 of k0 = 6 gets 1023 < 1024 samples.
+        assert direct_sum.level_allocation(6, 1.5, 0.25, 0.5).levels[10] == (10, 1023)
+        assert direct_sum.level_allocation(6, 1.5, 0.24, 0.5).levels[10] == (10, 1052)
+        both = ds_experiment(trials=2, seed=3)
+        assert repr(both.settings["delta"]) == "0.24"
+        # Resolved alike in every mode, so single-mode rows are both-mode rows.
+        single = ds_experiment(trials=2, seed=3, mode="nonadaptive")
+        assert single.settings == both.settings
+        assert single.rows == both.rows[1::2]
+
+    def test_default_delta_keeps_the_midpoint_when_no_multiple_fits(self):
+        # k0 = 1 schedules 1 sample at level 1, below N_1 = 2, at any delta;
+        # at alpha = 1.01 no multiple of 0.01 lies below the midpoint 0.005.
+        assert harness._default_delta((4, 1), 1.5, 0.5) == 0.25
+        assert harness._default_delta((4,), 1.01, 0.5) == (1.01 - 1.0) / 2.0
+        with pytest.raises(PreconditionViolated, match="level 1: scheduled budget 1 "):
+            ds_experiment(k0=(1,), trials=2)
+
     def test_mode_may_be_a_mode(self):
         kwargs = dict(k0=(4,), trials=2, seed=15, delta=0.2)
         by_name = ds_experiment(mode="adaptive", **kwargs)
@@ -355,6 +377,44 @@ class TestNormDeviationExperiment:
         assert scaled.stderr == math.ldexp(base.stderr, power)
         assert scaled.mae == math.ldexp(base.mae, power)
         assert scaled.mean_card == base.mean_card == 3.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
+                 max_size=40),
+        st.integers(0, 2**40),
+    )
+    @example([2.0**600, -1.0, 0.0], 7)
+    @example([2.0**-300, -(2.0**-290)], 1)
+    def test_trial_stats_equal_the_mean_and_std_methods(self, errors, card):
+        def by_methods(results):
+            """The figures by ``ndarray.mean`` and ``ndarray.std(ddof=1)``."""
+            err = np.array([r[0] for r in results], dtype=np.float64)
+            cards = np.array([r[1] for r in results], dtype=np.float64)
+            t = err.size
+            ab = np.abs(err)
+            big = float(np.maximum.reduce(ab))
+            fourth = (big * big) * (big * big)
+            exponent = 0
+            if big > 0.0 and not (sys.float_info.min <= fourth and fourth * t < INF):
+                _, exponent = math.frexp(big)
+                err = np.ldexp(err, -exponent)
+            sq = err * err
+            rms = math.sqrt(float(sq.mean()))
+            stderr = 0.0
+            if t > 1 and rms > 0.0:
+                stderr = float(sq.std(ddof=1)) / math.sqrt(t) / (2.0 * rms)
+            return (math.ldexp(rms, exponent), math.ldexp(stderr, exponent),
+                    float(cards.mean()), float(ab.mean()), t)
+
+        results = [(e, card + i) for i, e in enumerate(errors)]
+        with np.errstate(over="ignore"):  # mae's sum may overflow either way
+            got = harness._stats_from_trials(results)
+            want = by_methods(results)
+        assert [x.hex() for x in (got.rms, got.stderr, got.mean_card, got.mae)] == [
+            x.hex() for x in want[:4]
+        ]
+        assert got.trials == want[4]
 
     def test_workers_bitwise_equal(self):
         kwargs = dict(trials=40, seed=17)

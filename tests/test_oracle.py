@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -297,6 +299,14 @@ class TestDrawnPlan:
             self.drawn(-3)
         tape = open_nonadaptive(f22, self.drawn(0))
         assert tape.budget == 0 and list(tape.answers()) == []
+
+    @pytest.mark.parametrize("n", [2.5, math.nan, math.inf])
+    def test_size_is_an_integer(self, n):
+        # A fractional size would open a tape with a fractional budget.
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            self.drawn(n)
+        plan = self.drawn(3.0)
+        assert plan.size == 3 and type(plan.size) is int
 
     def test_skipped_block_fails(self, f22):
         # A block taken from the plan elsewhere cannot be skipped: the

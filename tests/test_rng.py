@@ -69,6 +69,29 @@ def test_draws_equal_numpy_construction(seed, path):
 
 
 @settings(max_examples=100, deadline=None)
+@given(seeds, paths)
+def test_fresh_state_equals_numpy_construction(seed, path):
+    # Philox is handed its zero counter as a shared array; the fresh state,
+    # counter, key, buffer and buffered words, is numpy's default one.
+    state = RngStream(seed, path).generator().bit_generator.state
+    want = numpy_generator(seed, path).bit_generator.state
+    assert set(state) == {"bit_generator", "state", "buffer", "buffer_pos",
+                          "has_uint32", "uinteger"}
+    assert same_state(state, want)
+    assert state["state"]["counter"].tolist() == [0, 0, 0, 0]
+
+
+def test_shared_counter_is_never_written():
+    g = RngStream(3, (1, 2)).generator()
+    g.integers(0, 2**63, size=1000)
+    counter = adaptgap.rng._COUNTER
+    assert counter.tolist() == [0, 0, 0, 0] and not counter.flags.writeable
+    assert RngStream(3, (1, 2)).generator().bit_generator.state["state"][
+        "counter"
+    ].tolist() == [0, 0, 0, 0]
+
+
+@settings(max_examples=100, deadline=None)
 @given(seeds, ids, ids)
 def test_child_of_child_is_the_joint_path(seed, a, b):
     nested = RngStream(seed).child(a).child(b)
