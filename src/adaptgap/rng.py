@@ -115,7 +115,8 @@ def _mix(x: int, y: int) -> int:
 
 def _absorb(pool: _Pool, word: int) -> _Pool:
     """Mix one more entropy word into every pool word: ``_hashmix`` of the
-    word, then ``_mix`` into the pool word, inline, as it runs per trial."""
+    word, then ``_mix`` into the pool word, inline, as it runs for every
+    path word the cache misses."""
     words, h = pool
     mixed = []
     for x in words:
@@ -160,13 +161,9 @@ def _pool(seed: int, path: tuple[int, ...]) -> _Pool:
     return pool
 
 
-# The output hash constants _INIT_B * _MULT_B^i, i = 0..4 (mod 2^32): pool
-# word i is xored with the i-th and multiplied by the (i+1)-th.
-_OUT_H = [_INIT_B]
-for _ in range(_POOL_SIZE):
-    _OUT_H.append(_OUT_H[-1] * _MULT_B & _MASK32)
-_H0, _H1, _H2, _H3, _H4 = _OUT_H
-del _OUT_H, _
+# The output hash constants _INIT_B * _MULT_B^i mod 2^32: pool word i is
+# xored with _Hi and multiplied by _H(i+1).
+_H0, _H1, _H2, _H3, _H4 = (_INIT_B * pow(_MULT_B, i, 1 << 32) & _MASK32 for i in range(5))
 
 
 def _philox_key(seed: int, path: tuple[int, ...]) -> tuple[int, int]:
