@@ -560,7 +560,7 @@ def _default_delta(k0, alpha: float, c0: float) -> float:
     """The largest multiple of 0.01 in (0, (alpha - 1) / 2] at which every
     k0's schedule gives each level from k0 up a budget of at least N_k, the
     least the adaptive estimator takes. The midpoint (alpha - 1) / 2 if there
-    is none, or if alpha is out of range; the schedules then refuse it."""
+    is none; the schedules then refuse it."""
     midpoint = (alpha - 1.0) / 2.0
 
     def fits(i: int) -> bool:
@@ -571,7 +571,7 @@ def _default_delta(k0, alpha: float, c0: float) -> float:
             for k, n_k in s.levels[s.k0:]
         )
 
-    if not (1.0 < alpha < INF and fits(1)):
+    if not fits(1):
         return midpoint
     # Budgets fall as delta grows, so fits holds up to some i and no further.
     lo, hi = 1, (int(midpoint) + 1) * 100  # fits(lo) holds, fits(hi) fails
