@@ -12,17 +12,19 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import adaptgap
 from adaptgap.rng import RngStream, _philox_key, _pool
 
-# 0, one word, two words, and more words than SeedSequence's 4-word pool.
+# 0, one word, two words, three or four words (the pool's size, where a
+# seed stops being padded), and more words than SeedSequence's 4-word pool.
 seeds = st.one_of(
     st.just(0),
     st.integers(1, 2**32 - 1),
     st.integers(2**32, 2**64 - 1),
+    st.integers(2**64, 2**128 - 1),
     st.integers(2**128, 2**200),
 )
 # Stream ids of one word, zero included, and of several words.
@@ -44,6 +46,12 @@ def numpy_generator(seed, path):
 
 @settings(max_examples=300, deadline=None)
 @given(seeds, paths)
+# The first seeds of 4 and 5 words, and the last of 4.
+@example(2**96, ())
+@example(2**96, (0, 2**40))
+@example(2**128 - 1, (7,))
+@example(2**128, ())
+@example(2**128, (1, 2))
 def test_key_equals_seed_sequence_state(seed, path):
     want = np.random.SeedSequence(seed, spawn_key=path).generate_state(2, np.uint64)
     assert _philox_key(seed, path) == tuple(int(w) for w in want)
