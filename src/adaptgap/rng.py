@@ -7,15 +7,15 @@ statistically independent streams, so trials, stages, and levels can each
 own a private stream derived from one master seed.
 
 A stream is numpy's ``Generator(Philox(SeedSequence(seed, spawn_key=path)))``
-bit for bit. Only the Philox key is derived here, by numpy's own
-``SeedSequence`` hash: the seed's words are mixed into a 4-word pool, and
-the path's words are then absorbed one at a time. The pool after
-``(seed, path)`` is thus one step on from the pool after
-``(seed, path[:-1])``, so pools are kept per prefix in a small cache: a
-repeated path costs no absorbed word, and a new child of a cached prefix
-costs one. ``tests/test_rng.py``
-checks the derived keys and draws against numpy's ``SeedSequence``, which
-guards against a numpy release that changes the hash.
+bit for bit. numpy builds the seed's 4-word pool: ``SeedSequence(seed).pool``.
+Only the two steps numpy has no API for are hashed here, with numpy's
+``SeedSequence`` hash: absorbing the path's words into the pool one at a
+time, and the Philox key output. The pool after ``(seed, path)`` is thus
+one step on from the pool after ``(seed, path[:-1])``, so pools are kept per
+prefix in a small cache: a repeated path costs no absorbed word, and a new
+child of a cached prefix costs one. ``tests/test_rng.py`` checks the derived
+keys and draws against numpy's ``SeedSequence``, which guards against a
+numpy release that changes the hash.
 
 Philox is handed its default all-zero counter explicitly, as one shared
 read-only array: numpy copies an array counter with one ``astype``, where it
@@ -81,7 +81,6 @@ _INIT_B = 0x8B51F9DD
 _MULT_B = 0x58F38DED
 _MIX_MULT_L = 0xCA01F9DD
 _MIX_MULT_R = 0x4973F715
-_POOL_SIZE = 4
 
 # A pool is its 4 words and the running hash constant, which is all the
 # next absorbed word depends on besides its value.
@@ -101,22 +100,10 @@ def _words(n: int) -> list[int]:
     return words
 
 
-def _hashmix(value: int, h: int) -> tuple[int, int]:
-    value ^= h
-    h = h * _MULT_A & _MASK32
-    value = value * h & _MASK32
-    return value ^ (value >> 16), h
-
-
-def _mix(x: int, y: int) -> int:
-    result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
-    return result ^ (result >> 16)
-
-
 def _absorb(pool: _Pool, word: int) -> _Pool:
-    """Mix one more entropy word into every pool word: ``_hashmix`` of the
-    word, then ``_mix`` into the pool word, inline, as it runs for every
-    path word the cache misses."""
+    """Mix one more entropy word into every pool word: numpy's ``hashmix``
+    of the word, then its ``mix`` into the pool word, inline, as it runs for
+    every path word the cache misses."""
     words, h = pool
     mixed = []
     for x in words:
@@ -128,33 +115,18 @@ def _absorb(pool: _Pool, word: int) -> _Pool:
     return tuple(mixed), h
 
 
-def _seed_pool(seed: int) -> _Pool:
-    """The pool after the seed's words, before any path word."""
-    entropy = _words(seed)
-    # Short seeds are padded with zero words to the pool size, as numpy
-    # does whenever a spawn key follows.
-    padded = entropy[:_POOL_SIZE] + [0] * (_POOL_SIZE - len(entropy))
-    h = _INIT_A
-    mixer = []
-    for word in padded:
-        v, h = _hashmix(word, h)
-        mixer.append(v)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                v, h = _hashmix(mixer[src], h)
-                mixer[dst] = _mix(mixer[dst], v)
-    pool = tuple(mixer), h
-    for word in entropy[_POOL_SIZE:]:
-        pool = _absorb(pool, word)
-    return pool
-
-
 @lru_cache(maxsize=64)
 def _pool(seed: int, path: tuple[int, ...]) -> _Pool:
     """The pool after ``(seed, path)``, built from its cached prefix."""
     if not path:
-        return _seed_pool(seed)
+        from numpy.random import SeedSequence
+
+        # numpy builds the seed's pool in 4 hash steps to fill it, 12 to
+        # cross-mix it and 4 per seed word past the fourth; each step
+        # multiplies the running hash constant by _MULT_A.
+        steps = 4 * max(4, len(_words(seed)))
+        h = _INIT_A * pow(_MULT_A, steps, 1 << 32) & _MASK32
+        return tuple(map(int, SeedSequence(seed).pool)), h
     pool = _pool(seed, path[:-1])
     for word in _words(path[-1]):
         pool = _absorb(pool, word)

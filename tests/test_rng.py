@@ -1,8 +1,10 @@
 """RngStream against numpy's own SeedSequence construction.
 
-A stream's Philox key is derived in ``adaptgap.rng`` rather than by
-``numpy.random.SeedSequence``. These tests pin that derivation to numpy:
-if a numpy release changed the hash, they fail before any golden does.
+numpy builds the seed's pool, ``SeedSequence(seed).pool``; ``adaptgap.rng``
+hashes the path's words into it and outputs the Philox key itself, rather
+than through a ``SeedSequence(seed, spawn_key=path)`` per stream. These tests
+pin that derivation to numpy: if a numpy release changed the hash, they
+fail before any golden does.
 """
 
 import os
