@@ -171,9 +171,9 @@ def _stats_from_trials(results: Sequence[tuple[float, int]]) -> TrialStats:
     The standard error squares the squared errors' deviations, so it needs
     the largest error's fourth power in the normal range. When it is not,
     the errors are first divided by a power of two that brings the largest
-    into [1/2, 1), and rms and stderr are scaled back. The scaling is exact,
-    so a cell in range would get the same figures either way; it is left
-    unscaled.
+    into [1/2, 1), and rms, stderr and mae are scaled back. The scaling is
+    exact, so a cell in range would get the same figures either way; it is
+    left unscaled.
 
     The means and the standard deviation are the ufunc reductions that
     ``ndarray.mean`` and ``ndarray.std(ddof=1)`` run, called directly, so
@@ -189,6 +189,7 @@ def _stats_from_trials(results: Sequence[tuple[float, int]]) -> TrialStats:
     if big > 0.0 and not (sys.float_info.min <= fourth and fourth * t < INF):
         _, exponent = math.frexp(big)
         err = np.ldexp(err, -exponent)
+        ab = np.abs(err)
     sq = err * err
     mean_sq = float(np.add.reduce(sq) / t)
     rms = math.sqrt(mean_sq)
@@ -202,7 +203,7 @@ def _stats_from_trials(results: Sequence[tuple[float, int]]) -> TrialStats:
         rms=math.ldexp(rms, exponent),
         stderr=math.ldexp(stderr, exponent),
         mean_card=float(np.add.reduce(cards) / t),
-        mae=float(np.add.reduce(ab) / t),
+        mae=math.ldexp(np.add.reduce(ab) / t, exponent),
         trials=t,
     )
 

@@ -378,6 +378,12 @@ class TestNormDeviationExperiment:
         assert scaled.mae == math.ldexp(base.mae, power)
         assert scaled.mean_card == base.mean_card == 3.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_mae_of_errors_near_the_float_maximum_is_finite(self):
+        # |err| sums past the float maximum; the scaled errors do not.
+        stats = harness._stats_from_trials([(1.7e308, 1), (-1.7e308, 1)])
+        assert stats.mae == stats.rms == 1.7e308
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1,
@@ -386,6 +392,7 @@ class TestNormDeviationExperiment:
     )
     @example([2.0**600, -1.0, 0.0], 7)
     @example([2.0**-300, -(2.0**-290)], 1)
+    @example([2.0**1023, 2.0**1023], 0)
     def test_trial_stats_equal_the_mean_and_std_methods(self, errors, card):
         def by_methods(results):
             """The figures by ``ndarray.mean`` and ``ndarray.std(ddof=1)``."""
@@ -404,13 +411,14 @@ class TestNormDeviationExperiment:
             stderr = 0.0
             if t > 1 and rms > 0.0:
                 stderr = float(sq.std(ddof=1)) / math.sqrt(t) / (2.0 * rms)
+            # mae is the mean of the scaled |err|, scaled back.
+            mae = float(np.abs(err).mean())
             return (math.ldexp(rms, exponent), math.ldexp(stderr, exponent),
-                    float(cards.mean()), float(ab.mean()), t)
+                    float(cards.mean()), math.ldexp(mae, exponent), t)
 
         results = [(e, card + i) for i, e in enumerate(errors)]
-        with np.errstate(over="ignore"):  # mae's sum may overflow either way
-            got = harness._stats_from_trials(results)
-            want = by_methods(results)
+        got = harness._stats_from_trials(results)
+        want = by_methods(results)
         assert [x.hex() for x in (got.rms, got.stderr, got.mean_card, got.mae)] == [
             x.hex() for x in want[:4]
         ]
