@@ -164,14 +164,6 @@ def render(table: harness.Table, header: list[str], sep: str) -> str:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-_FAMILIES = {
-    "mu1": Variant.SINGLE_SPIKE,
-    "mu2": Variant.FULL_BERNOULLI,
-    "mu3": Variant.ROW_SPIKES,
-    "mu4": Variant.ACTIVE_ROW_BERNOULLI,
-}
-
-
 #: estimate's ``key=value`` lines, and the settings it resolved.
 _Report = namedtuple("_Report", "lines settings")
 
@@ -189,7 +181,7 @@ def _cmd_estimate(*, family, alg, n1, n2, p, u, n, m, input, seed) -> _Report:
         family = f"file:{input}"
     else:
         spec = ProblemSpec(n1, n2, p, u)
-        f = HardFamily(_FAMILIES[family], spec).sample(stream.child(0))
+        f = HardFamily(Variant(family), spec).sample(stream.child(0))
     # Sums of entries near the float maximum can overflow; both results are
     # checked below, so numpy's warnings would only repeat the error line.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -254,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     est = subs.add_parser("estimate", help="run one estimator on one instance")
-    est.add_argument("--family", choices=sorted(_FAMILIES), default="mu2")
+    est.add_argument("--family", choices=[v.value for v in Variant], default="mu2")
     est.add_argument("--alg", choices=("a2", "a3"), default="a2")
     est.add_argument("--n1", type=int, default=64)
     est.add_argument("--n2", type=int, default=64)

@@ -17,6 +17,7 @@ from adaptgap.cli import (
     run,
 )
 from adaptgap.estimators import run_a2
+from adaptgap.hard_instances import Variant
 from adaptgap.rng import RngStream
 from adaptgap.spaces import MixedMatrix, ProblemSpec, scalar_mean
 
@@ -88,6 +89,20 @@ class TestEstimate:
         assert code1 == code2 == 0
         assert out1 == out2
         assert "value=" in out1 and "true_mean=" in out1 and "card=128" in out1
+
+    @pytest.mark.parametrize("family", [v.value for v in Variant])
+    def test_every_family_runs_and_is_echoed(self, family, capsys):
+        code, out, _ = capture(
+            capsys, ["estimate", "--family", family, "--alg", "a2", "--n", "64"]
+        )
+        assert code == 0
+        assert f"# family={family}\n" in out
+
+    def test_unknown_family_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(["estimate", "--family", "mu9", "--alg", "a2", "--n", "64"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'mu9'" in capsys.readouterr().err
 
     def test_a3_reports_allocation(self, capsys):
         code, out, _ = capture(
