@@ -180,21 +180,29 @@ def dense_reference(variant, spec, rng):
     variant=st.sampled_from(list(Variant)),
     n1=st.integers(1, 12),
     n2=st.integers(1, 12),
-    p=st.sampled_from([1.0, 1.5, 2.0]),
+    p=st.sampled_from([1.0, 1.5, 2.0, INF]),
     u=st.sampled_from([1.0, 2.0, INF]),
     seed=st.integers(0, 2**32),
 )
 def test_samples_match_the_dense_reference(variant, n1, n2, p, u, seed):
     spec = ProblemSpec(n1, n2, p, u)
     rng = RngStream(seed, (3,))
+    if variant is Variant.ACTIVE_ROW_BERNOULLI and p == INF:
+        with pytest.raises(InvalidExponent):
+            HardFamily(variant, spec).sample(rng)
+        return
     f = HardFamily(variant, spec).sample(rng)
     reference = dense_reference(variant, spec, rng)
     assert np.array_equal(f.entries, reference)
-    # Single spike and active row are stored as one row; the others dense.
+    # Single spike and active row store their one nonzero row; the others
+    # are dense.
     if variant in (Variant.SINGLE_SPIKE, Variant.ACTIVE_ROW_BERNOULLI):
-        assert len(f.row_ids) == 1 and f.block.shape == (1, n2)
+        nonzero = np.flatnonzero(reference.any(axis=1))
+        assert f.row_ids == tuple(nonzero.tolist()) and len(f.row_ids) == 1
+        assert np.array_equal(f.block, reference[nonzero])
     else:
         assert f.row_ids is None
+        assert np.array_equal(f.block, reference)
     # The ground truth sums the stored rows only, in another order than the
     # dense sum: exact wherever the entries are integers, otherwise within 4
     # ulp of the mean absolute entry, the scale of the partial sums.
