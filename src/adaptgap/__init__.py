@@ -39,14 +39,7 @@ from .estimators import (
     run_a2,
     run_a3,
 )
-from .hard_instances import (
-    HardFamily,
-    Variant,
-    sample_mu1,
-    sample_mu2,
-    sample_mu3,
-    sample_mu4,
-)
+from .hard_instances import HardFamily, Variant
 from .harness import (
     EstimatorKind,
     RateFit,

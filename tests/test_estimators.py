@@ -27,7 +27,7 @@ from adaptgap.estimators import (
     run_a3,
 )
 from adaptgap import estimators, oracle
-from adaptgap.hard_instances import HardFamily, Variant, sample_mu1, sample_mu4
+from adaptgap.hard_instances import HardFamily, Variant
 from adaptgap.oracle import Plan, open_adaptive, open_nonadaptive
 from adaptgap.rng import RngStream
 from adaptgap.spaces import INF, MixedMatrix, ProblemSpec, scalar_mean
@@ -168,7 +168,7 @@ class TestMcMeanA2:
 
     def test_reproducible(self):
         spec = ProblemSpec(6, 6, 1.0, INF)
-        f = sample_mu4(spec, RngStream(3))
+        f = HardFamily(Variant.ACTIVE_ROW_BERNOULLI, spec).sample(RngStream(3))
         r1 = run_a2(f, 50, RngStream(9))
         r2 = run_a2(f, 50, RngStream(9))
         assert r1.value == r2.value and r1.cards == r2.cards
@@ -348,7 +348,8 @@ class TestA2Blocks:
         spec = ProblemSpec(n1, n2, 1.0, INF)
         g = np.random.default_rng(seed)
         dense = MixedMatrix(spec, g.integers(-9, 10, size=(n1, n2)).astype(float))
-        return dense, sample_mu4(spec, RngStream(seed, (0,)))
+        mu4 = HardFamily(Variant.ACTIVE_ROW_BERNOULLI, spec)
+        return dense, mu4.sample(RngStream(seed, (0,)))
 
     @staticmethod
     def reference(f, n, rng):
@@ -407,7 +408,9 @@ class TestA2Memory:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda: sample_mu4(ProblemSpec(1280, 1280, 1.0, INF), RngStream(1)),
+            lambda: HardFamily(
+                Variant.ACTIVE_ROW_BERNOULLI, ProblemSpec(1280, 1280, 1.0, INF)
+            ).sample(RngStream(1)),
             lambda: MixedMatrix(
                 ProblemSpec(512, 512, 2.0, 2.0),
                 np.random.default_rng(1).normal(size=(512, 512)),
@@ -642,7 +645,7 @@ class TestAdaptiveMeanA3:
         spec = ProblemSpec(8, 8, 1.0, INF)
         n = 64
         for seed in range(6):
-            f = sample_mu4(spec, RngStream(seed))
+            f = HardFamily(Variant.ACTIVE_ROW_BERNOULLI, spec).sample(RngStream(seed))
             active = int(np.flatnonzero(np.abs(f.entries).sum(axis=1))[0])
             tape = open_adaptive(f, budget=6 * 3 * n)
             report = adaptive_mean_a3(tape, n, 3, RngStream(seed + 100))
@@ -660,7 +663,9 @@ class TestAdaptiveMeanA3:
             n = int(g.integers(n1, 6 * n1 + 20))
             m = int(g.integers(1, 8))
             spec = ProblemSpec(n1, n2, 1.0, INF)
-            f = sample_mu4(spec, RngStream(int(g.integers(0, 1 << 32))))
+            f = HardFamily(Variant.ACTIVE_ROW_BERNOULLI, spec).sample(
+                RngStream(int(g.integers(0, 1 << 32)))
+            )
             tape = open_adaptive(f, budget=6 * m * n)
             report = adaptive_mean_a3(tape, n, m, RngStream(7, (n1, n)))
             assert report.cards <= 6 * m * n
@@ -668,7 +673,7 @@ class TestAdaptiveMeanA3:
 
     def test_reproducible_bitwise(self):
         spec = ProblemSpec(5, 9, 1.5, INF)
-        f = sample_mu4(spec, RngStream(1))
+        f = HardFamily(Variant.ACTIVE_ROW_BERNOULLI, spec).sample(RngStream(1))
         reports = [
             adaptive_mean_a3(open_adaptive(f, budget=6 * 4 * 25), 25, 4, RngStream(77))
             for _ in range(2)
@@ -805,8 +810,8 @@ class TestA3Blocks:
         yield False, MixedMatrix(spec, g.normal(size=(n1, n2)) * scales)
         for p in (1.0, 1.5):
             spec = ProblemSpec(n1, n2, p, INF)
-            for sample in (sample_mu1, sample_mu4):
-                f = sample(spec, RngStream(seed, (0,)))
+            for variant in (Variant.SINGLE_SPIKE, Variant.ACTIVE_ROW_BERNOULLI):
+                f = HardFamily(variant, spec).sample(RngStream(seed, (0,)))
                 yield bool(np.all(f.block == np.round(f.block))), f
         spec = ProblemSpec(n1, n2, 1.0, INF)
         yield True, MixedMatrix(spec, np.full((n1, n2), -0.0))
@@ -848,7 +853,8 @@ class TestA3Blocks:
         # row exactly; at the default PLAN_BLOCK the 500-odd samples are one
         # block, drawn and asked at once.
         n1, n2, n, m = 20, 30, 500, 5
-        f = sample_mu4(ProblemSpec(n1, n2, 1.0, INF), RngStream(seed, (0,)))
+        mu4 = HardFamily(Variant.ACTIVE_ROW_BERNOULLI, ProblemSpec(n1, n2, 1.0, INF))
+        f = mu4.sample(RngStream(seed, (0,)))
         assert np.array_equal(f.block, np.round(f.block))
         rng = RngStream(seed, (1,))
         several = adaptive_mean_a3(open_adaptive(f, budget=6 * m * n), n, m, rng)
@@ -904,7 +910,9 @@ class TestA3Memory:
     @pytest.mark.parametrize(
         "make",
         [
-            lambda: sample_mu4(ProblemSpec(5120, 5120, 1.0, INF), RngStream(1)),
+            lambda: HardFamily(
+                Variant.ACTIVE_ROW_BERNOULLI, ProblemSpec(5120, 5120, 1.0, INF)
+            ).sample(RngStream(1)),
             lambda: MixedMatrix(
                 ProblemSpec(1024, 1024, 1.5, 3.0),
                 np.random.default_rng(1).normal(size=(1024, 1024)),
@@ -939,7 +947,7 @@ def test_a3_is_homogeneous(n1, n2, extra, seed, power):
     # scaled instance must neither overflow nor underflow into a different
     # allocation: the estimate scales by exactly the same factor.
     spec = ProblemSpec(n1, n2, 1.0, INF)
-    f = sample_mu4(spec, RngStream(seed, (0,)))
+    f = HardFamily(Variant.ACTIVE_ROW_BERNOULLI, spec).sample(RngStream(seed, (0,)))
     scaled = MixedMatrix(spec, np.ldexp(f.entries, power))
     n = n1 + extra
     m = default_probe_count(n1)
@@ -1005,7 +1013,7 @@ def test_adaptive_beats_nonadaptive_at_equal_budget():
     sq2 = []
     for t in range(120):
         stream = RngStream(21, (t,))
-        f = sample_mu4(spec, stream.child(0))
+        f = HardFamily(Variant.ACTIVE_ROW_BERNOULLI, spec).sample(stream.child(0))
         truth = scalar_mean(f)
         rep3 = adaptive_mean_a3(
             open_adaptive(f, budget=6 * m * n), n, m, stream.child(1)

@@ -7,14 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from adaptgap.errors import InvalidExponent
-from adaptgap.hard_instances import (
-    HardFamily,
-    Variant,
-    sample_mu1,
-    sample_mu2,
-    sample_mu3,
-    sample_mu4,
-)
+from adaptgap.hard_instances import HardFamily, Variant
 from adaptgap.rng import RngStream
 from adaptgap.spaces import (
     INF,
@@ -32,7 +25,7 @@ class TestSingleSpike:
         for p, u in itertools.product(GRID, GRID):
             spec = ProblemSpec(5, 7, p, u)
             for seed in range(10):
-                f = sample_mu1(spec, RngStream(seed))
+                f = HardFamily(Variant.SINGLE_SPIKE, spec).sample(RngStream(seed))
                 assert mixed_norm(f) == pytest.approx(1.0, abs=1e-12)
 
     def test_mean_magnitude(self):
@@ -41,12 +34,12 @@ class TestSingleSpike:
             inverse_power(4, 1.5) * inverse_power(8, 4.0) / (4 * 8)
         )
         for seed in range(10):
-            f = sample_mu1(spec, RngStream(seed))
+            f = HardFamily(Variant.SINGLE_SPIKE, spec).sample(RngStream(seed))
             assert abs(scalar_mean(f)) == pytest.approx(expected, rel=1e-12)
 
     def test_inf_exponents_give_unit_spike(self):
         spec = ProblemSpec(3, 3, INF, INF)
-        f = sample_mu1(spec, RngStream(0))
+        f = HardFamily(Variant.SINGLE_SPIKE, spec).sample(RngStream(0))
         nonzero = f.entries[f.entries != 0.0]
         assert nonzero.shape == (1,)
         assert abs(nonzero[0]) == 1.0
@@ -57,14 +50,15 @@ class TestFullBernoulli:
     def test_unit_norm(self):
         for p, u in itertools.product(GRID, GRID):
             spec = ProblemSpec(3, 6, p, u)
-            f = sample_mu2(spec, RngStream(42))
+            f = HardFamily(Variant.FULL_BERNOULLI, spec).sample(RngStream(42))
             assert mixed_norm(f) == pytest.approx(1.0, rel=1e-12)
 
     def test_symmetric_mean(self):
         spec = ProblemSpec(64, 64, 2.0, 2.0)
         trials = 10_000
+        fam = HardFamily(Variant.FULL_BERNOULLI, spec)
         means = np.array(
-            [scalar_mean(sample_mu2(spec, RngStream(1, (t,)))) for t in range(trials)]
+            [scalar_mean(fam.sample(RngStream(1, (t,)))) for t in range(trials)]
         )
         se = means.std(ddof=1) / math.sqrt(trials)
         assert abs(means.mean()) <= 3.0 * se
@@ -76,19 +70,19 @@ class TestRowSpikes:
     def test_unit_norm(self):
         for p, u in itertools.product(GRID, GRID):
             spec = ProblemSpec(6, 5, p, u)
-            f = sample_mu3(spec, RngStream(3))
+            f = HardFamily(Variant.ROW_SPIKES, spec).sample(RngStream(3))
             assert mixed_norm(f) == pytest.approx(1.0, rel=1e-12)
 
     def test_mean_formula(self):
         spec = ProblemSpec(6, 5, 2.0, 3.0)
-        f = sample_mu3(spec, RngStream(8))
+        f = HardFamily(Variant.ROW_SPIKES, spec).sample(RngStream(8))
         signs = f.entries.sum(axis=1) / inverse_power(5, 3.0)
         expected = inverse_power(5, 3.0) / 5 * signs.mean()
         assert scalar_mean(f) == pytest.approx(expected, rel=1e-12)
 
     def test_single_row_degenerates_to_spike(self):
         spec = ProblemSpec(1, 9, 1.0, 2.0)
-        f = sample_mu3(spec, RngStream(5))
+        f = HardFamily(Variant.ROW_SPIKES, spec).sample(RngStream(5))
         assert np.count_nonzero(f.entries) == 1
 
 
@@ -96,12 +90,12 @@ class TestActiveRowBernoulli:
     def test_unit_norm(self):
         for p, u in itertools.product([1.0, 1.5, 2.0, 4.0], GRID):
             spec = ProblemSpec(4, 6, p, u)
-            f = sample_mu4(spec, RngStream(9))
+            f = HardFamily(Variant.ACTIVE_ROW_BERNOULLI, spec).sample(RngStream(9))
             assert mixed_norm(f) == pytest.approx(1.0, rel=1e-12)
 
     def test_structure(self):
         spec = ProblemSpec(5, 8, 1.0, INF)
-        f = sample_mu4(spec, RngStream(17))
+        f = HardFamily(Variant.ACTIVE_ROW_BERNOULLI, spec).sample(RngStream(17))
         nonzero_rows = np.flatnonzero(np.abs(f.entries).sum(axis=1))
         assert nonzero_rows.shape == (1,)
         assert np.count_nonzero(f.entries) == 8
@@ -109,7 +103,7 @@ class TestActiveRowBernoulli:
 
     def test_mean_formula(self):
         spec = ProblemSpec(5, 8, 1.5, INF)
-        f = sample_mu4(spec, RngStream(23))
+        f = HardFamily(Variant.ACTIVE_ROW_BERNOULLI, spec).sample(RngStream(23))
         scale = inverse_power(5, 1.5)
         signs = f.entries[np.abs(f.entries).sum(axis=1) > 0] / scale
         expected = scale / (5 * 8) * signs.sum()
@@ -117,24 +111,17 @@ class TestActiveRowBernoulli:
 
     def test_infinite_p_rejected(self):
         with pytest.raises(InvalidExponent):
-            sample_mu4(ProblemSpec(2, 2, INF, 2.0), RngStream(0))
+            fam = HardFamily(Variant.ACTIVE_ROW_BERNOULLI, ProblemSpec(2, 2, INF, 2.0))
+            fam.sample(RngStream(0))
 
 
 class TestSharedProperties:
-    @pytest.mark.parametrize(
-        "sampler", [sample_mu1, sample_mu2, sample_mu3, sample_mu4]
-    )
-    def test_determinism(self, sampler):
-        spec = ProblemSpec(4, 6, 1.5, 4.0)
-        a = sampler(spec, RngStream(31, (2,)))
-        b = sampler(spec, RngStream(31, (2,)))
+    @pytest.mark.parametrize("variant", Variant, ids=lambda v: f"sample_{v.value}")
+    def test_determinism(self, variant):
+        fam = HardFamily(variant, ProblemSpec(4, 6, 1.5, 4.0))
+        a = fam.sample(RngStream(31, (2,)))
+        b = fam.sample(RngStream(31, (2,)))
         assert np.array_equal(a.entries, b.entries)
-
-    def test_family_dispatch(self):
-        spec = ProblemSpec(3, 3, 1.0, 2.0)
-        fam = HardFamily(Variant.ROW_SPIKES, spec)
-        direct = sample_mu3(spec, RngStream(12))
-        assert np.array_equal(fam.sample(RngStream(12)).entries, direct.entries)
 
     def test_unit_ball_grid(self):
         for variant in Variant:
