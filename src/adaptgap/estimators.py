@@ -395,5 +395,8 @@ def run_a3(f: MixedMatrix, n: int, m: int | None, rng: RngStream) -> EstimateRep
     spec = f.spec
     require_adaptive_regime(spec.p, spec.u)
     m = default_probe_count(spec.n1) if m is None else int(m)
+    # Refused here too, before a negative m makes a negative tape budget.
+    if m < 1:
+        raise PreconditionViolated("m must be a positive integer")
     tape = open_adaptive(f, budget=6 * m * n)
     return adaptive_mean_a3(tape, n, m, rng)

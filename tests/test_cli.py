@@ -293,6 +293,24 @@ def test_instance_sides_beyond_floats_are_precondition_violations(argv, capsys):
     assert "beyond the float range" in err
 
 
+@pytest.mark.parametrize("m", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gap", "--budgets", "256", "--trials", "2"],
+        ["ds", "--k0", "4", "--delta", "0.2", "--trials", "2"],
+        ["estimate", "--alg", "a3", "--family", "mu4", "--p", "1", "--u", "inf",
+         "--n", "256"],
+    ],
+    ids=["gap", "ds", "estimate"],
+)
+def test_probe_counts_below_one_are_precondition_violations(argv, m, capsys):
+    # A negative m is refused as m, not as the negative tape budget 6*m*n.
+    code, out, err = capture(capsys, [*argv, "--m", m])
+    assert code == 3
+    assert out == "" and err == "error: m must be a positive integer\n"
+
+
 def _subcommands() -> dict[str, argparse.ArgumentParser]:
     (subs,) = [action for action in build_parser()._actions
                if isinstance(action, argparse._SubParsersAction)]
