@@ -247,7 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     est = subs.add_parser("estimate", help="run one estimator on one instance")
     est.add_argument("--family", choices=[v.value for v in Variant], default="mu2")
-    est.add_argument("--alg", choices=("a2", "a3"), default="a2")
+    est.add_argument("--alg", choices=[k.value for k in harness.EstimatorKind],
+                     default="a2")
     est.add_argument("--n1", type=int, default=64)
     est.add_argument("--n2", type=int, default=64)
     est.add_argument("--p", type=parse_exponent, default=2.0)
