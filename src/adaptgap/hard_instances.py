@@ -71,6 +71,7 @@ class HardFamily:
     spec: ProblemSpec
 
     def sample(self, rng: RngStream) -> MixedMatrix:
+        """One draw; the active-row family raises ``InvalidExponent`` at p = inf."""
         spec = self.spec
         one_row, one_spike = _SHAPES[self.variant]
         if one_row and not one_spike and spec.p == INF:
@@ -82,9 +83,7 @@ class HardFamily:
             rows, scale = 1, inverse_power(spec.n1, spec.p)
             row_ids = (int(g_pos.integers(0, spec.n1)),)
         g_sign = rng.child(_SIGNS).generator()
-        if not one_spike:
-            block = _signs(g_sign, (rows, spec.n2), scale)
-        else:
+        if one_spike:
             # One row draws its column and sign as scalars: the same values
             # as one-element arrays, and faster.
             size = None if one_row else rows
@@ -92,4 +91,6 @@ class HardFamily:
             block[np.arange(rows), g_pos.integers(0, spec.n2, size=size)] = _signs(
                 g_sign, size, scale * inverse_power(spec.n2, spec.u)
             )
+        else:
+            block = _signs(g_sign, (rows, spec.n2), scale)
         return MixedMatrix._adopt(spec, row_ids, block)
