@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from . import harness
-from .errors import AdaptGapError, NonfiniteError
+from .errors import AdaptGapError, NonfiniteError, PreconditionViolated
 from .estimators import run_a2, run_a3
 from .hard_instances import HardFamily, Variant
 from .rng import RngStream
@@ -169,6 +169,8 @@ _Report = namedtuple("_Report", "lines settings")
 
 
 def _cmd_estimate(*, family, alg, n1, n2, p, u, n, m, input, seed) -> _Report:
+    if m is not None and m < 1:  # a2 never reads m, but the header echoes it
+        raise PreconditionViolated("m must be a positive integer")
     stream = RngStream(seed)
     if input:
         entries = np.load(input)

@@ -10,7 +10,7 @@ class InvalidExponent(AdaptGapError):
 
 
 class IndexOutOfRange(AdaptGapError):
-    """A matrix index lies outside [1, N1] x [1, N2]."""
+    """A matrix index lies outside [0, N1) x [0, N2)."""
 
 
 class BudgetExceeded(AdaptGapError):

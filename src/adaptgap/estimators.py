@@ -9,13 +9,12 @@ Three estimators are provided:
   NONADAPTIVE tape's plan, normally ``draw_plan``'s n uniform
   with-replacement entries. Non-adaptive (the plan is fixed before any
   answer) and unbiased, with cost exactly n. Each sample is one uniform
-  flat entry index in [0, N1*N2), one bounded draw, which stands for the
-  entry (f // N2 + 1, f % N2 + 1). The drawn plan draws each block of
-  indices as the tape answers it, and a2 sums the answers block by block,
-  so it holds one block of indices and answers, not n-length arrays. At
-  integer entries, and whenever n <= ``PLAN_BLOCK``, the value equals the
-  mean of all n answers at once bit for bit; otherwise it may differ in the
-  last bits.
+  flat entry index f in [0, N1*N2), one bounded draw, the 0-based entry
+  (f // N2, f % N2). The drawn plan draws each block of indices as the
+  tape answers it, and a2 sums the answers block by block, so it holds one
+  block of indices and answers, not n-length arrays. At integer entries,
+  and whenever n <= ``PLAN_BLOCK``, the value equals the mean of all n
+  answers at once bit for bit; otherwise it may differ in the last bits.
 * ``adaptive_mean_a3`` -- two-stage adaptive estimator for 1 <= p < 2, the
   p of its tape's spec.
   Stage one probes every row with m independent empirical L_2 norms of
@@ -122,12 +121,12 @@ def median(values, axis: int | None = None):
 def norm_est_a1(population, v, n: int, rng: RngStream) -> float:
     """Empirical L_v norm from n uniform draws of a finite population.
 
-    ``population`` is a nonempty vector of values. The draws are 1-based
-    indices ``integers(1, size + 1, size=n)``, and the estimate is
+    ``population`` is a nonempty vector of values. The draws are indices
+    ``integers(0, size, size=n)``, and the estimate is
     ((1/n) * sum |value|^v)^(1/v) over the values they pick, as ``row_norm``
     of those values computes it. The expected deviation from the true
     averaged L_v norm decays like n^max(1/u - 1/v, -1/2) for populations
-    bounded in L_u.
+    bounded in L_u. n is refused as ``draw_plan`` refuses it.
     """
     v = as_exponent(v)
     if v == INF:
@@ -135,11 +134,16 @@ def norm_est_a1(population, v, n: int, rng: RngStream) -> float:
     population = np.asarray(population, dtype=np.float64)
     if population.ndim != 1 or population.size < 1:
         raise ValueError("population must be a nonempty 1-D vector")
-    n = int(n)
-    if n < 1:
-        raise ValueError("n must be positive")
-    idx = rng.generator().integers(1, population.size + 1, size=n)
-    return row_norm(population[idx - 1], v)
+    n = _plan_length(n)
+    idx = rng.generator().integers(0, population.size, size=n)
+    return row_norm(population[idx], v)
+
+
+def _integer(n) -> int:
+    """n as an int; ``ValueError`` unless n is an integer (NaN is not)."""
+    if not (isinstance(n, (int, np.integer)) or float(n).is_integer()):
+        raise ValueError(f"n must be an integer, got {n}")
+    return int(n)
 
 
 def _plan_length(n) -> int:
@@ -153,9 +157,7 @@ def _plan_length(n) -> int:
             f"n = {n} queries exceed 2^53, beyond which counts are not exact "
             "in float64"
         )
-    if not float(n).is_integer():
-        raise ValueError(f"n must be an integer, got {n}")
-    return int(n)
+    return _integer(n)
 
 
 def draw_plan(spec: ProblemSpec, n: int, rng: RngStream) -> Plan:
@@ -265,15 +267,15 @@ def default_probe_count(n1: int) -> int:
 def adaptive_mean_a3(tape: QueryTape, n: int, m: int, rng: RngStream) -> EstimateReport:
     """Two-stage adaptive mean estimate; see the module docstring.
 
-    Requires an ADAPTIVE tape, n >= N1, and 1 <= p < 2 for the p of
-    ``tape.spec``. Cost is at most 6*m*n, so a tape budget of 6*m*n never
+    Requires an ADAPTIVE tape, an integer n >= N1, and 1 <= p < 2 for the p
+    of ``tape.spec``. Cost is at most 6*m*n, so a tape budget of 6*m*n never
     raises ``BudgetExceeded``.
     """
     if tape.mode is not Mode.ADAPTIVE:
         raise PreconditionViolated("adaptive_mean_a3 requires an ADAPTIVE tape")
     spec = tape.spec
     n1, n2 = spec.n1, spec.n2
-    n = int(n)
+    n = _integer(n)
     if n < n1:
         raise PreconditionViolated(f"n = {n} must be at least N1 = {n1}")
     m = int(m)
@@ -286,7 +288,7 @@ def adaptive_mean_a3(tape: QueryTape, n: int, m: int, rng: RngStream) -> Estimat
     per_probe = -(-n // n1)  # ceil(n / N1) samples per probe
     k = per_probe * m
     stage1 = n1 * k
-    row_ids = np.arange(1, n1 + 1, dtype=np.int64)
+    row_ids = np.arange(n1, dtype=np.int64)
 
     # Stage 1: m empirical L_2 probes per row, one column plan shared by all
     # rows, then the per-row median of the m probe values. The k probe
@@ -305,7 +307,7 @@ def adaptive_mean_a3(tape: QueryTape, n: int, m: int, rng: RngStream) -> Estimat
     # A block whose answers are all zero, as most of a gap trial's are,
     # skips the arithmetic and writes the +0.0 it would give.
     g1 = rng.child(_STAGE_PROBE).generator()
-    cols1 = g1.integers(1, n2 + 1, size=k)
+    cols1 = g1.integers(0, n2, size=k)
     step = max(1, block // k)  # rows per block
     # Each stage checks its whole count first, so it charges nothing if it
     # cannot finish.
@@ -348,7 +350,7 @@ def adaptive_mean_a3(tape: QueryTape, n: int, m: int, rng: RngStream) -> Estimat
     tape.check_budget(total)
     g2 = rng.child(_STAGE_SAMPLE).generator()
     if total <= block:
-        cols = g2.integers(1, n2 + 1, size=total)
+        cols = g2.integers(0, n2, size=total)
         vals = tape.query_many(row_ids.repeat(allocation), cols)
         row_sums = np.add.reduceat(vals, starts)
     else:
@@ -361,7 +363,7 @@ def adaptive_mean_a3(tape: QueryTape, n: int, m: int, rng: RngStream) -> Estimat
             offsets = np.maximum(starts[first:last], start)
             counts = np.minimum(ends[first:last], end) - offsets
             offsets -= start
-            cols = g2.integers(1, n2 + 1, size=end - start)
+            cols = g2.integers(0, n2, size=end - start)
             vals = tape.query_many(row_ids[first:last].repeat(counts), cols)
             row_sums[first:last] += np.add.reduceat(vals, offsets)
     row_estimates = row_sums / allocation
@@ -395,8 +397,8 @@ def run_a3(f: MixedMatrix, n: int, m: int | None, rng: RngStream) -> EstimateRep
     spec = f.spec
     require_adaptive_regime(spec.p, spec.u)
     m = default_probe_count(spec.n1) if m is None else int(m)
-    # Refused here too, before a negative m makes a negative tape budget.
+    # Here too, before a negative m or a fractional n makes a wrong budget.
     if m < 1:
         raise PreconditionViolated("m must be a positive integer")
-    tape = open_adaptive(f, budget=6 * m * n)
+    tape = open_adaptive(f, budget=6 * m * _integer(n))
     return adaptive_mean_a3(tape, n, m, rng)

@@ -13,22 +13,22 @@ budget, and enforces the access discipline, set by whether it holds a plan:
   holds by construction: no answer can reach the choice of a query. The
   budget is the plan's size.
 
-A plan holds flat entry indices: the query (i, j) is the 0-based row-major
-position ``f = (i - 1) * N2 + (j - 1)``, which int64 holds because a
-:class:`ProblemSpec` has fewer than 2^63 entries. A plan is explicit or
-drawn. An explicit plan is ``Plan(flat)``, its int64 flat indices, 8 bytes
-per query, as ``DirectSumElement.readout`` builds it; its size is their
-count. A drawn plan (:meth:`Plan.drawn`) holds only its generator and
-its length, and draws each block of uniform flat indices as it hands the
-block out: one bounded draw per query. Its values equal one draw of all n
-indices, because numpy's ``Generator.integers`` drawn in pieces continues
-the same stream; so it never holds more than a block of indices, however
-long the plan. :func:`open_nonadaptive` takes a plan and nothing else.
+Query indices are 0-based, as numpy's are: (i, j) in [0, N1) x [0, N2). A
+plan holds flat entry indices: the query (i, j) is the row-major position
+``f = i * N2 + j``, which int64 holds because a :class:`ProblemSpec` has
+fewer than 2^63 entries. A plan is explicit or drawn. An explicit plan is
+``Plan(flat)``, its int64 flat indices, 8 bytes per query, as
+``DirectSumElement.readout`` builds it; its size is their count. A drawn
+plan (:meth:`Plan.drawn`) holds only its generator and its length, and draws
+each block of uniform flat indices as it hands the block out: one bounded
+draw per query. Its values equal one draw of all n indices, because numpy's
+``Generator.integers`` drawn in pieces continues the same stream; so it
+never holds more than a block of indices, however long the plan.
+:func:`open_nonadaptive` takes a plan and nothing else.
 
-Query indices are 1-based, matching (i, j) in [1, N1] x [1, N2]. Failed
-queries (budget or discipline errors) are not charged: the run is aborted,
-not billed. ``query_many`` answers a batch with exactly the semantics of
-issuing its queries one at a time, but at vectorized cost.
+Failed queries (budget or discipline errors) are not charged: the run is
+aborted, not billed. ``query_many`` answers a batch with exactly the
+semantics of issuing its queries one at a time, but at vectorized cost.
 
 There are two answer routes. An adaptive batch is a grid: its row and
 column arrays broadcast against each other, so equally shaped pairs, a
@@ -107,7 +107,7 @@ def _keep_freed_blocks() -> None:
 
 class Plan:
     """The declared query sequence of a NONADAPTIVE tape, as flat entry
-    indices ``(i - 1) * N2 + (j - 1)``.
+    indices ``i * N2 + j``.
 
     Build an explicit plan from a 1-D integer array of flat indices as
     ``Plan(flat)``, and a drawn one with :meth:`Plan.drawn`. ``flat`` holds
@@ -206,15 +206,15 @@ class QueryTape:
         range; return the least and the greatest row."""
         spec = self._spec
         # The ufunc reductions skip the Python layer of ndarray.min and .max.
+        # Columns are read as unsigned, as in ``_answer_flat``.
         low = np.minimum.reduce(rows, axis=None)
         top = np.maximum.reduce(rows, axis=None)
         if not (
-            low >= 1 and top <= spec.n1
-            and np.minimum.reduce(cols, axis=None) >= 1
-            and np.maximum.reduce(cols, axis=None) <= spec.n2
+            low >= 0 and top < spec.n1
+            and np.maximum.reduce(cols.view(np.uint64), axis=None) < spec.n2
         ):
             raise IndexOutOfRange(
-                f"query indices outside [1, {spec.n1}] x [1, {spec.n2}]"
+                f"query indices outside [0, {spec.n1}) x [0, {spec.n2})"
             )
         return low, top
 
@@ -293,19 +293,15 @@ class QueryTape:
         count = grid.size
         # The least and the greatest row asked: a stored row outside them is
         # skipped, not compared against the whole grid.
-        low, top = self._check_range(rows, cols) if count else (1, 0)
+        low, top = self._check_range(rows, cols) if count else (0, -1)
         self.check_budget(count)
         self._issued += count
         if self._row_ids is None:
-            n2 = self._spec.n2
-            flat = np.multiply(rows, n2) + cols
-            flat -= n2 + 1
-            return self._block.take(flat.reshape(-1))
+            return self._block.take(np.multiply(rows, self._spec.n2) + cols).reshape(-1)
         out = np.zeros(grid.shape)
-        cols0 = cols - 1
         for i, values in zip(self._row_ids, self._block):
-            if low <= i + 1 <= top:
-                np.copyto(out, values.take(cols0), where=rows == i + 1)
+            if low <= i <= top:
+                np.copyto(out, values.take(cols), where=rows == i)
         return out.reshape(-1)
 
 

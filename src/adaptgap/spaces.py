@@ -78,8 +78,8 @@ def inverse_power(base: float, e: float) -> float:
 class ProblemSpec:
     """Dimensions and exponents (N1, N2, p, u) of one mean-computation space.
 
-    N1*N2 must lie below 2^63, so that an int64 flat index ``(i - 1) * N2 +
-    (j - 1)`` addresses every entry; a larger space raises ``ValueError``.
+    N1*N2 must lie below 2^63, so that an int64 ``i * N2 + j`` addresses
+    every 0-based entry (i, j); a larger space raises ``ValueError``.
     """
 
     n1: int

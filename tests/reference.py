@@ -5,7 +5,7 @@ The package answers a2 one way: ``run_a2`` opens a NONADAPTIVE tape on
 tests check that route against the older ones kept here:
 
 * ``draw_pairs`` -- the same uniform draw, taken at once and split into
-  1-based (i, j) pairs;
+  (i, j) pairs, 0-based as every tape query is;
 * ``pairs_plan`` -- an explicit ``Plan`` from such pairs, range-checked and
   converted once into int64 flat indices;
 * ``a2_by_pairs`` -- a2 on an ADAPTIVE tape: the drawn plan split into
@@ -20,16 +20,13 @@ from adaptgap.oracle import Plan, open_adaptive
 
 
 def _pairs(flat, n2):
-    """The 1-based (rows, cols) of row-major flat entry indices."""
-    rows, cols = np.divmod(flat, n2)
-    rows += 1
-    cols += 1
-    return rows, cols
+    """The (rows, cols) of row-major flat entry indices."""
+    return np.divmod(flat, n2)
 
 
 def _within(index, high):
-    """Whether every entry of a nonempty integer array lies in [1, high]."""
-    return index.min() >= 1 and index.max() <= high
+    """Whether every entry of a nonempty integer array lies in [0, high)."""
+    return index.min() >= 0 and index.max() < high
 
 
 def draw_pairs(spec, n, rng):
@@ -41,7 +38,7 @@ def draw_pairs(spec, n, rng):
 
 
 def pairs_plan(spec, pairs):
-    """An explicit ``Plan`` of 1-based (i, j) pairs: ``IndexOutOfRange`` if a
+    """An explicit ``Plan`` of (i, j) pairs: ``IndexOutOfRange`` if a
     pair lies outside the ``spec``, and otherwise the pairs converted once
     into a read-only int64 array of flat indices that the caller's array
     does not share."""
@@ -53,13 +50,11 @@ def pairs_plan(spec, pairs):
     rows, cols = declared[:, 0], declared[:, 1]
     if rows.size and not (_within(rows, spec.n1) and _within(cols, spec.n2)):
         raise IndexOutOfRange(
-            f"declared indices outside [1, {spec.n1}] x [1, {spec.n2}]"
+            f"declared indices outside [0, {spec.n1}) x [0, {spec.n2})"
         )
-    # (i - 1) * N2 + j - 1, whose partial sums stay below N1 * N2.
-    flat = np.subtract(rows, 1)
-    flat *= spec.n2
+    # i * N2 + j, whose partial sums stay below N1 * N2.
+    flat = np.multiply(rows, spec.n2)
     flat += cols
-    flat -= 1
     flat.setflags(write=False)
     return Plan(flat)
 

@@ -301,11 +301,15 @@ def test_instance_sides_beyond_floats_are_precondition_violations(argv, capsys):
         ["ds", "--k0", "4", "--delta", "0.2", "--trials", "2"],
         ["estimate", "--alg", "a3", "--family", "mu4", "--p", "1", "--u", "inf",
          "--n", "256"],
+        ["estimate", "--alg", "a2", "--n1", "4", "--n2", "4", "--n", "16"],
+        # Refused before sampling, which would refuse mu4 at p = inf.
+        ["estimate", "--alg", "a2", "--family", "mu4", "--p", "inf", "--u", "inf"],
     ],
-    ids=["gap", "ds", "estimate"],
+    ids=["gap", "ds", "estimate", "estimate-a2", "estimate-a2-unsampled"],
 )
 def test_probe_counts_below_one_are_precondition_violations(argv, m, capsys):
-    # A negative m is refused as m, not as the negative tape budget 6*m*n.
+    # A negative m is refused as m, not as the negative tape budget 6*m*n;
+    # a2 never reads m, but its header would echo it.
     code, out, err = capture(capsys, [*argv, "--m", m])
     assert code == 3
     assert out == "" and err == "error: m must be a positive integer\n"

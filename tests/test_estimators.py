@@ -120,7 +120,7 @@ class TestNormEstA1:
         seed = next(
             s
             for s in range(100)
-            if RngStream(s).generator().integers(1, 5, size=1)[0] == 1
+            if RngStream(s).generator().integers(0, 4, size=1)[0] == 0
         )
         est = norm_est_a1(pop, 2.0, 1, RngStream(seed))
         assert est == 2.0
@@ -220,7 +220,7 @@ class TestA2DeclaredPlan:
         plan = draw_pairs(f.spec, n, rng)
         tape = open_nonadaptive(f, pairs_plan(f.spec, plan))
         report = mc_mean_a2(tape)
-        reference = entries[plan[:, 0] - 1, plan[:, 1] - 1].mean()
+        reference = entries[plan[:, 0], plan[:, 1]].mean()
         assert report.value == float(reference)
         assert report.cards == tape.card() == n
         # The same stream, drawn as a plan or asked as pairs on an ADAPTIVE
@@ -239,21 +239,20 @@ class TestA2DeclaredPlan:
         kept = open_nonadaptive(f, explicit).plan
         assert kept is explicit
         assert kept.flat.dtype == np.int64 and kept.flat.nbytes == 8 * 40
-        assert kept.flat.tolist() == ((plan[:, 0] - 1) * 5 + plan[:, 1] - 1).tolist()
+        assert kept.flat.tolist() == (plan[:, 0] * 5 + plan[:, 1]).tolist()
         assert not np.shares_memory(kept.flat, plan) and not kept.flat.flags.writeable
 
 
 def drawn_pairs(spec, n, rng):
     """Every (row, col) pair of ``draw_plan``, concatenated from its flat
-    blocks and split as (f // N2 + 1, f % N2 + 1)."""
+    blocks and split as (f // N2, f % N2)."""
     flat = np.concatenate([np.empty(0, np.int64), *draw_plan(spec, n, rng).blocks()])
-    rows, cols = np.divmod(flat, spec.n2)
-    return np.column_stack([rows + 1, cols + 1])
+    return np.column_stack(np.divmod(flat, spec.n2))
 
 
 class TestFlatMapping:
     """An a2 sample is one uniform flat index f in [0, N1*N2), the entry
-    (f // N2 + 1, f % N2 + 1)."""
+    (f // N2, f % N2)."""
 
     @pytest.mark.parametrize("n1, n2", [(1, 7), (7, 1), (3, 5), (256, 255)])
     def test_pairs_in_range_and_row_major(self, n1, n2):
@@ -261,9 +260,9 @@ class TestFlatMapping:
         n = 500
         flat = RngStream(n1, (n2,)).generator().integers(0, n1 * n2, size=n)
         pairs = draw_pairs(spec, n, RngStream(n1, (n2,)))
-        assert pairs[:, 0].min() >= 1 and pairs[:, 0].max() <= n1
-        assert pairs[:, 1].min() >= 1 and pairs[:, 1].max() <= n2
-        assert ((pairs[:, 0] - 1) * n2 + pairs[:, 1] - 1).tolist() == flat.tolist()
+        assert pairs[:, 0].min() >= 0 and pairs[:, 0].max() < n1
+        assert pairs[:, 1].min() >= 0 and pairs[:, 1].max() < n2
+        assert (pairs[:, 0] * n2 + pairs[:, 1]).tolist() == flat.tolist()
         # Entries that hold their own row-major position answer the draw.
         f = MixedMatrix(spec, np.arange(n1 * n2, dtype=float).reshape(n1, n2))
         for plan in (pairs_plan(spec, pairs), draw_plan(spec, n, RngStream(n1, (n2,)))):
@@ -279,7 +278,7 @@ class TestFlatMapping:
         n = 150_000
         pairs = draw_pairs(ProblemSpec(3, 5, 1.0, INF), n, RngStream(12))
         counts = np.zeros((3, 5))
-        np.add.at(counts, (pairs[:, 0] - 1, pairs[:, 1] - 1), 1)
+        np.add.at(counts, (pairs[:, 0], pairs[:, 1]), 1)
         sd = math.sqrt(n * (1 / 15) * (14 / 15))
         assert np.abs(counts - 10_000).max() <= 5 * sd
 
@@ -305,6 +304,63 @@ class TestFlatMapping:
             draw_plan(ProblemSpec(2**62, 4, 1.0, INF), 8, RngStream(1))
         plan = draw_plan(ProblemSpec(2**63 - 1, 1, 1.0, INF), 8, RngStream(1))
         assert all(0 <= f < 2**63 - 1 for f in next(plan.blocks()).tolist())
+
+
+class TestSampleCountsAreIntegers:
+    """run_a3, adaptive_mean_a3 and norm_est_a1 refuse an n that is not an
+    integer as draw_plan does, where int() would truncate it: run_a3 at
+    n = 8.7 ran with n = 8 under a tape budget of 6*m*8.7."""
+
+    @staticmethod
+    def mu4():
+        spec = ProblemSpec(2, 4, 1.0, INF)
+        return HardFamily(Variant.ACTIVE_ROW_BERNOULLI, spec).sample(RngStream(0))
+
+    @pytest.mark.parametrize("n", [8.7, 2.5, math.nan, math.inf])
+    def test_a3_refuses_before_its_tape_opens(self, monkeypatch, n):
+        # run_a3 would raise TypeError calling its tape opener.
+        monkeypatch.setattr(estimators, "open_adaptive", None)
+        with pytest.raises(ValueError, match=f"n must be an integer, got {n}"):
+            run_a3(self.mu4(), n, 2, RngStream(1))
+        tape = open_adaptive(self.mu4(), budget=1000)
+        with pytest.raises(ValueError, match=f"n must be an integer, got {n}"):
+            adaptive_mean_a3(tape, n, 2, RngStream(1))
+        assert tape.card() == 0
+
+    @pytest.mark.parametrize("n", [2.5, 8.7, math.nan])
+    def test_norm_est_a1_refuses(self, n):
+        with pytest.raises(ValueError, match=f"n must be an integer, got {n}"):
+            norm_est_a1(np.arange(1.0, 5.0), 2.0, n, RngStream(0))
+
+    @pytest.mark.parametrize(
+        "n", [8.0, np.int64(8), np.float64(8.0)], ids=["float", "int64", "float64"]
+    )
+    def test_integral_values_run_as_their_integer(self, n):
+        want = run_a3(self.mu4(), 8, 2, RngStream(1))
+        got = run_a3(self.mu4(), n, 2, RngStream(1))
+        assert (got.value, got.stage_cards) == (want.value, want.stage_cards)
+        pop = np.arange(1.0, 5.0)
+        assert norm_est_a1(pop, 2.0, n, RngStream(0)) == norm_est_a1(
+            pop, 2.0, 8, RngStream(0)
+        )
+        # An integer beyond the float range is still an integer.
+        assert estimators._integer(10**400) == 10**400
+
+    @pytest.mark.parametrize(
+        "run, error, message",
+        [
+            (lambda f: run_a3(f, 1, 2, RngStream(1)), PreconditionViolated,
+             "n = 1 must be at least N1 = 2"),
+            (lambda f: run_a3(f, -5, 2, RngStream(1)), ValueError,
+             "budget must be nonnegative"),
+            (lambda f: norm_est_a1([1.0], 2.0, 0, RngStream(0)), ValueError,
+             "n must be positive"),
+        ],
+        ids=["a3-below-n1", "a3-negative", "a1-zero"],
+    )
+    def test_integer_refusals_keep_their_text(self, run, error, message):
+        with pytest.raises(error, match=message):
+            run(self.mu4())
 
 
 class TestA2Blocks:
@@ -355,7 +411,7 @@ class TestA2Blocks:
     def reference(f, n, rng):
         """The whole-plan mean: every answer at once, as x.mean() sums."""
         plan = draw_pairs(f.spec, n, rng)
-        vals = f.entries[plan[:, 0] - 1, plan[:, 1] - 1]
+        vals = f.entries[plan[:, 0], plan[:, 1]]
         return float(np.add.reduce(vals) / n), vals
 
     @pytest.mark.parametrize("n", [6, 7, 8, 14, 50, 301])
@@ -734,8 +790,8 @@ def whole_grid_a3(tape, n, m, rng):
     per_probe = -(-n // n1)
     k = per_probe * m
     # Child streams 1 and 2 are the estimator's stage-1 and stage-2 streams.
-    cols1 = rng.child(1).generator().integers(1, n2 + 1, size=k).reshape(1, k)
-    row_ids = np.arange(1, n1 + 1, dtype=np.int64)
+    cols1 = rng.child(1).generator().integers(0, n2, size=k).reshape(1, k)
+    row_ids = np.arange(n1, dtype=np.int64)
     vals1 = tape.query_many(row_ids.reshape(n1, 1), cols1)
     _, exponent = math.frexp(max(vals1.max(), -vals1.min()))
     scaled = np.ldexp(vals1, -exponent)
@@ -751,7 +807,7 @@ def whole_grid_a3(tape, n, m, rng):
     )
     allocation = allocate_samples(a_tilde, tape.spec.p, n)
     ends = np.cumsum(allocation)
-    cols2 = rng.child(2).generator().integers(1, n2 + 1, size=int(ends[-1]))
+    cols2 = rng.child(2).generator().integers(0, n2, size=int(ends[-1]))
     vals2 = tape.query_many(np.repeat(row_ids, allocation), cols2)
     row_means = np.add.reduceat(vals2, ends - allocation) / allocation
     return SimpleNamespace(
@@ -872,10 +928,10 @@ class TestA3Blocks:
         # vanish; scaled per block, with one row a block, they are exact.
         n1, n2, n, m = 2, 50, 2, 5  # one sample per probe, k = 5
         rng = RngStream(4, (1,))
-        cols = rng.child(1).generator().integers(1, n2 + 1, size=n // n1 * m)
+        cols = rng.child(1).generator().integers(0, n2, size=n // n1 * m)
         assert cols[0] not in cols[1:]
         entries = np.zeros((n1, n2))
-        entries[0, cols[0] - 1] = 2.0**600
+        entries[0, cols[0]] = 2.0**600
         entries[1] = 2.0**-600
         f = MixedMatrix(ProblemSpec(n1, n2, 1.0, INF), entries)
         # The exact row sizes: the median of each row's m root-mean-square
@@ -883,7 +939,7 @@ class TestA3Blocks:
         exact = []
         for row in entries:
             squares = sorted(
-                sum(Fraction(row[c - 1]) ** 2 for c in probe) / (n // n1)
+                sum(Fraction(row[c]) ** 2 for c in probe) / (n // n1)
                 for probe in cols.reshape(n // n1, m).T
             )
             middle = squares[m // 2]
@@ -990,9 +1046,7 @@ def test_a2_is_invariant_under_permutations(n1, n2, n, seed, sparse):
     assert np.array_equal(permuted.entries, f.entries[row_perm][:, col_perm])
     rng = RngStream(seed)
     plan = draw_pairs(spec, n, rng)
-    mapped = np.column_stack(
-        [inv_rows[plan[:, 0] - 1] + 1, inv_cols[plan[:, 1] - 1] + 1]
-    )
+    mapped = np.column_stack([inv_rows[plan[:, 0]], inv_cols[plan[:, 1]]])
     tape = open_nonadaptive(f, pairs_plan(spec, plan))
     tape_permuted = open_nonadaptive(permuted, pairs_plan(spec, mapped))
     report = mc_mean_a2(tape)

@@ -546,7 +546,7 @@ class TestRowSparsePathsStaySparse:
         spec = ProblemSpec(3, 4, 1.0, INF)
         f = HardFamily(Variant.ACTIVE_ROW_BERNOULLI, spec).sample(RngStream(1))
         tape = open_adaptive(f, budget=12)
-        values = [tape.query_many(i, j)[0] for i in (1, 2, 3) for j in (1, 2, 3, 4)]
+        values = [tape.query_many(i, j)[0] for i in (0, 1, 2) for j in (0, 1, 2, 3)]
         assert sum(v != 0.0 for v in values) == 4
 
 

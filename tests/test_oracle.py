@@ -52,13 +52,13 @@ class TestOpenAdaptive:
     def test_budget_five_allows_five(self, f22):
         tape = open_adaptive(f22, budget=5)
         for _ in range(5):
-            tape.query_many(1, 1)
+            tape.query_many(0, 0)
         assert tape.card() == 5
 
     def test_budget_zero_rejects(self, f22):
         tape = open_adaptive(f22, budget=0)
         with pytest.raises(BudgetExceeded):
-            tape.query_many(1, 1)
+            tape.query_many(0, 0)
         assert tape.card() == 0
 
 
@@ -74,25 +74,25 @@ class TestOpenNonadaptive:
         assert tape.budget == 0
         assert list(tape.answers()) == []
         with pytest.raises(DisciplineViolation):
-            tape.query_many(1, 1)
+            tape.query_many(0, 0)
         assert tape.card() == 0
 
 
 class TestQuery:
     def test_answers_value(self):
         tape = open_adaptive(matrix([[7.0]]), budget=1)
-        assert tape.query_many(1, 1)[0] == 7.0
+        assert tape.query_many(0, 0)[0] == 7.0
         assert tape.card() == 1
 
     def test_repeats_counted(self, f22):
         tape = open_adaptive(f22, budget=ENOUGH)
-        assert tape.query_many(2, 1)[0] == tape.query_many(2, 1)[0] == 3.0
+        assert tape.query_many(1, 0)[0] == tape.query_many(1, 0)[0] == 3.0
         assert tape.card() == 2
 
     def test_discipline_violation(self, f22):
         tape = open_nonadaptive(f22, Plan(np.array([0])))
         with pytest.raises(DisciplineViolation):
-            tape.query_many(1, 2)
+            tape.query_many(0, 1)
         assert tape.card() == 0
 
     def test_adaptive_tape_has_no_plan_to_answer(self, f22):
@@ -104,16 +104,16 @@ class TestQuery:
     def test_out_of_range(self, f22):
         tape = open_adaptive(f22, budget=ENOUGH)
         with pytest.raises(IndexOutOfRange):
-            tape.query_many(0, 1)
+            tape.query_many(-1, 0)
         with pytest.raises(IndexOutOfRange):
-            tape.query_many(1, 3)
+            tape.query_many(0, 2)
         assert tape.card() == 0
 
     def test_failed_budget_query_uncharged(self, f22):
         tape = open_adaptive(f22, budget=1)
-        tape.query_many(1, 1)
+        tape.query_many(0, 0)
         with pytest.raises(BudgetExceeded):
-            tape.query_many(1, 2)
+            tape.query_many(0, 1)
         assert tape.card() == 1
 
 
@@ -121,8 +121,8 @@ class TestQueryMany:
     def test_matches_single_queries(self, f22):
         batch = open_adaptive(f22, budget=ENOUGH)
         single = open_adaptive(f22, budget=ENOUGH)
-        rows = np.array([1, 1, 2, 2, 1])
-        cols = np.array([1, 2, 1, 2, 1])
+        rows = np.array([0, 0, 1, 1, 0])
+        cols = np.array([0, 1, 0, 1, 0])
         got = batch.query_many(rows, cols)
         expected = [single.query_many(i, j)[0] for i, j in zip(rows, cols)]
         assert got.tolist() == expected
@@ -131,14 +131,14 @@ class TestQueryMany:
     def test_all_or_nothing_budget(self, f22):
         tape = open_adaptive(f22, budget=3)
         with pytest.raises(BudgetExceeded):
-            tape.query_many([1, 1, 1, 1], [1, 1, 1, 1])
+            tape.query_many([0, 0, 0, 0], [0, 0, 0, 0])
         assert tape.card() == 0
-        tape.query_many([1, 1, 1], [1, 2, 1])
+        tape.query_many([0, 0, 0], [0, 1, 0])
         assert tape.card() == 3
 
 
 def test_replay_is_deterministic(f22):
-    declared = [(2, 2), (1, 1), (2, 2), (1, 2)]
+    declared = [(1, 1), (0, 0), (1, 1), (0, 1)]
     answers = [
         list(open_nonadaptive(f22, pairs_plan(f22.spec, declared)).answers())
         for _ in range(2)
@@ -150,30 +150,30 @@ def test_replay_is_deterministic(f22):
 class TestBroadcastQueries:
     def test_grid_is_answered_in_c_order(self, f22):
         tape = open_adaptive(f22, budget=ENOUGH)
-        got = tape.query_many([[1], [2]], [[2, 1, 2]])
+        got = tape.query_many([[0], [1]], [[1, 0, 1]])
         assert got.tolist() == [2.0, 1.0, 2.0, 4.0, 3.0, 4.0]
         assert tape.card() == 6
 
     def test_scalar_against_vector(self, f22):
         tape = open_adaptive(f22, budget=ENOUGH)
-        assert tape.query_many(2, [1, 2, 1]).tolist() == [3.0, 4.0, 3.0]
+        assert tape.query_many(1, [0, 1, 0]).tolist() == [3.0, 4.0, 3.0]
         assert tape.card() == 3
 
     def test_shapes_that_do_not_broadcast(self, f22):
         tape = open_adaptive(f22, budget=ENOUGH)
         with pytest.raises(ValueError):
-            tape.query_many([1, 2], [1, 2, 1])
+            tape.query_many([0, 1], [0, 1, 0])
         assert tape.card() == 0
 
     @pytest.mark.parametrize(
         "rows, cols",
         [
-            ([1, 0], [1, 1]),  # row below the range
-            ([1, 3], [1, 1]),  # row above it
-            ([1, 1], [2, 0]),
-            ([1, 1], [3, 2]),
-            ([[1], [0]], [[1, 2]]),  # as a grid
-            ([[1], [2]], [[3, 2]]),
+            ([0, -1], [0, 0]),  # row below the range
+            ([0, 2], [0, 0]),  # row above it
+            ([0, 0], [1, -1]),
+            ([0, 0], [2, 1]),
+            ([[0], [-1]], [[0, 1]]),  # as a grid
+            ([[0], [1]], [[2, 1]]),
         ],
     )
     def test_batch_outside_the_range(self, f22, rows, cols):
@@ -189,24 +189,24 @@ class TestBroadcastQueries:
 
     def test_empty_grid_charges_nothing(self, f22):
         tape = open_adaptive(f22, budget=0)
-        assert tape.query_many(np.ones((0, 1), dtype=int), [[1, 2]]).size == 0
+        assert tape.query_many(np.ones((0, 1), dtype=int), [[0, 1]]).size == 0
         assert tape.card() == 0
 
     def test_whole_plan_with_the_tapes_own_arrays(self, f22):
         # The plan is answered once, and only through answers(): the pairs
         # of its own flat indices are refused by query_many, before and after.
-        tape = open_nonadaptive(f22, pairs_plan(f22.spec, [(2, 1), (1, 2)]))
+        tape = open_nonadaptive(f22, pairs_plan(f22.spec, [(1, 0), (0, 1)]))
         plan = tape.plan
         assert plan.flat.tolist() == [2, 1]
         rows, cols = np.divmod(plan.flat, 2)
         with pytest.raises(DisciplineViolation):
-            tape.query_many(rows + 1, cols + 1)
+            tape.query_many(rows, cols)
         assert [a.tolist() for a in tape.answers()] == [[3.0, 2.0]]
         assert tape.card() == 2
         with pytest.raises(DisciplineViolation):
             list(tape.answers())
         with pytest.raises(DisciplineViolation):
-            tape.query_many(rows + 1, cols + 1)
+            tape.query_many(rows, cols)
         assert tape.card() == 2
 
     def test_own_arrays_are_still_range_checked(self, f22):
@@ -280,16 +280,16 @@ class TestDrawnPlan:
         # query fails and charges nothing, even one that repeats the block.
         tape = open_nonadaptive(f22, self.drawn(8))
         with pytest.raises(DisciplineViolation):
-            tape.query_many(1, 1)
+            tape.query_many(0, 0)
         answered = 0
         for block, flat in zip(tape.answers(), self.drawn(8).blocks()):
             answered += block.size
             rows, cols = np.divmod(flat, 2)
             with pytest.raises(DisciplineViolation):
-                tape.query_many(rows + 1, cols + 1)
+                tape.query_many(rows, cols)
             assert tape.card() == answered
         with pytest.raises(DisciplineViolation):
-            tape.query_many(1, 1)
+            tape.query_many(0, 0)
         assert tape.card() == answered == 8
 
     def test_size_is_nonnegative(self, f22):
@@ -334,7 +334,7 @@ class TestDrawnPlan:
         assert 0 <= answered == tape.card() < 30
 
     def test_explicit_plan_blocks_are_views(self, f22):
-        declared = [(1, 1), (1, 2), (2, 1), (2, 2), (1, 1)]
+        declared = [(0, 0), (0, 1), (1, 0), (1, 1), (0, 0)]
         tape = open_nonadaptive(f22, pairs_plan(f22.spec, declared))
         plan = tape.plan
         assert plan.flat.dtype == np.int64 and not plan.flat.flags.writeable
@@ -357,7 +357,7 @@ class TestDrawnPlan:
         # 2^63 - 1 entries are the most a plan addresses.
         n1 = 2**63 - 1
         big = MixedMatrix.from_rows(ProblemSpec(n1, 1, 1.0, INF), [n1 - 1], [[5.0]])
-        tape = open_nonadaptive(big, pairs_plan(big.spec, [(n1, 1), (1, 1)]))
+        tape = open_nonadaptive(big, pairs_plan(big.spec, [(n1 - 1, 0), (0, 0)]))
         assert tape.plan.flat.tolist() == [n1 - 1, 0]
         assert np.concatenate(list(tape.answers())).tolist() == [5.0, 0.0]
 
@@ -381,7 +381,7 @@ def test_row_sparse_and_dense_answer_alike(variant, n1, n2, p, u, seed, data):
 
     def indices(n, size=None):
         low, high = (length, length) if size is None else (1, size)
-        values = data.draw(st.lists(st.integers(1, n), min_size=low, max_size=high))
+        values = data.draw(st.lists(st.integers(0, n - 1), min_size=low, max_size=high))
         return np.array(values, dtype=int)
 
     rows = indices(n1)
@@ -402,8 +402,8 @@ def test_row_sparse_and_dense_answer_alike(variant, n1, n2, p, u, seed, data):
         )
     assert answers[0] == answers[1]
     single, flat, paired, grid, count = answers[0]
-    assert single == flat == paired == dense.entries[rows - 1, cols - 1].tolist()
-    assert grid == dense.entries[grid_rows - 1, grid_cols - 1].ravel().tolist()
+    assert single == flat == paired == dense.entries[rows, cols].tolist()
+    assert grid == dense.entries[grid_rows, grid_cols].ravel().tolist()
     assert count == 3 * length + grid_rows.size * grid_cols.size
 
 
@@ -421,12 +421,12 @@ def test_row_sparse_blocks_answer_their_rows(n1, n2, seed, data):
     ids = g.choice(n1, size=g.integers(0, n1 + 1), replace=False)
     block_of_rows = g.normal(size=(ids.size, n2))
     f = MixedMatrix.from_rows(ProblemSpec(n1, n2, 2.0, 2.0), ids, block_of_rows)
-    first = data.draw(st.integers(1, n1))
-    block = np.arange(first, data.draw(st.integers(first, n1)) + 1)
-    cols = np.array(data.draw(st.lists(st.integers(1, n2), min_size=1, max_size=6)))
+    first = data.draw(st.integers(0, n1 - 1))
+    block = np.arange(first, data.draw(st.integers(first, n1 - 1)) + 1)
+    cols = np.array(data.draw(st.lists(st.integers(0, n2 - 1), min_size=1, max_size=6)))
     counts = st.lists(st.integers(1, 3), min_size=block.size, max_size=block.size)
     rows = block.repeat(data.draw(counts))
-    flat_cols = g.integers(1, n2 + 1, size=rows.size)
+    flat_cols = g.integers(0, n2, size=rows.size)
     # Probe-major (probes, rows, m) and row-major (rows, k) grids, and the
     # flat row-ordered pairs of a3's second stage.
     probes = cols.reshape(-1, 1, 2 - cols.size % 2)
@@ -434,9 +434,9 @@ def test_row_sparse_blocks_answer_their_rows(n1, n2, seed, data):
     tape = open_adaptive(f, budget=2 * block.size * cols.size + rows.size)
     entries = f.entries
     for grid_rows, grid_cols in grids:
-        want = entries[grid_rows - 1, grid_cols - 1].ravel()
+        want = entries[grid_rows, grid_cols].ravel()
         assert tape.query_many(grid_rows, grid_cols).tolist() == want.tolist()
-    want = entries[rows - 1, flat_cols - 1]
+    want = entries[rows, flat_cols]
     assert tape.query_many(rows, flat_cols).tolist() == want.tolist()
     assert tape.card() == 2 * block.size * cols.size + rows.size
 
@@ -471,12 +471,12 @@ def test_plan_indices_at_the_edges_of_stored_rows(n1, n2, stored):
 def grid_case(data, n1, n2):
     """A (k1, 1) x (1, k2) grid; a quarter of the time one index lies one
     past either side of its range."""
-    rows = data.draw(st.lists(st.integers(1, n1), min_size=1, max_size=4))
-    cols = data.draw(st.lists(st.integers(1, n2), min_size=1, max_size=4))
+    rows = data.draw(st.lists(st.integers(0, n1 - 1), min_size=1, max_size=4))
+    cols = data.draw(st.lists(st.integers(0, n2 - 1), min_size=1, max_size=4))
     if data.draw(st.integers(0, 3)) == 0:
         index, n = (rows, n1) if data.draw(st.booleans()) else (cols, n2)
         index[data.draw(st.integers(0, len(index) - 1))] = data.draw(
-            st.sampled_from([0, n + 1])
+            st.sampled_from([-1, n])
         )
     return np.array(rows)[:, None], np.array(cols)[None, :]
 
@@ -508,7 +508,7 @@ def test_grid_query_equals_the_materialized_query(variant, n1, n2, seed, data):
 
     def fresh():
         tape = open_adaptive(f, budget=budget + prior)
-        tape.query_many([1] * prior, [1] * prior)
+        tape.query_many([0] * prior, [0] * prior)
         return tape
 
     grid = outcome(fresh(), rows, cols)
@@ -540,7 +540,7 @@ def test_a_nonadaptive_tape_answers_only_its_plan(
     else:
         f = matrix(g.normal(size=(n1, n2)))
     queries = [
-        (data.draw(st.integers(1, n1)), data.draw(st.integers(1, n2)))
+        (data.draw(st.integers(0, n1 - 1)), data.draw(st.integers(0, n2 - 1)))
         for _ in range(3)
     ]
     with pytest.MonkeyPatch.context() as mp:
@@ -549,11 +549,9 @@ def test_a_nonadaptive_tape_answers_only_its_plan(
             plan = Plan.drawn(size, f.spec, np.random.default_rng(seed))
             flat = np.random.default_rng(seed).integers(0, n1 * n2, size=size)
             rows, cols = np.divmod(flat, n2)
-            rows += 1
-            cols += 1
         else:
-            rows = g.integers(1, n1 + 1, size=size)
-            cols = g.integers(1, n2 + 1, size=size)
+            rows = g.integers(0, n1, size=size)
+            cols = g.integers(0, n2, size=size)
             plan = pairs_plan(f.spec, list(zip(rows.tolist(), cols.tolist())))
         tape = open_nonadaptive(f, plan)
 
@@ -569,7 +567,7 @@ def test_a_nonadaptive_tape_answers_only_its_plan(
         answers = list(tape.answers())
         assert all(1 <= a.size <= 3 for a in answers)
         got = np.concatenate(answers) if answers else np.empty(0)
-        assert got.tolist() == f.entries[rows - 1, cols - 1].tolist()
+        assert got.tolist() == f.entries[rows, cols].tolist()
         assert tape.card() == size
         refused(size)
         with pytest.raises(DisciplineViolation):

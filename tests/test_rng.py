@@ -91,6 +91,33 @@ def test_fresh_state_equals_numpy_construction(seed, path):
     assert state["state"]["counter"].tolist() == [0, 0, 0, 0]
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    seeds,
+    paths,
+    st.one_of(
+        st.sampled_from([1, 2, 7, 64, 1280, 2**31 + 5, 2**32, 2**32 + 1]),
+        st.integers(1, 2**62),
+    ),
+    st.lists(st.sampled_from([None, 1, 2, 5, 300]), min_size=1, max_size=5),
+)
+@example(0, (), 1280, [None, 300, None])
+def test_zero_based_draws_are_the_one_based_draws_less_one(seed, path, n, sizes):
+    # Generator.integers(low, high) draws from the width high - low alone, so
+    # integers(0, N) gives integers(1, N + 1) - 1 value by value and leaves
+    # the same state, for scalar (size None) and array draws alike. Entry
+    # indices are drawn 0-based on this property, with the values that
+    # 1-based draws gave less one.
+    zero = RngStream(seed, path).generator()
+    one = RngStream(seed, path).generator()
+    for size in sizes:
+        got = zero.integers(0, n, size=size)
+        want = one.integers(1, n + 1, size=size)
+        assert np.shape(got) == np.shape(want) == (() if size is None else (size,))
+        assert np.array_equal(got, want - 1)
+    assert same_state(zero.bit_generator.state, one.bit_generator.state)
+
+
 def test_shared_counter_is_never_written():
     g = RngStream(3, (1, 2)).generator()
     g.integers(0, 2**63, size=1000)
