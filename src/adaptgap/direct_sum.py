@@ -35,7 +35,7 @@ from .estimators import (
 )
 from .oracle import Mode, Plan, open_nonadaptive
 from .rng import RngStream
-from .spaces import INF, MixedMatrix, ProblemSpec, as_exponent, scalar_mean
+from .spaces import INF, MixedMatrix, ProblemSpec, as_count, as_exponent, scalar_mean
 
 __all__ = [
     "MAX_LEVEL",
@@ -73,11 +73,11 @@ class DirectSumSpec:
         object.__setattr__(self, "alpha", float(self.alpha))
         object.__setattr__(self, "p", as_exponent(self.p))
         object.__setattr__(self, "u", as_exponent(self.u))
-        if not (0 <= self.k_max <= MAX_LEVEL and float(self.k_max).is_integer()):
+        if self.k_max not in range(MAX_LEVEL + 1):
             raise InvalidParameters(
                 f"k_max must be an integer in [0, {MAX_LEVEL}], got {self.k_max}"
             )
-        object.__setattr__(self, "k_max", int(self.k_max))
+        object.__setattr__(self, "k_max", as_count(self.k_max, "k_max"))
 
     def level_spec(self, k: int) -> ProblemSpec:
         n = level_size(k)
@@ -91,11 +91,9 @@ class DirectSumElement:
         self.spec = spec
         table: dict[int, MixedMatrix] = {}
         for k, f_k in levels:
-            k = int(k)
+            k = as_count(k, "level")
             if not 0 <= k <= spec.k_max:
-                raise InvalidParameters(
-                    f"level {k} outside [0, {spec.k_max}]"
-                )
+                raise InvalidParameters(f"level {k} outside [0, {spec.k_max}]")
             if k in table:
                 raise InvalidParameters(f"duplicate level {k}")
             expected = spec.level_spec(k)
@@ -168,11 +166,11 @@ def level_allocation(
         )
     if not 0.0 < c0 < 1.0:
         raise InvalidParameters(f"c0 must lie in (0, 1), got {c0}")
-    if not (1 <= k0 <= MAX_LEVEL and float(k0).is_integer()):
+    if k0 not in range(1, MAX_LEVEL + 1):
         raise InvalidParameters(
             f"k0 must be a positive integer at most {MAX_LEVEL}, got {k0}"
         )
-    k0 = int(k0)
+    k0 = as_count(k0, "k0")
     beta = (alpha + 1.0) / alpha
     k1 = math.floor(beta * k0)
     levels = []

@@ -55,7 +55,7 @@ from .errors import EmptyInput, InvalidExponent, PreconditionViolated
 from . import oracle
 from .oracle import Mode, Plan, QueryTape, open_adaptive, open_nonadaptive
 from .rng import RngStream
-from .spaces import INF, MixedMatrix, ProblemSpec, as_exponent, row_norm
+from .spaces import INF, MixedMatrix, ProblemSpec, as_count, as_exponent, row_norm
 
 __all__ = [
     "EstimateReport",
@@ -139,17 +139,11 @@ def norm_est_a1(population, v, n: int, rng: RngStream) -> float:
     return row_norm(population[idx], v)
 
 
-def _integer(n) -> int:
-    """n as an int; ``ValueError`` unless n is an integer (NaN is not)."""
-    if not (isinstance(n, (int, np.integer)) or float(n).is_integer()):
-        raise ValueError(f"n must be an integer, got {n}")
-    return int(n)
-
-
 def _plan_length(n) -> int:
     """n as an int, or ``ValueError`` unless n is an integer and
     1 <= n <= 2^53: beyond 2^53 queries the count is no longer exact in
     float64, and neither are ``mean_card`` and ``total / n``."""
+    n = as_count(n, "n")
     if n < 1:
         raise ValueError("n must be positive")
     if n > 1 << 53:
@@ -157,7 +151,7 @@ def _plan_length(n) -> int:
             f"n = {n} queries exceed 2^53, beyond which counts are not exact "
             "in float64"
         )
-    return _integer(n)
+    return n
 
 
 def draw_plan(spec: ProblemSpec, n: int, rng: RngStream) -> Plan:
@@ -217,7 +211,7 @@ def allocate_samples(a_tilde, p, n: int) -> np.ndarray:
     p = as_exponent(p)
     if not p < 2.0:
         raise InvalidExponent(f"p must lie in [1, 2), got {p}")
-    n = int(n)
+    n = as_count(n, "n")
     n1 = a.size
     if n < n1:
         raise ValueError(f"n = {n} must be at least N1 = {n1}")
@@ -275,10 +269,10 @@ def adaptive_mean_a3(tape: QueryTape, n: int, m: int, rng: RngStream) -> Estimat
         raise PreconditionViolated("adaptive_mean_a3 requires an ADAPTIVE tape")
     spec = tape.spec
     n1, n2 = spec.n1, spec.n2
-    n = _integer(n)
+    n = as_count(n, "n")
     if n < n1:
         raise PreconditionViolated(f"n = {n} must be at least N1 = {n1}")
-    m = int(m)
+    m = as_count(m, "m")
     if m < 1:
         raise PreconditionViolated("m must be a positive integer")
     if not spec.p < 2.0:
@@ -396,9 +390,8 @@ def run_a3(f: MixedMatrix, n: int, m: int | None, rng: RngStream) -> EstimateRep
     6*m*n; ``m=None`` is ``default_probe_count(N1)``. Requires p < 2 < u."""
     spec = f.spec
     require_adaptive_regime(spec.p, spec.u)
-    m = default_probe_count(spec.n1) if m is None else int(m)
-    # Here too, before a negative m or a fractional n makes a wrong budget.
-    if m < 1:
-        raise PreconditionViolated("m must be a positive integer")
-    tape = open_adaptive(f, budget=6 * m * _integer(n))
+    m = default_probe_count(spec.n1) if m is None else as_count(m, "m")
+    n = as_count(n, "n")
+    # At least 1 and N1: adaptive_mean_a3 refuses a smaller m or n by name.
+    tape = open_adaptive(f, budget=6 * max(m, 1) * max(n, spec.n1))
     return adaptive_mean_a3(tape, n, m, rng)

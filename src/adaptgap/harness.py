@@ -28,7 +28,7 @@ import math
 import os
 import sys
 from collections import namedtuple
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import islice
 from typing import Callable, Sequence
 
@@ -47,7 +47,7 @@ from .estimators import norm_est_a1, run_a2, run_a3
 from .hard_instances import HardFamily, Variant
 from .oracle import Mode
 from .rng import RngStream
-from .spaces import INF, ProblemSpec, abbreviate, row_norm, scalar_mean
+from .spaces import INF, ProblemSpec, abbreviate, as_count, row_norm, scalar_mean
 
 __all__ = [
     "REGIME_GUARD_DEFAULT",
@@ -127,7 +127,7 @@ def _parallel_map(fn, items: list, workers: int) -> list:
     than there are items or usable CPUs."""
     affinity = getattr(os, "sched_getaffinity", None)
     cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
-    workers = min(workers, len(items), cpus)
+    workers = min(as_count(workers, "workers"), len(items), cpus)
     if workers <= 1:
         return [fn(item) for item in items]
     # Imported here, as rng defers numpy.random: a one-worker run never
@@ -152,13 +152,11 @@ def _run_cells(cells, seed: int, workers: int) -> list[list[TrialStats]]:
     one ``(signed error, cost)`` pair per column. Returns, in cell order,
     each cell's columns reduced over its trials in trial order.
     """
+    cells = [(*cell, as_count(trials, "trials")) for *cell, trials in cells]
     if any(trials < 2 for *_, trials in cells):
         raise InvalidParameters("trials must be at least 2")
-    items = [
-        (fn, args, int(seed), path + (t,))
-        for fn, args, path, trials in cells
-        for t in range(trials)
-    ]
+    items = [(fn, args, seed, path + (t,))
+             for fn, args, path, trials in cells for t in range(trials)]
     results = iter(_parallel_map(_run_trial, items, workers))
     return [[_stats_from_trials(column) for column in zip(*islice(results, trials))]
             for *_, trials in cells]
@@ -242,8 +240,8 @@ def rms_error(
     (seed, t); returns RMS, its delta-method standard error, the mean
     realized query count, and the mean absolute error.
     """
-    cell = (_estimator_trial, (family, estimator, int(n), m), (), trials)
-    ((stats,),) = _run_cells([cell], seed, workers)
+    cell = (_estimator_trial, (family, estimator, as_count(n, "n"), m), (), trials)
+    ((stats,),) = _run_cells([cell], as_count(seed, "seed"), workers)
     return stats
 
 
@@ -349,7 +347,8 @@ def gap_experiment(
     Monte Carlo is granted the adaptive run's realized query count, so the
     reported ratio rms_a2 / rms_a3 is conservative against adaption.
     """
-    budgets = [int(b) for b in budgets]
+    seed = as_count(seed, "seed")
+    budgets = [as_count(b, "budget") for b in budgets]
     if not budgets or any(b2 <= b1 for b1, b2 in zip(budgets, budgets[1:])):
         raise InvalidParameters("budgets must be strictly increasing")
     if not c3 > 0.0:
@@ -366,16 +365,14 @@ def gap_experiment(
         check_regime(n, side, side, c0)
         specs.append(ProblemSpec(side, side, 1.0, INF))
 
-    cells = [
-        (_gap_trial, (spec, n, m), (i,), trials)
-        for i, (n, spec) in enumerate(zip(budgets, specs))
-    ]
+    cells = [(_gap_trial, (spec, n, m), (i,), trials)
+             for i, (n, spec) in enumerate(zip(budgets, specs))]
     rows = []
     for n, spec, (a2, a3) in zip(budgets, specs, _run_cells(cells, seed, workers)):
         ratio = a2.rms / a3.rms if a3.rms > 0.0 else math.inf
         rows.append(
-            _GapRow(n, spec.n1, spec.n2, trials, a2.rms, a2.stderr, a3.rms,
-                    a3.stderr, ratio, a2.mean_card, a3.mean_card, int(seed))
+            _GapRow(n, spec.n1, spec.n2, a2.trials, a2.rms, a2.stderr, a3.rms,
+                    a3.stderr, ratio, a2.mean_card, a3.mean_card, seed)
         )
     # An a2 sample on mu4 at p = 1, u = INF is +-N1 with probability 1/N1
     # and 0 otherwise, so rms_a2 is about sqrt(N1 / mean_card_a2).
@@ -480,14 +477,14 @@ def rate_experiment(
     footer pairs each curve's fitted slope with that target. Grids are
     guarded by ``check_regime`` with constant ``c0``.
     """
-    regime = Regime(regime)
+    regime, seed = Regime(regime), as_count(seed, "seed")
     default_budgets, curves = _RATE_CURVES[regime]
     grids = []
     cells = []
     for check, curve in enumerate(curves):
-        ns = [int(b) for b in (curve.budgets or budgets or default_budgets)]
         grid = []
-        for j, n in enumerate(ns):
+        for j, b in enumerate(curve.budgets or budgets or default_budgets):
+            n = as_count(b, "budget")
             n1, n2 = _dimensions(curve.shape, n)
             check_regime(n, n1, n2, c0)
             family = HardFamily(curve.variant, ProblemSpec(n1, n2, curve.p, curve.u))
@@ -507,7 +504,7 @@ def rate_experiment(
             curve_rows.append(
                 _RateRow(family.variant.value, curve.estimator.value, spec.p, spec.u,
                          spec.n1, spec.n2, n, stats.trials, stats.rms, stats.stderr,
-                         stats.mean_card, int(seed), stats.mae)
+                         stats.mean_card, seed, stats.mae)
             )
         rows.extend(curve_rows)
         label = f"{curve.label} [{curve.estimator.value}]"
@@ -612,19 +609,17 @@ def ds_experiment(
     checked, once before the first trial.
     """
     modes = tuple(Mode) if mode == "both" else (Mode(mode),)
-    alpha, c0 = float(alpha), float(c0)
+    alpha, c0, seed = float(alpha), float(c0), as_count(seed, "seed")
     delta = _default_delta(k0, alpha, c0) if delta is None else float(delta)
     schedules = tuple(level_allocation(k, alpha, delta, c0) for k in k0)
     if not schedules:
         raise InvalidParameters("k0 needs at least one value")
     needed = max(s.k1 for s in schedules)
-    k_max = needed if k_max is None else int(k_max)
-    if k_max < needed:
+    spec = DirectSumSpec(alpha, p, u, needed if k_max is None else k_max)
+    if spec.k_max < needed:
         raise InvalidParameters(
-            f"k_max = {k_max} truncates below the largest estimated level {needed}"
+            f"k_max = {spec.k_max} truncates below the largest estimated level {needed}"
         )
-
-    spec = DirectSumSpec(alpha, float(p), float(u), k_max)
     args = (spec, schedules, modes, m)
     (cell,) = _run_cells([(_ds_trial, args, (), trials)], seed, workers)
     columns = iter(cell)
@@ -635,14 +630,13 @@ def ds_experiment(
         for kind in modes:
             stats = next(columns)
             rms[kind] = stats.rms
-            rows.append(_DsRow(k, kind.value, trials, stats.rms, stats.stderr,
-                               stats.mean_card, int(seed)))
+            rows.append(_DsRow(k, kind.value, stats.trials, stats.rms, stats.stderr,
+                               stats.mean_card, seed))
         if len(modes) == 2:
             adaptive = rms[Mode.ADAPTIVE]
             ratio = rms[Mode.NONADAPTIVE] / adaptive if adaptive > 0 else math.inf
             footer.append(("ratio", f"k0={k}", ratio))
-    settings = {"alpha": alpha, "delta": delta, "k_max": k_max,
-                "p": float(p), "u": float(u)}
+    settings = asdict(spec) | {"delta": delta}
     return Table(_DsRow._fields, tuple(rows), tuple(footer), settings)
 
 
@@ -681,17 +675,16 @@ def norm_deviation_experiment(
         raise InvalidParameters("population must be a nonempty vector")
     if not np.isfinite(pop).all():
         raise InvalidParameters("population entries must be finite")
-    budgets = [int(b) for b in budgets]
+    budgets = [as_count(b, "budget") for b in budgets]
+    seed = as_count(seed, "seed")
     true_norm = row_norm(pop, v)
-    cells = [
-        (_norm_trial, (pop, float(v), n, true_norm), (i,), trials)
-        for i, n in enumerate(budgets)
-    ]
+    cells = [(_norm_trial, (pop, float(v), n, true_norm), (i,), trials)
+             for i, n in enumerate(budgets)]
     u = float(u)
     rows = []
     for n, (stats,) in zip(budgets, _run_cells(cells, seed, workers)):
-        rows.append(_NormRow(float(v), u, pop.size, n, trials, stats.rms, stats.stderr,
-                             int(seed)))
+        rows.append(_NormRow(float(v), u, pop.size, n, stats.trials, stats.rms,
+                             stats.stderr, seed))
     target = max(1.0 / u - 1.0 / float(v), -0.5)
     footer = (_fit_item("rms deviation", rows, "rms_dev", target),
               ("true norm", "", true_norm))

@@ -54,7 +54,7 @@ import functools
 import numpy as np
 
 from .errors import BudgetExceeded, DisciplineViolation, IndexOutOfRange
-from .spaces import MixedMatrix, ProblemSpec
+from .spaces import MixedMatrix, ProblemSpec, as_count
 
 __all__ = [
     "Mode",
@@ -134,7 +134,7 @@ class Plan:
         if not (n >= 0 and float(n).is_integer()):
             raise ValueError(f"a plan's size must be a nonnegative integer, got {n}")
         plan = cls.__new__(cls)
-        plan.flat, plan.size, plan._handed = None, int(n), False
+        plan.flat, plan.size, plan._handed = None, as_count(n, "n"), False
         plan._draw = functools.partial(generator.integers, 0, spec.n_entries)
         return plan
 
@@ -174,7 +174,7 @@ class QueryTape:
         if isinstance(plan_or_budget, Plan):
             self._plan, budget = plan_or_budget, plan_or_budget.size
         else:
-            self._plan, budget = None, int(plan_or_budget)
+            self._plan, budget = None, as_count(plan_or_budget, "budget")
             if budget < 0:
                 raise ValueError("budget must be nonnegative")
         self._budget = budget
@@ -308,7 +308,9 @@ class QueryTape:
 def open_adaptive(f: MixedMatrix, budget: int) -> QueryTape:
     """Open a tape whose queries may depend on earlier answers, refusing any
     batch that would take it past ``budget`` queries."""
-    return QueryTape(f, int(budget))  # int() refuses a Plan
+    if isinstance(budget, Plan):
+        raise TypeError("open_adaptive takes a budget, not a Plan")
+    return QueryTape(f, budget)
 
 
 def open_nonadaptive(f: MixedMatrix, plan: Plan) -> QueryTape:

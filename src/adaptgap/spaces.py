@@ -20,7 +20,8 @@ the full dense array, built on first access and cached, for the readers that
 need every entry (``mixed_norm``).
 
 Exponents are plain floats with ``INF`` (``math.inf``) as the sentinel for
-the supremum norm; finite exponents must lie in [1, inf).
+the supremum norm; finite exponents must lie in [1, inf). Every exponent a
+caller passes goes through ``as_exponent``, every count through ``as_count``.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .errors import InvalidExponent
 __all__ = [
     "INF",
     "as_exponent",
+    "as_count",
     "abbreviate",
     "inverse_power",
     "ProblemSpec",
@@ -59,6 +61,18 @@ def as_exponent(value) -> float:
     if math.isnan(x) or x < 1.0:
         raise InvalidExponent(f"exponent must be >= 1 or INF, got {value!r}")
     return x
+
+
+# Built once: as_count runs several times in every estimator trial.
+_INTEGERS, _FLOATS = (int, np.integer), (float, np.floating)
+
+
+def as_count(value, name: str) -> int:
+    """An int, numpy integer or float with no fraction, as an int; anything
+    else (a str, NaN, inf, 2.5) raises ``ValueError`` naming ``name``."""
+    if isinstance(value, _INTEGERS) or isinstance(value, _FLOATS) and value.is_integer():
+        return int(value)
+    raise ValueError(f"{name} must be an integer, got {value}")
 
 
 def abbreviate(n: int):
@@ -88,12 +102,10 @@ class ProblemSpec:
     u: float
 
     def __post_init__(self) -> None:
-        if int(self.n1) != self.n1 or self.n1 < 1:
-            raise ValueError(f"n1 must be a positive integer, got {self.n1!r}")
-        if int(self.n2) != self.n2 or self.n2 < 1:
-            raise ValueError(f"n2 must be a positive integer, got {self.n2!r}")
-        object.__setattr__(self, "n1", int(self.n1))
-        object.__setattr__(self, "n2", int(self.n2))
+        for name in ("n1", "n2"):
+            if (side := as_count(getattr(self, name), name)) < 1:
+                raise ValueError(f"{name} must be a positive integer, got {side}")
+            object.__setattr__(self, name, side)
         if self.n_entries >= 1 << 63:
             # Sides below 2^64 have their product printed in full.
             huge = max(self.n1, self.n2) >= 1 << 64
@@ -132,7 +144,7 @@ class MixedMatrix:
         ``row_ids`` are distinct 0-based row positions and ``block`` holds
         their values, one row of ``block`` per id; ``block`` is copied.
         """
-        ids = tuple(map(int, row_ids))
+        ids = tuple(as_count(i, "row id") for i in row_ids)
         return cls._adopt(spec, ids, _real_copy(block))
 
     @classmethod

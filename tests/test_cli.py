@@ -315,6 +315,16 @@ def test_probe_counts_below_one_are_precondition_violations(argv, m, capsys):
     assert out == "" and err == "error: m must be a positive integer\n"
 
 
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_a3_budgets_below_n1_are_precondition_violations(n, capsys):
+    # A negative n is refused as n, not as the negative tape budget 6*m*n.
+    argv = ["estimate", "--family", "mu4", "--alg", "a3", "--p", "1", "--u", "inf",
+            "--n1", "4", "--n2", "4", "--n", n]
+    code, out, err = capture(capsys, argv)
+    assert code == 3
+    assert out == "" and err == f"error: n = {n} must be at least N1 = 4\n"
+
+
 def _subcommands() -> dict[str, argparse.ArgumentParser]:
     (subs,) = [action for action in build_parser()._actions
                if isinstance(action, argparse._SubParsersAction)]

@@ -30,7 +30,7 @@ from adaptgap import estimators, oracle
 from adaptgap.hard_instances import HardFamily, Variant
 from adaptgap.oracle import Plan, open_adaptive, open_nonadaptive
 from adaptgap.rng import RngStream
-from adaptgap.spaces import INF, MixedMatrix, ProblemSpec, scalar_mean
+from adaptgap.spaces import INF, MixedMatrix, ProblemSpec, as_count, scalar_mean
 from reference import a2_by_pairs, draw_pairs, pairs_plan
 
 
@@ -344,15 +344,15 @@ class TestSampleCountsAreIntegers:
             pop, 2.0, 8, RngStream(0)
         )
         # An integer beyond the float range is still an integer.
-        assert estimators._integer(10**400) == 10**400
+        assert as_count(10**400, "n") == 10**400
 
     @pytest.mark.parametrize(
         "run, error, message",
         [
             (lambda f: run_a3(f, 1, 2, RngStream(1)), PreconditionViolated,
              "n = 1 must be at least N1 = 2"),
-            (lambda f: run_a3(f, -5, 2, RngStream(1)), ValueError,
-             "budget must be nonnegative"),
+            (lambda f: run_a3(f, -5, 2, RngStream(1)), PreconditionViolated,
+             "n = -5 must be at least N1 = 2"),
             (lambda f: norm_est_a1([1.0], 2.0, 0, RngStream(0)), ValueError,
              "n must be positive"),
         ],

@@ -44,6 +44,9 @@ class TestOpenAdaptive:
     def test_budget_is_a_nonnegative_integer(self, f22):
         with pytest.raises(ValueError):
             open_adaptive(f22, budget=-1)
+        # int() would open a budget of 2.
+        with pytest.raises(ValueError, match="budget must be an integer, got 2.5"):
+            open_adaptive(f22, budget=2.5)
         # A plan would make the tape non-adaptive: only open_nonadaptive
         # takes one.
         with pytest.raises(TypeError):
