@@ -109,7 +109,10 @@ def resolve_seed(explicit: int | None) -> int:
         return explicit
     env = os.environ.get("ADAPTGAP_SEED")
     if env:
-        return int(env)
+        try:
+            return int(env)
+        except ValueError:
+            raise ValueError(f"ADAPTGAP_SEED must be an integer seed, got {env!r}") from None
     return DEFAULT_SEED
 
 

@@ -130,11 +130,16 @@ class Plan:
         """n uniform entries of a ``spec`` matrix from a numpy ``Generator``:
         the same flat indices as ``generator.integers(0, N1 * N2, size=n)``,
         drawn a block at a time as ``blocks`` hands them out. An n that is
-        negative or not an integer raises ``ValueError``."""
-        if not (n >= 0 and float(n).is_integer()):
+        negative or not an integer (a str included) raises ``ValueError``,
+        in one message for every refusal."""
+        try:
+            size = as_count(n, "n")
+        except ValueError:
+            size = None
+        if size is None or size < 0:
             raise ValueError(f"a plan's size must be a nonnegative integer, got {n}")
         plan = cls.__new__(cls)
-        plan.flat, plan.size, plan._handed = None, as_count(n, "n"), False
+        plan.flat, plan.size, plan._handed = None, size, False
         plan._draw = functools.partial(generator.integers, 0, spec.n_entries)
         return plan
 

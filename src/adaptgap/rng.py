@@ -13,9 +13,16 @@ Only the two steps numpy has no API for are hashed here, with numpy's
 time, and the Philox key output. The pool after ``(seed, path)`` is thus
 one step on from the pool after ``(seed, path[:-1])``, so pools are kept per
 prefix in a small cache: a repeated path costs no absorbed word, and a new
-child of a cached prefix costs one. ``tests/test_rng.py`` checks the derived
-keys and draws against numpy's ``SeedSequence``, which guards against a
-numpy release that changes the hash.
+child of a cached prefix costs one. Beside it, a cache of the same bound
+(64 entries) keeps each ``(seed, path)``'s ready Philox key, so a repeated
+stream, such as trial t of every cell that reruns trials from the same seed,
+costs only its ``Philox`` and ``Generator``. ``tests/test_rng.py`` checks the
+derived keys and draws against numpy's ``SeedSequence`` from cold and warm
+caches, which guards against a numpy release that changes the hash.
+
+The seed is checked once, where a handle is built from it: it goes through
+``spaces.as_count`` and must be nonnegative. :meth:`RngStream.child` builds
+its handle without ``__init__``, since the parent's seed is already checked.
 
 Philox is handed its default all-zero counter explicitly, as one shared
 read-only array: numpy copies an array counter with one ``astype``, where it
@@ -33,6 +40,8 @@ from functools import cache, lru_cache
 
 import numpy as np
 
+from .spaces import as_count
+
 __all__ = ["RngStream"]
 
 
@@ -40,22 +49,33 @@ __all__ = ["RngStream"]
 class RngStream:
     """Handle for a reproducible random stream.
 
-    ``seed`` is the master seed (any nonnegative integer, typically 64-bit).
-    ``stream`` is a tuple of integers naming a sub-stream; ``child`` extends
-    it. The handle is cheap and immutable; call :meth:`generator` to obtain
-    a fresh numpy ``Generator`` positioned at the start of the stream.
+    ``seed`` is the master seed (any nonnegative integer, typically 64-bit;
+    an integral float or numpy scalar is taken as its int, and anything else
+    raises ``ValueError`` naming the seed). ``stream`` is a tuple of integers
+    naming a sub-stream; ``child`` extends it. The handle is cheap and
+    immutable; call :meth:`generator` to obtain a fresh numpy ``Generator``
+    positioned at the start of the stream.
     """
 
     seed: int
     stream: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "seed", as_count(self.seed, "seed"))
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 
     def child(self, *ids: int) -> "RngStream":
-        """Derive an independent sub-stream named by ``ids``."""
-        return RngStream(self.seed, self.stream + tuple(map(int, ids)))
+        """Derive an independent sub-stream named by ``ids``.
+
+        The handle's fields are set directly, skipping the dataclass
+        ``__init__`` and the seed check: the parent's seed is checked.
+        """
+        child = object.__new__(RngStream)
+        fields = child.__dict__
+        fields["seed"] = self.seed
+        fields["stream"] = self.stream + tuple(map(int, ids))
+        return child
 
     def generator(self) -> np.random.Generator:
         """A new generator at the start of this stream.
@@ -63,9 +83,8 @@ class RngStream:
         Each call builds its own bit generator, so two generators of one
         stream never share state.
         """
-        generator_cls, philox_cls, key_cls = _numpy_random()
-        key = key_cls(_philox_key(self.seed, self.stream))
-        return generator_cls(philox_cls(key, counter=_COUNTER))
+        generator_cls, philox_cls, _ = _numpy_random()
+        return generator_cls(philox_cls(_key(self.seed, self.stream), counter=_COUNTER))
 
 
 # Philox's default counter; numpy copies it, so one array serves every call.
@@ -149,6 +168,13 @@ def _philox_key(seed: int, path: tuple[int, ...]) -> tuple[int, int]:
         w0 ^ (w0 >> 16) | (w1 ^ (w1 >> 16)) << 32,
         w2 ^ (w2 >> 16) | (w3 ^ (w3 >> 16)) << 32,
     )
+
+
+@lru_cache(maxsize=64)
+def _key(seed: int, path: tuple[int, ...]):
+    """The ``_Key`` that hands Philox the key of ``(seed, path)``. Every
+    generator of the stream shares it; it is never written."""
+    return _numpy_random()[2](_philox_key(seed, path))
 
 
 @cache

@@ -581,3 +581,12 @@ class TestSeedResolution:
             ["estimate", "--n1", "4", "--n2", "4", "--n", "8", "--seed", "1"],
         )
         assert "seed=1" in out
+
+    @pytest.mark.parametrize("env", ["abc", "2.5", "1e3"])
+    def test_malformed_env_is_refused_by_name(self, capsys, monkeypatch, env):
+        monkeypatch.setenv("ADAPTGAP_SEED", env)
+        code, out, err = capture(
+            capsys, ["estimate", "--n1", "4", "--n2", "4", "--n", "16"]
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: ADAPTGAP_SEED must be an integer seed, got {env!r}\n"

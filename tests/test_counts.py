@@ -91,6 +91,8 @@ COUNTS = [
      lambda v: norm_deviation_experiment([1.0, 2.0], 2.0, [8], 2, v)),
     ("ds-trials", "trials", lambda v: ds(trials=v)),
     ("ds-seed", "seed", lambda v: ds(seed=v)),
+    ("RngStream-seed", "seed",
+     lambda v: RngStream(v).child(1).generator().integers(0, 2**40, 4).tolist()),
 ]
 
 # Two checks refuse a non-integer together with a range, in their own words.

@@ -303,7 +303,7 @@ class TestDrawnPlan:
         tape = open_nonadaptive(f22, self.drawn(0))
         assert tape.budget == 0 and list(tape.answers()) == []
 
-    @pytest.mark.parametrize("n", [2.5, math.nan, math.inf])
+    @pytest.mark.parametrize("n", [2.5, math.nan, math.inf, "8"])
     def test_size_is_an_integer(self, n):
         # A fractional size would open a tape with a fractional budget.
         with pytest.raises(ValueError, match="nonnegative integer"):

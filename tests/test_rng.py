@@ -2,11 +2,13 @@
 
 numpy builds the seed's pool, ``SeedSequence(seed).pool``; ``adaptgap.rng``
 hashes the path's words into it and outputs the Philox key itself, rather
-than through a ``SeedSequence(seed, spawn_key=path)`` per stream. These tests
-pin that derivation to numpy: if a numpy release changed the hash, they
-fail before any golden does.
+than through a ``SeedSequence(seed, spawn_key=path)`` per stream, and caches
+pools and keys. These tests pin that derivation to numpy, from cold and warm
+caches: if a numpy release changed the hash, they fail before any golden
+does.
 """
 
+import dataclasses
 import os
 import pickle
 import subprocess
@@ -18,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import adaptgap
-from adaptgap.rng import RngStream, _philox_key, _pool
+from adaptgap.rng import RngStream, _key, _philox_key, _pool
 
 # 0, one word, two words, three or four words (the pool's size, where a
 # seed stops being padded), and more words than SeedSequence's 4-word pool.
@@ -62,9 +64,15 @@ def test_key_equals_seed_sequence_state(seed, path):
 @settings(max_examples=100, deadline=None)
 @given(seeds, paths)
 def test_key_is_the_same_from_a_cold_cache(seed, path):
-    warm = _philox_key(seed, path)
+    want = np.random.SeedSequence(seed, spawn_key=path).generate_state(2, np.uint64)
+    want = tuple(int(w) for w in want)
     _pool.cache_clear()
-    assert _philox_key(seed, path) == warm
+    _key.cache_clear()
+    cold = _key(seed, path)
+    assert cold.key == want
+    # Warm: the generator is handed the cached holder, with the same key.
+    g = RngStream(seed, path).generator()
+    assert g.bit_generator.seed_seq is cold and cold.key == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -136,6 +144,24 @@ def test_child_of_child_is_the_joint_path(seed, a, b):
     assert nested.generator().integers(0, 2**63, size=4).tolist() == (
         RngStream(seed, (a, b)).generator().integers(0, 2**63, size=4).tolist()
     )
+
+
+@settings(max_examples=50, deadline=None)
+@given(seeds)
+def test_a_child_is_the_handle_built_from_its_path(seed):
+    # child() sets its fields without __init__; the handle it gives is the
+    # one built from the joint path in every way a caller can see.
+    child = RngStream(seed).child(1).child(2, 3)
+    built = RngStream(seed, (1, 2, 3))
+    assert child == built and hash(child) == hash(built)
+    assert repr(child) == repr(built)
+    assert pickle.dumps(child) == pickle.dumps(built)
+    assert pickle.loads(pickle.dumps(child)) == built
+    assert child.generator().integers(0, 2**63, size=4).tolist() == (
+        built.generator().integers(0, 2**63, size=4).tolist()
+    )
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        child.seed = 0
 
 
 def test_two_live_generators_of_one_stream_are_independent():
