@@ -15,6 +15,8 @@ Three estimators are provided:
   block of indices and answers, not n-length arrays. At integer entries,
   and whenever n <= ``PLAN_BLOCK``, the value equals the mean of all n
   answers at once bit for bit; otherwise it may differ in the last bits.
+  On a chunk's tape (``oracle.open_nonadaptive_chunk``) it sums each
+  trial's row of answers and returns one mean per trial.
 * ``adaptive_mean_a3`` -- two-stage adaptive estimator for 1 <= p < 2, the
   p of its tape's spec.
   Stage one probes every row with m independent empirical L_2 norms of
@@ -82,10 +84,12 @@ class EstimateReport:
 
     ``cards`` is the total number of queries charged; ``stage_cards`` splits
     it into (stage-1, stage-2) counts for the two-stage estimator, whose
-    per-row sample counts are reported in ``allocation``.
+    per-row sample counts are reported in ``allocation``. Plain Monte Carlo
+    on a chunk of trials reports an array of ``value`` s, one per trial, and
+    each trial's ``cards``.
     """
 
-    value: float
+    value: float | np.ndarray
     cards: int
     stage_cards: tuple[int, int] | None = None
     allocation: np.ndarray | None = None
@@ -154,15 +158,17 @@ def _plan_length(n) -> int:
     return n
 
 
-def draw_plan(spec: ProblemSpec, n: int, rng: RngStream) -> Plan:
+def draw_plan(spec: ProblemSpec, n: int, rng: RngStream, trials: int | None = None) -> Plan:
     """The n uniform entries that ``run_a2`` asks for ``rng``, as a drawn
-    ``Plan`` of flat indices, drawn block by block as it is answered.
+    ``Plan`` of flat indices, drawn block by block as it is answered; with
+    ``trials``, n entries for each of ``trials`` instances (see
+    ``Plan.drawn``).
 
     Refuses an n that is not an integer, or more than 2^53 queries, with
     ``ValueError``.
     """
     n = _plan_length(n)
-    return Plan.drawn(n, spec, rng.generator())
+    return Plan.drawn(n, spec, rng.generator(), trials)
 
 
 def mc_mean_a2(tape: QueryTape) -> EstimateReport:
@@ -170,20 +176,25 @@ def mc_mean_a2(tape: QueryTape) -> EstimateReport:
     n queries.
 
     The answers come from ``tape.answers()``, block by block, and the value
-    is the sum of the block sums over n. Raises ``PreconditionViolated`` on
-    an ADAPTIVE tape, which has no plan, and ``ValueError`` on an empty plan.
+    is the sum of the block sums over n. On a chunk's tape, whose plan asks
+    n queries of each trial, each trial's row is summed: ``value`` holds one
+    mean per trial, and ``cards`` is each trial's n. Raises
+    ``PreconditionViolated`` on an ADAPTIVE tape, which has no plan, and
+    ``ValueError`` on an empty plan.
     """
     if tape.mode is not Mode.NONADAPTIVE:
         raise PreconditionViolated("mc_mean_a2 requires a NONADAPTIVE tape")
-    n = tape.plan.size
+    plan = tape.plan
+    n = plan.size // (plan.trials or 1)
     if n < 1:
         raise ValueError("the plan must hold at least one query")
     total = None
     for vals in tape.answers():
-        block = np.add.reduce(vals)
+        block = np.add.reduce(vals, axis=-1)
         total = block if total is None else total + block
     # With one block this is np.add.reduce(x) / len(x), what x.mean() computes.
-    return EstimateReport(value=float(total / n), cards=n)
+    value = total / n
+    return EstimateReport(value=value if plan.trials else float(value), cards=n)
 
 
 def allocate_samples(a_tilde, p, n: int) -> np.ndarray:

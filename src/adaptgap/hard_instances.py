@@ -20,6 +20,12 @@ positions.
 A sample is row-sparse exactly when one row is active: it stores that row as
 a ``1 x N2`` block (see ``MixedMatrix.from_rows``), so sampling, ground truth
 and queries cost O(N2), not O(N1*N2). The other two families are dense.
+
+A one-row family also draws a chunk of trials at once
+(:meth:`HardFamily.sample_chunk`): each trial's row id and its active row,
+as arrays with a leading trials axis. Row ids, spike columns and signs then
+come from one child stream each, drawn row-major, so the first k trials of a
+chunk are the chunk of k trials.
 """
 
 from __future__ import annotations
@@ -31,13 +37,15 @@ import numpy as np
 
 from .errors import InvalidExponent
 from .rng import RngStream
-from .spaces import INF, MixedMatrix, ProblemSpec, inverse_power
+from .spaces import INF, MixedMatrix, ProblemSpec, as_count, inverse_power
 
 __all__ = ["Variant", "HardFamily"]
 
-# Child-stream ids: positions vs signs.
+# Child-stream ids: positions vs signs; a chunk draws its spike columns apart
+# from its row ids.
 _POSITIONS = 0
 _SIGNS = 1
+_COLUMNS = 2
 
 
 class Variant(enum.Enum):
@@ -63,6 +71,22 @@ _SHAPES = {
 }
 
 
+def _rows(spec: ProblemSpec, one_spike: bool, rows: int, size, g_col, g_sign,
+          scale: float) -> np.ndarray:
+    """A ``rows x N2`` block of active rows: one spike per row at a column
+    from ``g_col``, or a sign in every entry, with signs from ``g_sign``,
+    times ``scale``. ``size`` is the shape of the per-row draws: None draws
+    one row's column and sign as scalars, the same values as one-element
+    arrays, and faster."""
+    if not one_spike:
+        return _signs(g_sign, (rows, spec.n2), scale)
+    block = np.zeros((rows, spec.n2))
+    block[np.arange(rows), g_col.integers(0, spec.n2, size=size)] = _signs(
+        g_sign, size, scale * inverse_power(spec.n2, spec.u)
+    )
+    return block
+
+
 @dataclass(frozen=True)
 class HardFamily:
     """A tagged adversarial distribution over one mixed-norm space."""
@@ -70,27 +94,49 @@ class HardFamily:
     variant: Variant
     spec: ProblemSpec
 
+    @property
+    def one_row(self) -> bool:
+        """Whether one uniform row is active, so that a draw is row-sparse
+        and :meth:`sample_chunk` can draw many."""
+        return _SHAPES[self.variant][0]
+
+    def _shape(self) -> tuple[bool, bool]:
+        one_row, one_spike = _SHAPES[self.variant]
+        if one_row and not one_spike and self.spec.p == INF:
+            raise InvalidExponent("the active-row family requires finite p")
+        return one_row, one_spike
+
     def sample(self, rng: RngStream) -> MixedMatrix:
         """One draw; the active-row family raises ``InvalidExponent`` at p = inf."""
         spec = self.spec
-        one_row, one_spike = _SHAPES[self.variant]
-        if one_row and not one_spike and spec.p == INF:
-            raise InvalidExponent("the active-row family requires finite p")
-        rows, row_ids, scale = spec.n1, None, 1.0
+        one_row, one_spike = self._shape()
+        rows, row_ids, scale, g_pos = spec.n1, None, 1.0, None
         if one_row or one_spike:
             g_pos = rng.child(_POSITIONS).generator()
         if one_row:
             rows, scale = 1, inverse_power(spec.n1, spec.p)
             row_ids = (int(g_pos.integers(0, spec.n1)),)
         g_sign = rng.child(_SIGNS).generator()
-        if one_spike:
-            # One row draws its column and sign as scalars: the same values
-            # as one-element arrays, and faster.
-            size = None if one_row else rows
-            block = np.zeros((rows, spec.n2))
-            block[np.arange(rows), g_pos.integers(0, spec.n2, size=size)] = _signs(
-                g_sign, size, scale * inverse_power(spec.n2, spec.u)
-            )
-        else:
-            block = _signs(g_sign, (rows, spec.n2), scale)
+        size = None if one_row else rows
+        block = _rows(spec, one_spike, rows, size, g_pos, g_sign, scale)
         return MixedMatrix._adopt(spec, row_ids, block)
+
+    def sample_chunk(self, rng: RngStream, trials: int) -> tuple[np.ndarray, np.ndarray]:
+        """``trials`` draws of a one-row family: each draw's active row id,
+        shape ``(trials,)``, and that row's entries, shape ``(trials, N2)``.
+
+        Row ids, spike columns and signs each come from their own child
+        stream of ``rng``, drawn row-major, so the first k draws do not
+        depend on ``trials``. A family whose every row is active raises
+        ``ValueError``; the active-row family raises ``InvalidExponent`` at
+        p = inf.
+        """
+        spec, trials = self.spec, as_count(trials, "trials")
+        one_row, one_spike = self._shape()
+        if not one_row:
+            raise ValueError(f"{self.variant.value} is not a one-row family")
+        row_ids = rng.child(_POSITIONS).generator().integers(0, spec.n1, size=trials)
+        g_col = rng.child(_COLUMNS).generator() if one_spike else None
+        g_sign = rng.child(_SIGNS).generator()
+        scale = inverse_power(spec.n1, spec.p)
+        return row_ids, _rows(spec, one_spike, trials, trials, g_col, g_sign, scale)

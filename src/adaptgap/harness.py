@@ -1,12 +1,18 @@
 """Seeded experiment harness: RMS curves, rate fits, and the adaption gap.
 
-Every experiment is a deterministic function of its master seed: trial t of
-an experiment draws from the stream (master_seed, ...grid indices..., t), so
-adding trials extends earlier results and worker counts never change the
-numbers. Trials are embarrassingly parallel: every trial of an experiment
-goes through one worker pool, and reductions happen in trial order after
-collection, which keeps outputs bitwise reproducible for any ``workers``
-setting; the pool never outnumbers the trials or the usable CPUs.
+Every experiment is a deterministic function of its master seed. Trial t of
+a cell draws from the stream (master_seed, ...grid indices..., t), except in
+a chunked cell: plain Monte Carlo on a one-row family (mu1, mu4) runs as
+arrays over chunks of trials, a fixed number per chunk that follows from n,
+N2 and ``PLAN_BLOCK``, and chunk c draws from the stream
+(master_seed, ...grid indices..., c), one child stream per quantity (row
+ids, spike columns, signs, plan), each drawn row-major. Either way adding
+trials extends earlier results, and worker counts never change the
+numbers. Trials are embarrassingly parallel: every trial (or chunk) of an
+experiment goes through one worker pool, and reductions happen in trial
+order after collection, which keeps outputs bitwise reproducible for any
+``workers`` setting; the pool never outnumbers the trials or the usable
+CPUs.
 
 Ground-truth means are computed by direct summation outside the query
 oracle; they are measurement infrastructure, not algorithmic information.
@@ -29,7 +35,7 @@ import os
 import sys
 from collections import namedtuple
 from dataclasses import asdict, dataclass, field
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -43,9 +49,9 @@ from .errors import (
     NonpositiveError,
     RegimeViolation,
 )
-from .estimators import norm_est_a1, run_a2, run_a3
+from .estimators import draw_plan, mc_mean_a2, norm_est_a1, run_a2, run_a3
 from .hard_instances import HardFamily, Variant
-from .oracle import Mode
+from .oracle import PLAN_BLOCK, Mode, open_nonadaptive_chunk
 from .rng import RngStream
 from .spaces import INF, ProblemSpec, abbreviate, as_count, row_norm, scalar_mean
 
@@ -139,27 +145,39 @@ def _parallel_map(fn, items: list, workers: int) -> list:
         return list(pool.map(fn, items, chunksize=chunksize))
 
 
-def _run_trial(item):
-    fn, args, seed, stream = item
-    return fn(*args, RngStream(seed, stream))
+def _run_item(item) -> list:
+    """One trial, or one chunk of trials, as a list of trial results."""
+    fn, args, seed, stream, count = item
+    if count is None:
+        return [fn(*args, RngStream(seed, stream))]
+    return fn(*args, count, RngStream(seed, stream))
 
 
 def _run_cells(cells, seed: int, workers: int) -> list[list[TrialStats]]:
     """Run every trial of every cell through one worker pool.
 
-    A cell is ``(fn, args, path, trials)``: trial t calls the module-level
-    ``fn(*args, stream)`` on the stream ``(seed, *path, t)``, which returns
-    one ``(signed error, cost)`` pair per column. Returns, in cell order,
-    each cell's columns reduced over its trials in trial order.
+    A cell is ``(fn, args, path, trials, chunk)``. With ``chunk`` None,
+    trial t calls the module-level ``fn(*args, stream)`` on the stream
+    ``(seed, *path, t)``, which returns one ``(signed error, cost)`` pair
+    per column. Otherwise chunk c holds trials ``c*chunk`` on, at most
+    ``chunk`` of them, and calls ``fn(*args, count, stream)`` on the stream
+    ``(seed, *path, c)``, which returns its ``count`` trials' results in
+    order; its first k results must not depend on ``count``. Returns, in
+    cell order, each cell's columns reduced over its trials in trial order.
     """
-    cells = [(*cell, as_count(trials, "trials")) for *cell, trials in cells]
-    if any(trials < 2 for *_, trials in cells):
+    cells = [(*cell, as_count(trials, "trials"), chunk) for *cell, trials, chunk in cells]
+    if any(trials < 2 for *_, trials, _ in cells):
         raise InvalidParameters("trials must be at least 2")
-    items = [(fn, args, seed, path + (t,))
-             for fn, args, path, trials in cells for t in range(trials)]
-    results = iter(_parallel_map(_run_trial, items, workers))
+    items = []
+    for fn, args, path, trials, chunk in cells:
+        if chunk is None:
+            items += [(fn, args, seed, path + (t,), None) for t in range(trials)]
+        else:
+            items += [(fn, args, seed, path + (c,), min(chunk, trials - start))
+                      for c, start in enumerate(range(0, trials, chunk))]
+    results = chain.from_iterable(_parallel_map(_run_item, items, workers))
     return [[_stats_from_trials(column) for column in zip(*islice(results, trials))]
-            for *_, trials in cells]
+            for *_, trials, _ in cells]
 
 
 def _stats_from_trials(results: Sequence[tuple[float, int]]) -> TrialStats:
@@ -224,6 +242,29 @@ def _estimator_trial(
     return ((report.value - truth, report.cards),)
 
 
+def _a2_chunk(family: HardFamily, n: int, count: int, stream: RngStream) -> list:
+    """``count`` plain Monte Carlo trials on a one-row family, as arrays:
+    each trial's signed error and cost, in trial order."""
+    spec = family.spec
+    row_ids, rows = family.sample_chunk(stream.child(0), count)
+    truths = np.add.reduce(rows, axis=1) / spec.n_entries
+    plan = draw_plan(spec, n, stream.child(1), count)
+    report = mc_mean_a2(open_nonadaptive_chunk(spec, row_ids, rows, plan))
+    return [((error, report.cards),) for error in (report.value - truths).tolist()]
+
+
+def _estimator_cell(family, estimator: EstimatorKind, n: int, m: int | None,
+                    path: tuple, trials: int) -> tuple:
+    """The cell of ``trials`` runs of one estimator at budget n, each on a
+    fresh instance. Plain Monte Carlo on a one-row family runs in chunks of
+    as many trials as one plan block holds, and as many instance rows; every
+    other cell runs trial by trial."""
+    if estimator is EstimatorKind.A2 and isinstance(family, HardFamily) and family.one_row:
+        chunk = max(1, PLAN_BLOCK // max(n, family.spec.n2))
+        return _a2_chunk, (family, n), path, trials, chunk
+    return _estimator_trial, (family, estimator, n, m), path, trials, None
+
+
 def rms_error(
     family: HardFamily,
     estimator: EstimatorKind,
@@ -237,10 +278,11 @@ def rms_error(
     """RMS error of one estimator at one budget over seeded trials.
 
     Trial t samples a fresh instance and runs the estimator on the stream
-    (seed, t); returns RMS, its delta-method standard error, the mean
+    (seed, t), or, in a chunked cell (see the module docstring), on its
+    chunk's streams; returns RMS, its delta-method standard error, the mean
     realized query count, and the mean absolute error.
     """
-    cell = (_estimator_trial, (family, estimator, as_count(n, "n"), m), (), trials)
+    cell = _estimator_cell(family, estimator, as_count(n, "n"), m, (), trials)
     ((stats,),) = _run_cells([cell], as_count(seed, "seed"), workers)
     return stats
 
@@ -365,7 +407,7 @@ def gap_experiment(
         check_regime(n, side, side, c0)
         specs.append(ProblemSpec(side, side, 1.0, INF))
 
-    cells = [(_gap_trial, (spec, n, m), (i,), trials)
+    cells = [(_gap_trial, (spec, n, m), (i,), trials, None)
              for i, (n, spec) in enumerate(zip(budgets, specs))]
     rows = []
     for n, spec, (a2, a3) in zip(budgets, specs, _run_cells(cells, seed, workers)):
@@ -489,8 +531,8 @@ def rate_experiment(
             check_regime(n, n1, n2, c0)
             family = HardFamily(curve.variant, ProblemSpec(n1, n2, curve.p, curve.u))
             grid.append((n, family))
-            args = (family, curve.estimator, n, None)
-            cells.append((_estimator_trial, args, (check, j), trials * curve.trial_scale))
+            cells.append(_estimator_cell(family, curve.estimator, n, None, (check, j),
+                                         trials * curve.trial_scale))
         grids.append(grid)
 
     results = iter(_run_cells(cells, seed, workers))
@@ -621,7 +663,7 @@ def ds_experiment(
             f"k_max = {spec.k_max} truncates below the largest estimated level {needed}"
         )
     args = (spec, schedules, modes, m)
-    (cell,) = _run_cells([(_ds_trial, args, (), trials)], seed, workers)
+    (cell,) = _run_cells([(_ds_trial, args, (), trials, None)], seed, workers)
     columns = iter(cell)
     rows = []
     footer = []
@@ -678,7 +720,7 @@ def norm_deviation_experiment(
     budgets = [as_count(b, "budget") for b in budgets]
     seed = as_count(seed, "seed")
     true_norm = row_norm(pop, v)
-    cells = [(_norm_trial, (pop, float(v), n, true_norm), (i,), trials)
+    cells = [(_norm_trial, (pop, float(v), n, true_norm), (i,), trials, None)
              for i, n in enumerate(budgets)]
     u = float(u)
     rows = []

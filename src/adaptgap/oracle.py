@@ -26,6 +26,13 @@ draw per query. Its values equal one draw of all n indices, because numpy's
 never holds more than a block of indices, however long the plan.
 :func:`open_nonadaptive` takes a plan and nothing else.
 
+A drawn plan may also ask n queries of each of several instances: a plan
+over ``trials`` is one row-major ``(trials, n)`` draw, handed out in 2-D
+blocks whose row r asks instance r. It fits one block unless it holds one
+trial, whose row is then handed out in pieces. :func:`open_nonadaptive_chunk`
+opens such a plan on a chunk of one-row instances, one stored row each, and
+charges each trial its n queries.
+
 Failed queries (budget or discipline errors) are not charged: the run is
 aborted, not billed. ``query_many`` answers a batch with exactly the
 semantics of issuing its queries one at a time, but at vectorized cost.
@@ -39,7 +46,9 @@ row-sparse one (see ``MixedMatrix.from_rows``) from its stored rows, with
 zeros elsewhere, looking only at the stored rows between the least and the
 greatest row asked, so no query ever builds the dense array. A plan's block
 is answered from its flat indices: by one gather when dense, and by one
-unsigned range test of the offsets into each stored row when row-sparse.
+unsigned range test of the offsets into each stored row when row-sparse; a
+block of a chunk's plan by one such test of each row against its trial's
+stored row.
 
 The first tape a process builds also sets glibc's malloc thresholds (see
 ``_keep_freed_blocks``), so that the block temporaries of every caller,
@@ -50,6 +59,7 @@ from __future__ import annotations
 
 import enum
 import functools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,6 +73,7 @@ __all__ = [
     "QueryTape",
     "open_adaptive",
     "open_nonadaptive",
+    "open_nonadaptive_chunk",
 ]
 
 
@@ -113,8 +124,10 @@ class Plan:
     ``Plan(flat)``, and a drawn one with :meth:`Plan.drawn`. ``flat`` holds
     every index of an explicit plan as int64, with no copy of int64 input,
     and is None for a drawn one, whose indices exist only a block at a time.
-    ``size`` is the number of queries. :meth:`blocks` hands the plan out,
-    once. Float indices raise ``TypeError``, other shapes ``ValueError``.
+    ``size`` is the number of queries. ``trials`` is None, or the number of
+    instances a drawn plan asks, ``size / trials`` queries each.
+    :meth:`blocks` hands the plan out, once. Float indices raise
+    ``TypeError``, other shapes ``ValueError``.
     """
 
     def __init__(self, flat) -> None:
@@ -122,24 +135,39 @@ class Plan:
         if self.flat.ndim != 1:
             raise ValueError("a plan's flat indices are a 1-D array")
         self.size = len(self.flat)
+        self.trials = None
         self._draw = None
         self._handed = False
 
     @classmethod
-    def drawn(cls, n: int, spec: ProblemSpec, generator) -> Plan:
+    def drawn(cls, n: int, spec: ProblemSpec, generator, trials: int | None = None) -> Plan:
         """n uniform entries of a ``spec`` matrix from a numpy ``Generator``:
         the same flat indices as ``generator.integers(0, N1 * N2, size=n)``,
         drawn a block at a time as ``blocks`` hands them out. An n that is
         negative or not an integer (a str included) raises ``ValueError``,
-        in one message for every refusal."""
+        in one message for every refusal.
+
+        With ``trials``, n entries for each of ``trials`` instances: the
+        indices of ``integers(0, N1 * N2, size=(trials, n))``, of which the
+        first k rows do not depend on ``trials``. Several trials must fit
+        one block, ``trials * n <= PLAN_BLOCK``; else ``ValueError``.
+        """
         try:
             size = as_count(n, "n")
         except ValueError:
             size = None
         if size is None or size < 0:
             raise ValueError(f"a plan's size must be a nonnegative integer, got {n}")
+        if trials is not None:
+            trials = as_count(trials, "trials")
+            if trials < 1 or trials > 1 and trials * size > PLAN_BLOCK:
+                raise ValueError(
+                    f"a plan over {trials} trials of {size} queries does not fit "
+                    f"one block of {PLAN_BLOCK}"
+                )
         plan = cls.__new__(cls)
-        plan.flat, plan.size, plan._handed = None, size, False
+        plan.flat, plan._handed = None, False
+        plan.size, plan.trials = size if trials is None else trials * size, trials
         plan._draw = functools.partial(generator.integers, 0, spec.n_entries)
         return plan
 
@@ -148,7 +176,8 @@ class Plan:
         ``PLAN_BLOCK`` queries.
 
         An explicit plan's blocks are views of its array. A drawn plan draws
-        each block as it yields it. Either is handed out only once:
+        each block as it yields it; a plan over trials yields
+        ``(trials, width)`` blocks. Either is handed out only once:
         iterating a second ``blocks()`` raises ``DisciplineViolation``.
         """
         if self._handed:
@@ -156,10 +185,13 @@ class Plan:
         self._handed = True
         for start in range(0, self.size, PLAN_BLOCK):
             end = min(start + PLAN_BLOCK, self.size)
-            if self.flat is None:
+            if self.flat is not None:
+                yield self.flat[start:end]
+            elif self.trials is None:
                 yield self._draw(end - start)
             else:
-                yield self.flat[start:end]
+                # Several trials fit one block; one trial's row comes in pieces.
+                yield self._draw((self.trials, (end - start) // self.trials))
 
 
 class QueryTape:
@@ -167,10 +199,12 @@ class QueryTape:
 
     Construct via :func:`open_adaptive`, whose tape answers ``query_many``
     up to its budget, or :func:`open_nonadaptive`, whose tape only answers
-    its plan, through ``answers``, and whose budget is the plan's size.
+    its plan, through ``answers``, and whose budget is the plan's size. A
+    tape from :func:`open_nonadaptive_chunk` answers a plan over trials on
+    a chunk of instances in the same way.
     """
 
-    def __init__(self, target: MixedMatrix, plan_or_budget: Plan | int) -> None:
+    def __init__(self, target: MixedMatrix | _Chunk, plan_or_budget: Plan | int) -> None:
         _keep_freed_blocks()
         self._spec = target.spec
         # The stored rows: the whole C-ordered matrix when dense.
@@ -266,10 +300,11 @@ class QueryTape:
     def _answer_flat(self, flat: np.ndarray) -> np.ndarray:
         """Answer a block of flat entry indices: checked and charged as a
         ``query_many`` batch is. ``flat`` is int64: read as unsigned, a
-        negative index is 2^63 or more, so one pass checks both ends."""
+        negative index is 2^63 or more, so one pass checks both ends. A 2-D
+        block is a chunk's: its row r asks trial r's instance."""
         spec = self._spec
         count = flat.size
-        if count and not np.maximum.reduce(flat.view(np.uint64)) < spec.n_entries:
+        if count and not np.maximum.reduce(flat.view(np.uint64), axis=None) < spec.n_entries:
             raise IndexOutOfRange(
                 f"plan entry indices outside [0, {spec.n_entries}) of a "
                 f"{spec.n1} x {spec.n2} matrix"
@@ -282,6 +317,16 @@ class QueryTape:
         # whose offset from its start lies in [0, N2). Read as unsigned, a
         # negative offset does not.
         n2 = spec.n2
+        if flat.ndim == 2:
+            # Row r against trial r's stored row, which starts at r * N2 in
+            # the flattened block; found and gathered flat, as 1-D indexing
+            # is faster than 2-D.
+            off = np.subtract(flat, self._row_ids[:, None] * n2, dtype=np.int64)
+            hit = (off.view(np.uint64) < n2).reshape(-1).nonzero()[0]
+            out = np.zeros(flat.shape)
+            trial_start = hit // flat.shape[1] * n2
+            out.reshape(-1)[hit] = self._block.take(off.reshape(-1).take(hit) + trial_start)
+            return out
         out = np.zeros(count)
         for i, values in zip(self._row_ids, self._block):
             off = np.subtract(flat, i * n2, dtype=np.int64)
@@ -318,6 +363,15 @@ def open_adaptive(f: MixedMatrix, budget: int) -> QueryTape:
     return QueryTape(f, budget)
 
 
+class _Chunk(NamedTuple):
+    """The instances of a chunk, as a tape reads a target: instance r is zero
+    but for row ``row_ids[r]``, which holds ``block[r]``."""
+
+    spec: ProblemSpec
+    row_ids: np.ndarray
+    block: np.ndarray
+
+
 def open_nonadaptive(f: MixedMatrix, plan: Plan) -> QueryTape:
     """Open a tape that answers exactly ``plan``, in order, through
     :meth:`QueryTape.answers`, and nothing else; the budget equals the
@@ -325,4 +379,30 @@ def open_nonadaptive(f: MixedMatrix, plan: Plan) -> QueryTape:
     """
     if not isinstance(plan, Plan):
         raise TypeError(f"open_nonadaptive takes a Plan, not {type(plan).__name__}")
+    if plan.trials is not None:
+        raise ValueError("a plan over trials is answered by open_nonadaptive_chunk")
     return QueryTape(f, plan)
+
+
+def open_nonadaptive_chunk(spec: ProblemSpec, row_ids, rows, plan: Plan) -> QueryTape:
+    """Open a NONADAPTIVE tape over a chunk of one-row instances of ``spec``:
+    instance r is zero but for row ``row_ids[r]``, which holds ``rows[r]``.
+
+    ``plan`` is a drawn plan over ``len(row_ids)`` trials (``Plan.drawn``
+    with ``trials``), whose row r asks instance r. The tape answers it as
+    :func:`open_nonadaptive`'s tape answers its plan, range-checking and
+    charging every block, so each trial is charged its n queries; the
+    answers come as ``(trials, width)`` blocks.
+    """
+    if not isinstance(plan, Plan):
+        raise TypeError(f"open_nonadaptive_chunk takes a Plan, not {type(plan).__name__}")
+    row_ids = np.asarray(row_ids, dtype=np.int64)
+    rows = np.asarray(rows, dtype=np.float64)
+    if plan.trials != len(row_ids) or rows.shape != (len(row_ids), spec.n2):
+        raise ValueError(
+            f"a chunk of {len(row_ids)} row ids and rows of shape {rows.shape} "
+            f"does not match a plan over {plan.trials} trials of {spec.n2}-entry rows"
+        )
+    if len(row_ids) and not np.maximum.reduce(row_ids.view(np.uint64)) < spec.n1:
+        raise ValueError(f"row ids must be in [0, {spec.n1})")
+    return QueryTape(_Chunk(spec, row_ids, rows), plan)

@@ -20,7 +20,9 @@ from adaptgap.estimators import (
     run_a2,
 )
 from adaptgap.harness import (
+    _RATE_CURVES,
     EstimatorKind,
+    Regime,
     ds_experiment,
     gap_experiment,
     norm_deviation_experiment,
@@ -474,4 +476,51 @@ def test_criterion_12_small_instance_oracle():
         f"{checked} matrices x {len(combos)} exponent pairs; "
         f"mean mismatches={mean_mismatches}, norm mismatches={norm_mismatches}, "
         f"worst gap={worst:.2e}",
+    )
+
+
+#: Largest |z| allowed on a closed-form row, fixed before any measurement:
+#: at 9 rows per seed and 8 sweep seeds, a normal z passes all 72 with
+#: probability about 0.995.
+Z_BOUND = 4.0
+
+
+def one_row_a2_forms(n1: int, n2: int, n: int) -> dict:
+    """Closed-form RMS of plain Monte Carlo with n samples at p = 1, u = inf.
+
+    A sample is +-N1 with probability 1/N1 on mu4 and 1/(N1*N2) on mu1, and
+    0 otherwise; the truth is the instance's mean. On mu4 the truth is S/N2
+    for a sum S of N2 signs, so E[S^2] = N2 gives rms^2 = (N1 - 1/N2)/n; on
+    mu1 it is +-1/N2, so rms^2 = N1*(1 - 1/(N1*N2))/(n*N2).
+    """
+    return {
+        Variant.ACTIVE_ROW_BERNOULLI: math.sqrt((n1 - 1.0 / n2) / n),
+        Variant.SINGLE_SPIKE: math.sqrt(n1 * (1.0 - 1.0 / (n1 * n2)) / (n * n2)),
+    }
+
+
+def measure_13(seed: int) -> list[Check]:
+    """z = (rms - closed form) / stderr on every a2 cell of the one-row
+    curves of ``rates --regime p-lt-2-lt-u``, at their default budgets and
+    trial counts: the curves that run as arrays over chunks of trials."""
+    default_budgets, curves = _RATE_CURVES[Regime.P_LT_2_LT_U]
+    checks = []
+    for curve in curves:
+        if curve.estimator is not EstimatorKind.A2:
+            continue
+        assert (curve.p, curve.u) == (1.0, INF)
+        for n in curve.budgets or default_budgets:
+            n1, n2 = curve.shape(n)
+            family = HardFamily(curve.variant, ProblemSpec(n1, n2, curve.p, curve.u))
+            stats = rms_error(family, EstimatorKind.A2, n, 300 * curve.trial_scale, seed)
+            z = (stats.rms - one_row_a2_forms(n1, n2, n)[curve.variant]) / stats.stderr
+            checks.append(Check(f"z {curve.variant.value} n={n}", z, -Z_BOUND, Z_BOUND))
+    return checks
+
+
+def test_criterion_13_one_row_a2_closed_forms():
+    report_checks(
+        13,
+        "plain MC rms on the mu1 and mu4 curves matches its closed form",
+        measure_13(SEED + 17),
     )

@@ -22,7 +22,7 @@ GOLDEN = {
     "rates": (
         ["rates", "--regime", "p-lt-2-lt-u", "--trials", "4",
          "--budgets", "2^8,2^10,2^12,2^14", "--seed", "3"],
-        "cecfed22a08d18a9dc4163f15c42962a4a677a870fcf9bea44a001b3618498a6",
+        "758fb0c2f8abe1c1392d3c7039ddd08b6d0ae122b6dcaa51dab9d4e0f40b82c4",
     ),
     "ds": (
         ["ds", "--k0", "4,5", "--delta", "0.2", "--trials", "4", "--seed", "3"],

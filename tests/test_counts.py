@@ -63,6 +63,9 @@ COUNTS = [
         ProblemSpec(9, 2, 1.0, INF), [v], [[1.0, 2.0]]).row_ids),
     ("open_adaptive", "budget", lambda v: open_adaptive(mu4(), v).budget),
     ("draw_plan", "n", lambda v: next(draw_plan(MU4.spec, v, RngStream(1)).blocks())),
+    ("draw_plan-trials", "trials",
+     lambda v: next(draw_plan(MU4.spec, 2, RngStream(1), v).blocks())),
+    ("sample_chunk", "trials", lambda v: MU4.sample_chunk(RngStream(1), v)),
     ("norm_est_a1", "n", lambda v: norm_est_a1([1.0, 2.0, 3.0], 2.0, v, RngStream(1))),
     ("allocate_samples", "n", lambda v: allocate_samples([1.0, 3.0], 1.0, v)),
     ("adaptive_mean_a3-n", "n",

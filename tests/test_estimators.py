@@ -202,6 +202,29 @@ class TestMcMeanA2:
         assert abs(values.mean() - truth) <= 3.0 * se
 
 
+class TestA2OnAChunk:
+    """On a chunk's tape, a2 sums each trial's row of answers: each trial's
+    mean equals a2 on that trial's instance and row of the plan, alone."""
+
+    @pytest.mark.parametrize("n, trials, block", [(7, 5, 1 << 15), (10, 1, 4), (9, 1, 3)])
+    def test_each_mean_is_a2_on_its_own_instance(self, monkeypatch, n, trials, block):
+        monkeypatch.setattr(oracle, "PLAN_BLOCK", block)
+        spec = ProblemSpec(3, 4, 1.5, INF)
+        row_ids, rows = HardFamily(Variant.ACTIVE_ROW_BERNOULLI, spec).sample_chunk(
+            RngStream(2), trials
+        )
+        plan = draw_plan(spec, n, RngStream(3), trials)
+        tape = oracle.open_nonadaptive_chunk(spec, row_ids, rows, plan)
+        report = mc_mean_a2(tape)
+        assert report.cards == n and tape.card() == n * trials
+        assert report.value.shape == (trials,)
+        flat = RngStream(3).generator().integers(0, 12, size=(trials, n))
+        for r in range(trials):
+            f = MixedMatrix.from_rows(spec, [row_ids[r]], rows[r : r + 1])
+            alone = mc_mean_a2(open_nonadaptive(f, Plan(flat[r])))
+            assert report.value[r] == alone.value and alone.cards == n
+
+
 class TestA2DeclaredPlan:
     @settings(max_examples=80, deadline=None)
     @given(

@@ -11,6 +11,7 @@ from adaptgap.hard_instances import HardFamily, Variant
 from adaptgap.rng import RngStream
 from adaptgap.spaces import (
     INF,
+    MixedMatrix,
     ProblemSpec,
     inverse_power,
     mixed_norm,
@@ -199,3 +200,73 @@ def test_samples_match_the_dense_reference(variant, n1, n2, p, u, seed):
     else:
         ulp = np.spacing(np.abs(reference).mean())
         assert abs(scalar_mean(f) - truth) <= 4 * ulp
+
+
+ONE_ROW = [Variant.SINGLE_SPIKE, Variant.ACTIVE_ROW_BERNOULLI]
+
+
+def chunk_reference(variant, spec, rng, trials):
+    """A chunk built trial by trial from raw numpy draws: row ids from child
+    0, spike columns from child 2 and signs from child 1, each drawn once
+    for the whole chunk."""
+    row_ids = rng.child(0).generator().integers(0, spec.n1, size=trials)
+    scale = inverse_power(spec.n1, spec.p)
+    if variant is Variant.SINGLE_SPIKE:
+        cols = rng.child(2).generator().integers(0, spec.n2, size=trials)
+        signs = rng.child(1).generator().integers(0, 2, size=trials) * 2 - 1
+        rows = np.zeros((trials, spec.n2))
+        for t in range(trials):
+            rows[t, cols[t]] = signs[t] * scale * inverse_power(spec.n2, spec.u)
+    else:
+        signs = rng.child(1).generator().integers(0, 2, size=(trials, spec.n2))
+        rows = (signs * 2 - 1) * scale
+    return row_ids, rows
+
+
+class TestSampleChunk:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        variant=st.sampled_from(ONE_ROW),
+        n1=st.integers(1, 12),
+        n2=st.integers(1, 12),
+        p=st.sampled_from([1.0, 1.5, 2.0]),
+        u=st.sampled_from([1.0, 2.0, INF]),
+        trials=st.integers(1, 9),
+        seed=st.integers(0, 2**32),
+    )
+    def test_chunk_matches_the_reference(self, variant, n1, n2, p, u, trials, seed):
+        spec = ProblemSpec(n1, n2, p, u)
+        rng = RngStream(seed, (5,))
+        row_ids, rows = HardFamily(variant, spec).sample_chunk(rng, trials)
+        want_ids, want_rows = chunk_reference(variant, spec, rng, trials)
+        assert row_ids.shape == (trials,) and rows.shape == (trials, n2)
+        assert rows.dtype == np.float64
+        assert row_ids.tolist() == want_ids.tolist()
+        assert rows.tolist() == want_rows.tolist()
+        # Every trial is a sample of the family: on the unit ball.
+        for i, row in zip(row_ids, rows):
+            f = MixedMatrix.from_rows(spec, [i], row[None, :])
+            assert mixed_norm(f) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.parametrize("variant", ONE_ROW)
+    def test_first_trials_do_not_depend_on_the_count(self, variant):
+        family = HardFamily(variant, ProblemSpec(9, 7, 1.0, INF))
+        short = family.sample_chunk(RngStream(8, (1,)), 3)
+        long = family.sample_chunk(RngStream(8, (1,)), 40)
+        assert short[0].tolist() == long[0][:3].tolist()
+        assert short[1].tolist() == long[1][:3].tolist()
+
+    def test_only_one_row_families_draw_chunks(self):
+        spec = ProblemSpec(4, 4, 1.0, INF)
+        for variant, one_row in [(Variant.SINGLE_SPIKE, True),
+                                 (Variant.FULL_BERNOULLI, False),
+                                 (Variant.ROW_SPIKES, False),
+                                 (Variant.ACTIVE_ROW_BERNOULLI, True)]:
+            family = HardFamily(variant, spec)
+            assert family.one_row is one_row
+            if not one_row:
+                with pytest.raises(ValueError, match="not a one-row family"):
+                    family.sample_chunk(RngStream(1), 2)
+        with pytest.raises(InvalidExponent):
+            HardFamily(Variant.ACTIVE_ROW_BERNOULLI,
+                       ProblemSpec(4, 4, INF, INF)).sample_chunk(RngStream(1), 2)

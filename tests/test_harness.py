@@ -27,9 +27,9 @@ from adaptgap.harness import (
     rms_error,
 )
 from adaptgap.hard_instances import HardFamily, Variant
-from adaptgap.oracle import Mode, open_adaptive
+from adaptgap.oracle import Mode, Plan, QueryTape, open_adaptive, open_nonadaptive
 from adaptgap.rng import RngStream
-from adaptgap.spaces import INF, MixedMatrix, ProblemSpec
+from adaptgap.spaces import INF, MixedMatrix, ProblemSpec, scalar_mean
 
 
 class ZeroVariant:
@@ -92,6 +92,98 @@ class TestRmsError:
         b = rms_error(fam, EstimatorKind.A2, 32, 80, seed=7)
         assert a.trials == 40 and b.trials == 80
         assert a != b  # genuinely different summaries
+
+
+class TestChunkedA2Cells:
+    """Plain Monte Carlo on a one-row family runs as arrays over chunks of
+    trials: chunk c draws from the stream (seed, c), its instances from
+    child 0 and its plan from child 1."""
+
+    @pytest.fixture
+    def trials_of(self, monkeypatch):
+        # The reducer hands back each trial's (signed error, cost) as is.
+        monkeypatch.setattr(harness, "_stats_from_trials", list)
+
+    CASES = [(Variant.SINGLE_SPIKE, (400, 16), 300),
+             (Variant.ACTIVE_ROW_BERNOULLI, (8, 300), 4096)]
+
+    @staticmethod
+    def family(variant, shape):
+        return HardFamily(variant, ProblemSpec(*shape, 1.0, INF))
+
+    def test_chunk_size_follows_from_n_and_the_row_length(self):
+        block = harness.PLAN_BLOCK
+        for variant, shape, n in [*self.CASES, (Variant.SINGLE_SPIKE, (9, 40000), 16),
+                                  (Variant.ACTIVE_ROW_BERNOULLI, (9, 9), block + 1)]:
+            cell = harness._estimator_cell(self.family(variant, shape),
+                                           EstimatorKind.A2, n, None, (), 5)
+            assert cell[0] is harness._a2_chunk
+            assert cell[4] == max(1, block // max(n, shape[1]))
+        # a3, the dense families and families outside the table run trial
+        # by trial.
+        spec = ProblemSpec(8, 8, 1.0, INF)
+        for family, kind in [(HardFamily(Variant.ACTIVE_ROW_BERNOULLI, spec), EstimatorKind.A3),
+                             (HardFamily(Variant.FULL_BERNOULLI, spec), EstimatorKind.A2),
+                             (HardFamily(Variant.ROW_SPIKES, spec), EstimatorKind.A2),
+                             (ZeroFamily(), EstimatorKind.A2)]:
+            cell = harness._estimator_cell(family, kind, 64, None, (), 5)
+            assert cell[0] is harness._estimator_trial and cell[4] is None
+
+    @pytest.mark.parametrize("variant, shape, n", CASES)
+    def test_trials_do_not_depend_on_the_trial_count_or_workers(
+        self, trials_of, variant, shape, n
+    ):
+        family = self.family(variant, shape)
+        chunk = harness._estimator_cell(family, EstimatorKind.A2, n, None, (), 2)[4]
+        short = rms_error(family, EstimatorKind.A2, n, 8, seed=11)
+        long = rms_error(family, EstimatorKind.A2, n, 3 * chunk + 5, seed=11)
+        assert len(short) == 8 and len(long) == 3 * chunk + 5
+        assert short == long[:8]
+        assert rms_error(family, EstimatorKind.A2, n, 3 * chunk + 5, seed=11,
+                         workers=2) == long
+
+    @pytest.mark.parametrize("variant, shape, n", CASES)
+    def test_each_trial_is_a2_on_its_own_instance(self, trials_of, variant, shape, n):
+        family = self.family(variant, shape)
+        spec = family.spec
+        chunk = harness._estimator_cell(family, EstimatorKind.A2, n, None, (), 2)[4]
+        trials = chunk + 3
+        got = rms_error(family, EstimatorKind.A2, n, trials, seed=12)
+        want = []
+        for c, count in enumerate((chunk, 3)):
+            stream = RngStream(12, (c,))
+            row_ids, rows = family.sample_chunk(stream.child(0), count)
+            flat = stream.child(1).generator().integers(0, spec.n_entries, size=(count, n))
+            for r in range(count):
+                f = MixedMatrix.from_rows(spec, [row_ids[r]], rows[r : r + 1])
+                report = estimators.mc_mean_a2(open_nonadaptive(f, Plan(flat[r])))
+                want.append((report.value - scalar_mean(f), n))
+        assert got == want
+
+    @pytest.mark.parametrize("variant, shape, n, trials", [
+        (Variant.SINGLE_SPIKE, (30, 16), 16, 5000),
+        (Variant.ACTIVE_ROW_BERNOULLI, (256, 5377), 65536, 3),
+    ])
+    def test_no_block_holds_more_than_a_plan_block(self, monkeypatch, variant, shape, n, trials):
+        shapes = []
+        answer = QueryTape._answer_flat
+
+        def recording(tape, flat):
+            shapes.append(flat.shape)
+            return answer(tape, flat)
+
+        monkeypatch.setattr(QueryTape, "_answer_flat", recording)
+        stats = rms_error(self.family(variant, shape), EstimatorKind.A2, n, trials, seed=1)
+        assert stats.mean_card == n
+        assert all(len(s) == 2 and s[0] * s[1] <= harness.PLAN_BLOCK for s in shapes)
+        assert sum(s[0] * s[1] for s in shapes) == n * trials
+
+    def test_every_a2_row_costs_n_exactly(self):
+        table = rate_experiment(Regime.P_LT_2_LT_U, budgets=(256, 1024, 4096, 16384),
+                                trials=4, seed=3)
+        a2 = [row for row in table.rows if row.estimator == "a2"]
+        assert {row.family for row in a2} == {"mu1", "mu4"} and len(a2) == 9
+        assert all(row.mean_card == row.n for row in a2)
 
 
 class TestWorkerPoolSize:

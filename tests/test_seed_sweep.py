@@ -29,6 +29,7 @@ from test_acceptance import (
     measure_04,
     measure_07,
     measure_08,
+    measure_13,
 )
 
 
@@ -90,3 +91,8 @@ def test_criterion_08_norm_rate_over_seeds():
 @pytest.mark.sweep
 def test_criterion_10_adaptive_beats_nonadaptive_over_seeds():
     sweep(10, SEED + 15, lambda seed: direction_checks(ds_direct_sum(seed)))
+
+
+@pytest.mark.sweep
+def test_criterion_13_one_row_a2_closed_forms_over_seeds():
+    sweep(13, SEED + 17, measure_13)
