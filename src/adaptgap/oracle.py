@@ -403,6 +403,6 @@ def open_nonadaptive_chunk(spec: ProblemSpec, row_ids, rows, plan: Plan) -> Quer
             f"a chunk of {len(row_ids)} row ids and rows of shape {rows.shape} "
             f"does not match a plan over {plan.trials} trials of {spec.n2}-entry rows"
         )
-    if len(row_ids) and not np.maximum.reduce(row_ids.view(np.uint64)) < spec.n1:
+    if not np.maximum.reduce(row_ids.view(np.uint64)) < spec.n1:
         raise ValueError(f"row ids must be in [0, {spec.n1})")
     return QueryTape(_Chunk(spec, row_ids, rows), plan)
