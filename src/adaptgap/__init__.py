@@ -63,6 +63,7 @@ from .spaces import (
     INF,
     MixedMatrix,
     ProblemSpec,
+    RowChunk,
     mixed_norm,
     mixed_norm_many,
     row_norm,

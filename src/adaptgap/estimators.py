@@ -3,8 +3,8 @@
 Three estimators are provided:
 
 * ``norm_est_a1`` -- empirical L_v norm from n i.i.d. uniform draws of a
-  population vector; the building block of the adaptive estimator's first
-  stage.
+  population vector, the statistic that each probe of the adaptive
+  estimator's first stage computes (at v = 2) on one row.
 * ``mc_mean_a2`` -- plain Monte Carlo: the average of the answers to a
   NONADAPTIVE tape's plan, normally ``draw_plan``'s n uniform
   with-replacement entries. Non-adaptive (the plan is fixed before any
@@ -15,8 +15,8 @@ Three estimators are provided:
   block of indices and answers, not n-length arrays. At integer entries,
   and whenever n <= ``PLAN_BLOCK``, the value equals the mean of all n
   answers at once bit for bit; otherwise it may differ in the last bits.
-  On a chunk's tape (``oracle.open_nonadaptive_chunk``) it sums each
-  trial's row of answers and returns one mean per trial.
+  On a tape over a ``RowChunk`` it sums each instance's row of answers and
+  returns one mean per instance.
 * ``adaptive_mean_a3`` -- two-stage adaptive estimator for 1 <= p < 2, the
   p of its tape's spec.
   Stage one probes every row with m independent empirical L_2 norms of
@@ -36,9 +36,9 @@ Three estimators are provided:
   bit for bit at integer entries and whenever each row's samples fall in
   one block; otherwise it may differ in its last bits.
 
-``run_a2`` and ``run_a3`` run an estimator on a matrix: each opens the tape
-the estimator is entitled to (a drawn plan, or a 6*m*n budget), and
-``run_a3`` refuses exponents outside p < 2 < u.
+``run_a2`` and ``run_a3`` run an estimator on a matrix, ``run_a2`` also on a
+chunk: each opens the tape the estimator is entitled to (a drawn plan, or a
+6*m*n budget), and ``run_a3`` refuses exponents outside p < 2 < u.
 
 Stage one and stage two draw from distinct child streams of the caller's
 ``RngStream``, so the two stages are independent given the master seed and
@@ -57,7 +57,7 @@ from .errors import EmptyInput, InvalidExponent, PreconditionViolated
 from . import oracle
 from .oracle import Mode, Plan, QueryTape, open_adaptive, open_nonadaptive
 from .rng import RngStream
-from .spaces import INF, MixedMatrix, ProblemSpec, as_count, as_exponent, row_norm
+from .spaces import INF, MixedMatrix, ProblemSpec, RowChunk, as_count, as_exponent, row_norm
 
 __all__ = [
     "EstimateReport",
@@ -85,8 +85,8 @@ class EstimateReport:
     ``cards`` is the total number of queries charged; ``stage_cards`` splits
     it into (stage-1, stage-2) counts for the two-stage estimator, whose
     per-row sample counts are reported in ``allocation``. Plain Monte Carlo
-    on a chunk of trials reports an array of ``value`` s, one per trial, and
-    each trial's ``cards``.
+    on a chunk reports an array of ``value`` s, one per instance, and each
+    instance's ``cards``.
     """
 
     value: float | np.ndarray
@@ -158,17 +158,15 @@ def _plan_length(n) -> int:
     return n
 
 
-def draw_plan(spec: ProblemSpec, n: int, rng: RngStream, trials: int | None = None) -> Plan:
+def draw_plan(spec: ProblemSpec, n: int, rng: RngStream) -> Plan:
     """The n uniform entries that ``run_a2`` asks for ``rng``, as a drawn
-    ``Plan`` of flat indices, drawn block by block as it is answered; with
-    ``trials``, n entries for each of ``trials`` instances (see
-    ``Plan.drawn``).
+    ``Plan`` of flat indices, drawn block by block as it is answered.
 
     Refuses an n that is not an integer, or more than 2^53 queries, with
     ``ValueError``.
     """
     n = _plan_length(n)
-    return Plan.drawn(n, spec, rng.generator(), trials)
+    return Plan.drawn(n, spec, rng.generator())
 
 
 def mc_mean_a2(tape: QueryTape) -> EstimateReport:
@@ -176,25 +174,24 @@ def mc_mean_a2(tape: QueryTape) -> EstimateReport:
     n queries.
 
     The answers come from ``tape.answers()``, block by block, and the value
-    is the sum of the block sums over n. On a chunk's tape, whose plan asks
-    n queries of each trial, each trial's row is summed: ``value`` holds one
-    mean per trial, and ``cards`` is each trial's n. Raises
-    ``PreconditionViolated`` on an ADAPTIVE tape, which has no plan, and
-    ``ValueError`` on an empty plan.
+    is the sum of the block sums over n. On a chunk's tape, whose blocks
+    hold one row per instance, each row is summed: ``value`` holds one mean
+    per instance, and ``cards`` is each instance's n, the plan's size over
+    the number of sums. Raises ``PreconditionViolated`` on an ADAPTIVE
+    tape, which has no plan, and ``ValueError`` on an empty plan.
     """
     if tape.mode is not Mode.NONADAPTIVE:
         raise PreconditionViolated("mc_mean_a2 requires a NONADAPTIVE tape")
-    plan = tape.plan
-    n = plan.size // (plan.trials or 1)
-    if n < 1:
+    if tape.plan.size < 1:
         raise ValueError("the plan must hold at least one query")
     total = None
     for vals in tape.answers():
         block = np.add.reduce(vals, axis=-1)
         total = block if total is None else total + block
+    n = tape.plan.size // np.size(total)
     # With one block this is np.add.reduce(x) / len(x), what x.mean() computes.
     value = total / n
-    return EstimateReport(value=value if plan.trials else float(value), cards=n)
+    return EstimateReport(value=value if np.ndim(value) else float(value), cards=n)
 
 
 def allocate_samples(a_tilde, p, n: int) -> np.ndarray:
@@ -390,9 +387,10 @@ def require_adaptive_regime(p: float, u: float) -> None:
         )
 
 
-def run_a2(f: MixedMatrix, n: int, rng: RngStream) -> EstimateReport:
+def run_a2(f: MixedMatrix | RowChunk, n: int, rng: RngStream) -> EstimateReport:
     """Plain Monte Carlo on ``f``: a NONADAPTIVE tape opened on
-    ``draw_plan(f.spec, n, rng)``, answered by ``mc_mean_a2``."""
+    ``draw_plan(f.spec, n, rng)``, answered by ``mc_mean_a2``. On a chunk of
+    T instances, n is the whole plan's size, n / T queries each."""
     return mc_mean_a2(open_nonadaptive(f, draw_plan(f.spec, n, rng)))
 
 

@@ -22,10 +22,10 @@ a ``1 x N2`` block (see ``MixedMatrix.from_rows``), so sampling, ground truth
 and queries cost O(N2), not O(N1*N2). The other two families are dense.
 
 A one-row family also draws a chunk of trials at once
-(:meth:`HardFamily.sample_chunk`): each trial's row id and its active row,
-as arrays with a leading trials axis. Row ids, spike columns and signs then
-come from one child stream each, drawn row-major, so the first k trials of a
-chunk are the chunk of k trials.
+(:meth:`HardFamily.sample_chunk`), as a ``RowChunk``: each trial's row id
+and its active row, as arrays with a leading trials axis. Row ids, spike
+columns and signs then come from one child stream each, drawn row-major, so
+the first k trials of a chunk are the chunk of k trials.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import InvalidExponent
 from .rng import RngStream
-from .spaces import INF, MixedMatrix, ProblemSpec, as_count, inverse_power
+from .spaces import INF, MixedMatrix, ProblemSpec, RowChunk, as_count, inverse_power
 
 __all__ = ["Variant", "HardFamily"]
 
@@ -121,9 +121,9 @@ class HardFamily:
         block = _rows(spec, one_spike, rows, size, g_pos, g_sign, scale)
         return MixedMatrix._adopt(spec, row_ids, block)
 
-    def sample_chunk(self, rng: RngStream, trials: int) -> tuple[np.ndarray, np.ndarray]:
-        """``trials`` draws of a one-row family: each draw's active row id,
-        shape ``(trials,)``, and that row's entries, shape ``(trials, N2)``.
+    def sample_chunk(self, rng: RngStream, trials: int) -> RowChunk:
+        """``trials`` draws of a one-row family, as a ``RowChunk`` of each
+        draw's active row id and that row's entries.
 
         Row ids, spike columns and signs each come from their own child
         stream of ``rng``, drawn row-major, so the first k draws do not
@@ -139,4 +139,5 @@ class HardFamily:
         g_col = rng.child(_COLUMNS).generator() if one_spike else None
         g_sign = rng.child(_SIGNS).generator()
         scale = inverse_power(spec.n1, spec.p)
-        return row_ids, _rows(spec, one_spike, trials, trials, g_col, g_sign, scale)
+        block = _rows(spec, one_spike, trials, trials, g_col, g_sign, scale)
+        return RowChunk(spec, row_ids, block)

@@ -49,9 +49,9 @@ from .errors import (
     NonpositiveError,
     RegimeViolation,
 )
-from .estimators import draw_plan, mc_mean_a2, norm_est_a1, run_a2, run_a3
+from .estimators import norm_est_a1, run_a2, run_a3
 from .hard_instances import HardFamily, Variant
-from .oracle import PLAN_BLOCK, Mode, open_nonadaptive_chunk
+from .oracle import PLAN_BLOCK, Mode
 from .rng import RngStream
 from .spaces import INF, ProblemSpec, abbreviate, as_count, row_norm, scalar_mean
 
@@ -147,10 +147,10 @@ def _parallel_map(fn, items: list, workers: int) -> list:
 
 def _run_item(item) -> list:
     """One trial, or one chunk of trials, as a list of trial results."""
-    fn, args, seed, stream, count = item
+    fn, args, stream, count = item
     if count is None:
-        return [fn(*args, RngStream(seed, stream))]
-    return fn(*args, count, RngStream(seed, stream))
+        return [fn(*args, stream)]
+    return fn(*args, count, stream)
 
 
 def _run_cells(cells, seed: int, workers: int) -> list[list[TrialStats]]:
@@ -168,12 +168,12 @@ def _run_cells(cells, seed: int, workers: int) -> list[list[TrialStats]]:
     cells = [(*cell, as_count(trials, "trials"), chunk) for *cell, trials, chunk in cells]
     if any(trials < 2 for *_, trials, _ in cells):
         raise InvalidParameters("trials must be at least 2")
-    items = []
+    items, root = [], RngStream(seed)
     for fn, args, path, trials, chunk in cells:
         if chunk is None:
-            items += [(fn, args, seed, path + (t,), None) for t in range(trials)]
+            items += [(fn, args, root.child(*path, t), None) for t in range(trials)]
         else:
-            items += [(fn, args, seed, path + (c,), min(chunk, trials - start))
+            items += [(fn, args, root.child(*path, c), min(chunk, trials - start))
                       for c, start in enumerate(range(0, trials, chunk))]
     results = chain.from_iterable(_parallel_map(_run_item, items, workers))
     return [[_stats_from_trials(column) for column in zip(*islice(results, trials))]
@@ -245,11 +245,9 @@ def _estimator_trial(
 def _a2_chunk(family: HardFamily, n: int, count: int, stream: RngStream) -> list:
     """``count`` plain Monte Carlo trials on a one-row family, as arrays:
     each trial's signed error and cost, in trial order."""
-    spec = family.spec
-    row_ids, rows = family.sample_chunk(stream.child(0), count)
-    truths = np.add.reduce(rows, axis=1) / spec.n_entries
-    plan = draw_plan(spec, n, stream.child(1), count)
-    report = mc_mean_a2(open_nonadaptive_chunk(spec, row_ids, rows, plan))
+    chunk = family.sample_chunk(stream.child(0), count)
+    truths = np.add.reduce(chunk.block, axis=1) / family.spec.n_entries
+    report = run_a2(chunk, count * n, stream.child(1))
     return [((error, report.cards),) for error in (report.value - truths).tolist()]
 
 
@@ -363,7 +361,9 @@ def _dimensions(rule: Callable, n: int):
 
 
 def check_regime(n: int, n1: int, n2: int, c0: float) -> None:
-    """Raise unless n < c0 * N1 * N2."""
+    """Raise unless c0 > 0 (inf turns the guard off) and n < c0 * N1 * N2."""
+    if not c0 > 0.0:
+        raise InvalidParameters("c0 must be positive")
     if not n < c0 * n1 * n2:
         raise RegimeViolation(
             f"budget n = {abbreviate(n)} violates n < c0*N1*N2 = "

@@ -26,12 +26,12 @@ draw per query. Its values equal one draw of all n indices, because numpy's
 never holds more than a block of indices, however long the plan.
 :func:`open_nonadaptive` takes a plan and nothing else.
 
-A drawn plan may also ask n queries of each of several instances: a plan
-over ``trials`` is one row-major ``(trials, n)`` draw, handed out in 2-D
-blocks whose row r asks instance r. It fits one block unless it holds one
-trial, whose row is then handed out in pieces. :func:`open_nonadaptive_chunk`
-opens such a plan on a chunk of one-row instances, one stored row each, and
-charges each trial its n queries.
+:func:`open_nonadaptive` also opens a plan on a :class:`RowChunk` of T
+one-row instances. Its tape hands each block of the plan out as T rows, row
+r asking instance r, so a plan of T * n queries asks n of each instance; a
+drawn plan's rows are those of ``integers(0, N1 * N2, size=(T, n))``.
+Several instances must share one block; one instance takes its row in
+pieces.
 
 Failed queries (budget or discipline errors) are not charged: the run is
 aborted, not billed. ``query_many`` answers a batch with exactly the
@@ -47,8 +47,8 @@ zeros elsewhere, looking only at the stored rows between the least and the
 greatest row asked, so no query ever builds the dense array. A plan's block
 is answered from its flat indices: by one gather when dense, and by one
 unsigned range test of the offsets into each stored row when row-sparse; a
-block of a chunk's plan by one such test of each row against its trial's
-stored row.
+chunk's block by one such test of each row against its instance's stored
+row.
 
 The first tape a process builds also sets glibc's malloc thresholds (see
 ``_keep_freed_blocks``), so that the block temporaries of every caller,
@@ -59,12 +59,11 @@ from __future__ import annotations
 
 import enum
 import functools
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import BudgetExceeded, DisciplineViolation, IndexOutOfRange
-from .spaces import MixedMatrix, ProblemSpec, as_count
+from .spaces import MixedMatrix, ProblemSpec, RowChunk, as_count
 
 __all__ = [
     "Mode",
@@ -73,7 +72,6 @@ __all__ = [
     "QueryTape",
     "open_adaptive",
     "open_nonadaptive",
-    "open_nonadaptive_chunk",
 ]
 
 
@@ -124,10 +122,8 @@ class Plan:
     ``Plan(flat)``, and a drawn one with :meth:`Plan.drawn`. ``flat`` holds
     every index of an explicit plan as int64, with no copy of int64 input,
     and is None for a drawn one, whose indices exist only a block at a time.
-    ``size`` is the number of queries. ``trials`` is None, or the number of
-    instances a drawn plan asks, ``size / trials`` queries each.
-    :meth:`blocks` hands the plan out, once. Float indices raise
-    ``TypeError``, other shapes ``ValueError``.
+    ``size`` is the number of queries. :meth:`blocks` hands the plan out,
+    once. Float indices raise ``TypeError``, other shapes ``ValueError``.
     """
 
     def __init__(self, flat) -> None:
@@ -135,22 +131,16 @@ class Plan:
         if self.flat.ndim != 1:
             raise ValueError("a plan's flat indices are a 1-D array")
         self.size = len(self.flat)
-        self.trials = None
         self._draw = None
         self._handed = False
 
     @classmethod
-    def drawn(cls, n: int, spec: ProblemSpec, generator, trials: int | None = None) -> Plan:
+    def drawn(cls, n: int, spec: ProblemSpec, generator) -> Plan:
         """n uniform entries of a ``spec`` matrix from a numpy ``Generator``:
         the same flat indices as ``generator.integers(0, N1 * N2, size=n)``,
         drawn a block at a time as ``blocks`` hands them out. An n that is
         negative or not an integer (a str included) raises ``ValueError``,
         in one message for every refusal.
-
-        With ``trials``, n entries for each of ``trials`` instances: the
-        indices of ``integers(0, N1 * N2, size=(trials, n))``, of which the
-        first k rows do not depend on ``trials``. Several trials must fit
-        one block, ``trials * n <= PLAN_BLOCK``; else ``ValueError``.
         """
         try:
             size = as_count(n, "n")
@@ -158,26 +148,17 @@ class Plan:
             size = None
         if size is None or size < 0:
             raise ValueError(f"a plan's size must be a nonnegative integer, got {n}")
-        if trials is not None:
-            trials = as_count(trials, "trials")
-            if trials < 1 or trials > 1 and trials * size > PLAN_BLOCK:
-                raise ValueError(
-                    f"a plan over {trials} trials of {size} queries does not fit "
-                    f"one block of {PLAN_BLOCK}"
-                )
         plan = cls.__new__(cls)
-        plan.flat, plan._handed = None, False
-        plan.size, plan.trials = size if trials is None else trials * size, trials
+        plan.flat, plan.size, plan._handed = None, size, False
         plan._draw = functools.partial(generator.integers, 0, spec.n_entries)
         return plan
 
     def blocks(self):
-        """Yield the plan in order as int64 flat index blocks of at most
+        """Yield the plan in order as 1-D int64 flat index blocks of at most
         ``PLAN_BLOCK`` queries.
 
-        An explicit plan's blocks are views of its array. A drawn plan draws
-        each block as it yields it; a plan over trials yields
-        ``(trials, width)`` blocks. Either is handed out only once:
+        An explicit plan's blocks are views of its array; a drawn plan draws
+        each block as it yields it. Either is handed out only once:
         iterating a second ``blocks()`` raises ``DisciplineViolation``.
         """
         if self._handed:
@@ -185,13 +166,7 @@ class Plan:
         self._handed = True
         for start in range(0, self.size, PLAN_BLOCK):
             end = min(start + PLAN_BLOCK, self.size)
-            if self.flat is not None:
-                yield self.flat[start:end]
-            elif self.trials is None:
-                yield self._draw(end - start)
-            else:
-                # Several trials fit one block; one trial's row comes in pieces.
-                yield self._draw((self.trials, (end - start) // self.trials))
+            yield self._draw(end - start) if self.flat is None else self.flat[start:end]
 
 
 class QueryTape:
@@ -199,17 +174,18 @@ class QueryTape:
 
     Construct via :func:`open_adaptive`, whose tape answers ``query_many``
     up to its budget, or :func:`open_nonadaptive`, whose tape only answers
-    its plan, through ``answers``, and whose budget is the plan's size. A
-    tape from :func:`open_nonadaptive_chunk` answers a plan over trials on
-    a chunk of instances in the same way.
+    its plan, through ``answers``, and whose budget is the plan's size; on
+    a :class:`RowChunk` it hands each block out as one row per instance.
     """
 
-    def __init__(self, target: MixedMatrix | _Chunk, plan_or_budget: Plan | int) -> None:
+    def __init__(self, target: MixedMatrix | RowChunk, plan_or_budget: Plan | int) -> None:
         _keep_freed_blocks()
         self._spec = target.spec
         # The stored rows: the whole C-ordered matrix when dense.
         self._row_ids = target.row_ids
         self._block = target.block
+        # A chunk's instance count: the rows each plan block is cut into.
+        self._instances = len(target.row_ids) if isinstance(target, RowChunk) else None
         if isinstance(plan_or_budget, Plan):
             self._plan, budget = plan_or_budget, plan_or_budget.size
         else:
@@ -292,16 +268,20 @@ class QueryTape:
         block out of range or over the budget raises before it is charged.
         The plan is answered once: iterating a second ``answers()`` raises
         ``DisciplineViolation``, and so does calling it on an ADAPTIVE tape.
+        On a chunk of T instances each block of answers is ``(T, width)``.
         """
         if self._plan is None:
             raise DisciplineViolation("an ADAPTIVE tape has no plan to answer")
-        return (self._answer_flat(flat) for flat in self._plan.blocks())
+        blocks, instances = self._plan.blocks(), self._instances
+        if instances is not None:
+            blocks = (flat.reshape(instances, -1) for flat in blocks)
+        return (self._answer_flat(flat) for flat in blocks)
 
     def _answer_flat(self, flat: np.ndarray) -> np.ndarray:
         """Answer a block of flat entry indices: checked and charged as a
         ``query_many`` batch is. ``flat`` is int64: read as unsigned, a
         negative index is 2^63 or more, so one pass checks both ends. A 2-D
-        block is a chunk's: its row r asks trial r's instance."""
+        block is a chunk's: its row r asks instance r."""
         spec = self._spec
         count = flat.size
         if count and not np.maximum.reduce(flat.view(np.uint64), axis=None) < spec.n_entries:
@@ -318,9 +298,8 @@ class QueryTape:
         # negative offset does not.
         n2 = spec.n2
         if flat.ndim == 2:
-            # Row r against trial r's stored row, which starts at r * N2 in
-            # the flattened block; found and gathered flat, as 1-D indexing
-            # is faster than 2-D.
+            # Row r against instance r's row, at r * N2 in the flat block;
+            # found and gathered flat, as 1-D indexing is faster than 2-D.
             off = np.subtract(flat, self._row_ids[:, None] * n2, dtype=np.int64)
             hit = (off.view(np.uint64) < n2).reshape(-1).nonzero()[0]
             out = np.zeros(flat.shape)
@@ -358,51 +337,30 @@ class QueryTape:
 def open_adaptive(f: MixedMatrix, budget: int) -> QueryTape:
     """Open a tape whose queries may depend on earlier answers, refusing any
     batch that would take it past ``budget`` queries."""
-    if isinstance(budget, Plan):
-        raise TypeError("open_adaptive takes a budget, not a Plan")
+    if isinstance(budget, Plan) or isinstance(f, RowChunk):
+        raise TypeError("open_adaptive takes one matrix and a budget")
     return QueryTape(f, budget)
 
 
-class _Chunk(NamedTuple):
-    """The instances of a chunk, as a tape reads a target: instance r is zero
-    but for row ``row_ids[r]``, which holds ``block[r]``."""
-
-    spec: ProblemSpec
-    row_ids: np.ndarray
-    block: np.ndarray
-
-
-def open_nonadaptive(f: MixedMatrix, plan: Plan) -> QueryTape:
+def open_nonadaptive(f: MixedMatrix | RowChunk, plan: Plan) -> QueryTape:
     """Open a tape that answers exactly ``plan``, in order, through
     :meth:`QueryTape.answers`, and nothing else; the budget equals the
     plan's size. Anything but a :class:`Plan` raises ``TypeError``.
+
+    On a chunk of T instances the plan asks each its ``size / T`` queries.
+    An empty chunk, a size that T does not divide, and a plan over more than
+    one instance that does not fit one block of ``PLAN_BLOCK`` queries are
+    refused with ``ValueError``, before anything is charged.
     """
     if not isinstance(plan, Plan):
         raise TypeError(f"open_nonadaptive takes a Plan, not {type(plan).__name__}")
-    if plan.trials is not None:
-        raise ValueError("a plan over trials is answered by open_nonadaptive_chunk")
+    if isinstance(f, RowChunk):
+        instances = len(f.row_ids)
+        if not instances:
+            raise ValueError("a chunk must hold at least one instance")
+        if plan.size % instances or instances > 1 and plan.size > PLAN_BLOCK:
+            raise ValueError(
+                f"a plan of {plan.size} queries does not split into {instances} "
+                f"equal rows within one block of {PLAN_BLOCK}"
+            )
     return QueryTape(f, plan)
-
-
-def open_nonadaptive_chunk(spec: ProblemSpec, row_ids, rows, plan: Plan) -> QueryTape:
-    """Open a NONADAPTIVE tape over a chunk of one-row instances of ``spec``:
-    instance r is zero but for row ``row_ids[r]``, which holds ``rows[r]``.
-
-    ``plan`` is a drawn plan over ``len(row_ids)`` trials (``Plan.drawn``
-    with ``trials``), whose row r asks instance r. The tape answers it as
-    :func:`open_nonadaptive`'s tape answers its plan, range-checking and
-    charging every block, so each trial is charged its n queries; the
-    answers come as ``(trials, width)`` blocks.
-    """
-    if not isinstance(plan, Plan):
-        raise TypeError(f"open_nonadaptive_chunk takes a Plan, not {type(plan).__name__}")
-    row_ids = np.asarray(row_ids, dtype=np.int64)
-    rows = np.asarray(rows, dtype=np.float64)
-    if plan.trials != len(row_ids) or rows.shape != (len(row_ids), spec.n2):
-        raise ValueError(
-            f"a chunk of {len(row_ids)} row ids and rows of shape {rows.shape} "
-            f"does not match a plan over {plan.trials} trials of {spec.n2}-entry rows"
-        )
-    if not np.maximum.reduce(row_ids.view(np.uint64)) < spec.n1:
-        raise ValueError(f"row ids must be in [0, {spec.n1})")
-    return QueryTape(_Chunk(spec, row_ids, rows), plan)

@@ -20,9 +20,9 @@ costs only its ``Philox`` and ``Generator``. ``tests/test_rng.py`` checks the
 derived keys and draws against numpy's ``SeedSequence`` from cold and warm
 caches, which guards against a numpy release that changes the hash.
 
-The seed is checked once, where a handle is built from it: it goes through
-``spaces.as_count`` and must be nonnegative. :meth:`RngStream.child` builds
-its handle without ``__init__``, since the parent's seed is already checked.
+The seed and the path are checked where a handle is built from them: each
+goes through ``spaces.as_count`` and must be nonnegative. :meth:`RngStream.child`
+skips ``__init__``, as its parent is checked, and takes ``operator.index`` ids.
 
 Philox is handed its default all-zero counter explicitly, as one shared
 read-only array: numpy copies an array counter with one ``astype``, where it
@@ -64,17 +64,21 @@ class RngStream:
         object.__setattr__(self, "seed", as_count(self.seed, "seed"))
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        stream = tuple([as_count(i, "stream id") for i in self.stream])
+        if stream and min(stream) < 0:
+            raise ValueError(f"stream ids must be nonnegative, got {stream}")
+        object.__setattr__(self, "stream", stream)
 
     def child(self, *ids: int) -> "RngStream":
         """Derive an independent sub-stream named by ``ids``.
 
         The handle's fields are set directly, skipping the dataclass
-        ``__init__`` and the seed check: the parent's seed is checked.
+        ``__init__``: the parent is checked, and ``ids`` must be integers.
         """
         child = object.__new__(RngStream)
         fields = child.__dict__
         fields["seed"] = self.seed
-        fields["stream"] = self.stream + tuple(map(int, ids))
+        fields["stream"] = self.stream + tuple(map(operator.index, ids))
         return child
 
     def generator(self) -> np.random.Generator:

@@ -17,7 +17,8 @@ with few nonzero rows, only those rows: their 0-based row ids and an
 ``MixedMatrix.from_rows`` the row-sparse one. Query tapes and
 ``scalar_mean`` read the stored rows directly; ``MixedMatrix.entries`` is
 the full dense array, built on first access and cached, for the readers that
-need every entry (``mixed_norm``).
+need every entry (``mixed_norm``). A :class:`RowChunk` holds a chunk of
+one-row matrices of one spec as arrays, one row id and one row each.
 
 Exponents are plain floats with ``INF`` (``math.inf``) as the sentinel for
 the supremum norm; finite exponents must lie in [1, inf). Every exponent a
@@ -42,6 +43,7 @@ __all__ = [
     "inverse_power",
     "ProblemSpec",
     "MixedMatrix",
+    "RowChunk",
     "row_norm",
     "mixed_norm",
     "mixed_norm_many",
@@ -171,13 +173,9 @@ class MixedMatrix:
             or not all(0 <= i < spec.n1 for i in row_ids)
         ):
             raise ValueError(f"row ids must be distinct and in [0, {spec.n1})")
-        # The ufunc reduction skips the Python layer of ndarray.all.
-        if not np.logical_and.reduce(np.isfinite(block), axis=None):
-            raise ValueError("entries must all be finite")
-        block.setflags(write=False)
         self._spec = spec
         self._row_ids = row_ids
-        self._block = block
+        self._block = _frozen(block)
         self._entries = block if row_ids is None else None
 
     def __reduce__(self):
@@ -207,6 +205,42 @@ class MixedMatrix:
             dense.setflags(write=False)
             self._entries = dense
         return self._entries
+
+
+@dataclass(frozen=True, eq=False)
+class RowChunk:
+    """T one-row matrices of one spec: instance r is zero but for row
+    ``row_ids[r]``, which holds ``block[r]``. Both are kept as read-only
+    copies: int64 ids in [0, N1), not necessarily distinct, and a finite real
+    ``(T, N2)`` block. Float ids raise ``TypeError``, other refusals
+    ``ValueError``, as ``MixedMatrix`` refuses its rows."""
+
+    spec: ProblemSpec
+    row_ids: np.ndarray
+    block: np.ndarray
+
+    def __post_init__(self) -> None:
+        n1, n2 = self.spec.n1, self.spec.n2
+        ids = np.asarray(self.row_ids).astype(np.int64, casting="same_kind")
+        block = _real_copy(self.block)
+        if ids.ndim != 1 or block.shape != (len(ids), n2):
+            raise ValueError(f"row ids of shape {ids.shape} and rows of shape {block.shape}"
+                             f" do not match a chunk of {n2}-entry rows")
+        # Read as unsigned, a negative id is 2^63 or more.
+        if len(ids) and not np.maximum.reduce(ids.view(np.uint64)) < n1:
+            raise ValueError(f"row ids must be in [0, {n1})")
+        ids.setflags(write=False)
+        object.__setattr__(self, "row_ids", ids)
+        object.__setattr__(self, "block", _frozen(block))
+
+
+def _frozen(block: np.ndarray) -> np.ndarray:
+    """``block``, made read-only, once every entry is checked finite."""
+    # The ufunc reduction skips the Python layer of ndarray.all.
+    if not np.logical_and.reduce(np.isfinite(block), axis=None):
+        raise ValueError("entries must all be finite")
+    block.setflags(write=False)
+    return block
 
 
 def _real_copy(values) -> np.ndarray:

@@ -276,6 +276,37 @@ def test_huge_sides_are_named_by_a_power_of_two(capsys):
     assert err.count("\n") == 1 and len(err) < 200
 
 
+@pytest.mark.parametrize("argv", [
+    ["gap", "--c0", "-1", "--trials", "2"],
+    ["gap", "--c0", "nan", "--trials", "2"],
+    ["gap", "--c0", "0", "--budgets", "256,512", "--trials", "2"],
+    ["rates", "--regime", "p-ge-u", "--c0", "0", "--trials", "2"],
+    ["rates", "--regime", "p-lt-2-lt-u", "--c0", "nan", "--trials", "2"],
+    ["rates", "--regime", "two-le-p-lt-u", "--c0", "-0.5", "--trials", "2"],
+])
+def test_a_c0_that_is_not_positive_is_refused(capsys, argv):
+    # The regime guard's message, n < c0*N1*N2 = -25600 or nan, gave advice
+    # that cannot help.
+    code, out, err = capture(capsys, argv)
+    assert code == 3
+    assert out == "" and err == "error: c0 must be positive\n"
+
+
+def test_an_infinite_c0_turns_the_guard_off(capsys):
+    # gap --c3 0.1 violates the default guard; at c0 = inf it runs, and the
+    # rows of a grid that passes the guard do not depend on c0.
+    small = ["--budgets", "1024", "--c3", "0.1", "--trials", "2"]
+    assert capture(capsys, ["gap", *small])[0] == 3
+    assert capture(capsys, ["gap", *small, "--c0", "inf"])[0] == 0
+    argv = ["gap", "--budgets", "256,512", "--trials", "2"]
+    _, guarded, _ = capture(capsys, argv)
+    code, unguarded, _ = capture(capsys, argv + ["--c0", "inf"])
+    assert code == 0
+    data = [[l for l in out.splitlines() if not l.startswith("#")]
+            for out in (guarded, unguarded)]
+    assert data[0] == data[1] and len(data[0]) == 3
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,8 +1,8 @@
 """Every count a caller passes in is taken through ``spaces.as_count``.
 
 One table lists each entry point that takes a count: a side, a budget, a
-sample count, a probe count, a row id or level, a trial count, a seed or a
-worker count. A non-integer (2.5, NaN, inf or the string "8") is refused
+sample count, a probe count, a row id or level, a trial count, a seed, a
+stream id or a worker count. A non-integer (2.5, NaN, inf or the string "8") is refused
 with a ``ValueError`` that names the parameter, where ``int()`` would have
 truncated it, and an integral float or numpy scalar gives the same result
 as the int.
@@ -63,8 +63,6 @@ COUNTS = [
         ProblemSpec(9, 2, 1.0, INF), [v], [[1.0, 2.0]]).row_ids),
     ("open_adaptive", "budget", lambda v: open_adaptive(mu4(), v).budget),
     ("draw_plan", "n", lambda v: next(draw_plan(MU4.spec, v, RngStream(1)).blocks())),
-    ("draw_plan-trials", "trials",
-     lambda v: next(draw_plan(MU4.spec, 2, RngStream(1), v).blocks())),
     ("sample_chunk", "trials", lambda v: MU4.sample_chunk(RngStream(1), v)),
     ("norm_est_a1", "n", lambda v: norm_est_a1([1.0, 2.0, 3.0], 2.0, v, RngStream(1))),
     ("allocate_samples", "n", lambda v: allocate_samples([1.0, 3.0], 1.0, v)),
@@ -96,6 +94,8 @@ COUNTS = [
     ("ds-seed", "seed", lambda v: ds(seed=v)),
     ("RngStream-seed", "seed",
      lambda v: RngStream(v).child(1).generator().integers(0, 2**40, 4).tolist()),
+    ("RngStream-stream", "stream id",
+     lambda v: RngStream(1, (2, v)).generator().integers(0, 2**40, 4).tolist()),
 ]
 
 # Two checks refuse a non-integer together with a range, in their own words.

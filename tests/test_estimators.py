@@ -30,7 +30,7 @@ from adaptgap import estimators, oracle
 from adaptgap.hard_instances import HardFamily, Variant
 from adaptgap.oracle import Plan, open_adaptive, open_nonadaptive
 from adaptgap.rng import RngStream
-from adaptgap.spaces import INF, MixedMatrix, ProblemSpec, as_count, scalar_mean
+from adaptgap.spaces import INF, MixedMatrix, ProblemSpec, RowChunk, as_count, scalar_mean
 from reference import a2_by_pairs, draw_pairs, pairs_plan
 
 
@@ -203,26 +203,42 @@ class TestMcMeanA2:
 
 
 class TestA2OnAChunk:
-    """On a chunk's tape, a2 sums each trial's row of answers: each trial's
-    mean equals a2 on that trial's instance and row of the plan, alone."""
+    """On a chunk's tape, a2 sums each instance's row of answers: each mean
+    equals a2 on that instance and its row of the plan, alone."""
 
     @pytest.mark.parametrize("n, trials, block", [(7, 5, 1 << 15), (10, 1, 4), (9, 1, 3)])
     def test_each_mean_is_a2_on_its_own_instance(self, monkeypatch, n, trials, block):
         monkeypatch.setattr(oracle, "PLAN_BLOCK", block)
         spec = ProblemSpec(3, 4, 1.5, INF)
-        row_ids, rows = HardFamily(Variant.ACTIVE_ROW_BERNOULLI, spec).sample_chunk(
+        chunk = HardFamily(Variant.ACTIVE_ROW_BERNOULLI, spec).sample_chunk(
             RngStream(2), trials
         )
-        plan = draw_plan(spec, n, RngStream(3), trials)
-        tape = oracle.open_nonadaptive_chunk(spec, row_ids, rows, plan)
+        tape = open_nonadaptive(chunk, draw_plan(spec, n * trials, RngStream(3)))
         report = mc_mean_a2(tape)
         assert report.cards == n and tape.card() == n * trials
         assert report.value.shape == (trials,)
         flat = RngStream(3).generator().integers(0, 12, size=(trials, n))
         for r in range(trials):
-            f = MixedMatrix.from_rows(spec, [row_ids[r]], rows[r : r + 1])
+            f = MixedMatrix.from_rows(spec, [chunk.row_ids[r]], chunk.block[r : r + 1])
             alone = mc_mean_a2(open_nonadaptive(f, Plan(flat[r])))
             assert report.value[r] == alone.value and alone.cards == n
+
+    def test_an_explicit_plan_asks_row_r_of_instance_r(self):
+        spec = ProblemSpec(3, 4, 1.0, INF)
+        g = np.random.default_rng(4)
+        chunk = RowChunk(spec, [2, 0, 2, 1], g.normal(size=(4, 4)))
+        flat = g.integers(0, 12, size=(4, 6))
+        report = mc_mean_a2(open_nonadaptive(chunk, Plan(flat.reshape(-1))))
+        assert report.cards == 6 and report.value.shape == (4,)
+        for r in range(4):
+            f = MixedMatrix.from_rows(spec, [chunk.row_ids[r]], chunk.block[r : r + 1])
+            alone = mc_mean_a2(open_nonadaptive(f, Plan(flat[r])))
+            assert report.value[r] == alone.value
+            assert alone.value == f.entries.reshape(-1)[flat[r]].mean()
+        # run_a2 on a chunk is this, on the plan draw_plan draws.
+        got = run_a2(chunk, 24, RngStream(5)).value
+        want = mc_mean_a2(open_nonadaptive(chunk, draw_plan(spec, 24, RngStream(5)))).value
+        assert got.tolist() == want.tolist()
 
 
 class TestA2DeclaredPlan:

@@ -66,3 +66,10 @@ def test_values_follow_from_what_holds_them():
     assert list(inspect.signature(adaptgap.norm_est_a1).parameters)[0] == "population"
     fields = [field.name for field in dataclasses.fields(RateFit)]
     assert fields == ["slope", "intercept", "r_squared"]
+    # A chunk's trial count is its RowChunk's row count: plans hold no
+    # trials, and a chunk opens through open_nonadaptive, as a matrix does.
+    assert "trials" not in inspect.signature(adaptgap.Plan.drawn).parameters
+    assert "trials" not in inspect.signature(adaptgap.draw_plan).parameters
+    assert not hasattr(adaptgap.Plan(np.zeros(1, dtype=np.int64)), "trials")
+    assert not hasattr(adaptgap.oracle, "open_nonadaptive_chunk")
+    assert not hasattr(adaptgap.oracle, "_Chunk")

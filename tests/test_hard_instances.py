@@ -13,6 +13,7 @@ from adaptgap.spaces import (
     INF,
     MixedMatrix,
     ProblemSpec,
+    RowChunk,
     inverse_power,
     mixed_norm,
     scalar_mean,
@@ -237,7 +238,9 @@ class TestSampleChunk:
     def test_chunk_matches_the_reference(self, variant, n1, n2, p, u, trials, seed):
         spec = ProblemSpec(n1, n2, p, u)
         rng = RngStream(seed, (5,))
-        row_ids, rows = HardFamily(variant, spec).sample_chunk(rng, trials)
+        chunk = HardFamily(variant, spec).sample_chunk(rng, trials)
+        assert isinstance(chunk, RowChunk) and chunk.spec == spec
+        row_ids, rows = chunk.row_ids, chunk.block
         want_ids, want_rows = chunk_reference(variant, spec, rng, trials)
         assert row_ids.shape == (trials,) and rows.shape == (trials, n2)
         assert rows.dtype == np.float64
@@ -253,8 +256,8 @@ class TestSampleChunk:
         family = HardFamily(variant, ProblemSpec(9, 7, 1.0, INF))
         short = family.sample_chunk(RngStream(8, (1,)), 3)
         long = family.sample_chunk(RngStream(8, (1,)), 40)
-        assert short[0].tolist() == long[0][:3].tolist()
-        assert short[1].tolist() == long[1][:3].tolist()
+        assert short.row_ids.tolist() == long.row_ids[:3].tolist()
+        assert short.block.tolist() == long.block[:3].tolist()
 
     def test_only_one_row_families_draw_chunks(self):
         spec = ProblemSpec(4, 4, 1.0, INF)

@@ -152,10 +152,11 @@ class TestChunkedA2Cells:
         want = []
         for c, count in enumerate((chunk, 3)):
             stream = RngStream(12, (c,))
-            row_ids, rows = family.sample_chunk(stream.child(0), count)
+            instances = family.sample_chunk(stream.child(0), count)
             flat = stream.child(1).generator().integers(0, spec.n_entries, size=(count, n))
             for r in range(count):
-                f = MixedMatrix.from_rows(spec, [row_ids[r]], rows[r : r + 1])
+                f = MixedMatrix.from_rows(spec, [instances.row_ids[r]],
+                                          instances.block[r : r + 1])
                 report = estimators.mc_mean_a2(open_nonadaptive(f, Plan(flat[r])))
                 want.append((report.value - scalar_mean(f), n))
         assert got == want

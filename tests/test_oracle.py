@@ -16,7 +16,7 @@ from adaptgap.oracle import (
 )
 from adaptgap.hard_instances import HardFamily, Variant
 from adaptgap.rng import RngStream
-from adaptgap.spaces import INF, MixedMatrix, ProblemSpec
+from adaptgap.spaces import INF, MixedMatrix, ProblemSpec, RowChunk
 from reference import pairs_plan
 
 
@@ -579,57 +579,69 @@ def test_a_nonadaptive_tape_answers_only_its_plan(
 
 
 class TestChunkTape:
-    """A tape over a chunk of one-row instances answers a plan over trials:
-    row r of every block asks instance r, which is zero but for row
-    ``row_ids[r]``."""
+    """A tape over a ``RowChunk`` of T one-row instances hands each block of
+    its plan out as T rows: row r asks instance r, which is zero but for
+    row ``row_ids[r]``."""
 
     spec = ProblemSpec(3, 4, 1.0, INF)
 
-    def chunk(self, trials, seed=5):
-        g = np.random.default_rng(seed)
-        return g.integers(0, 3, size=trials), g.normal(size=(trials, 4))
+    def chunk(self, trials):
+        # The first ``trials`` of eight fixed instances.
+        g = np.random.default_rng(5)
+        ids, rows = g.integers(0, 3, size=8), g.normal(size=(8, 4))
+        return RowChunk(self.spec, ids[:trials], rows[:trials])
 
-    def drawn(self, n, trials, spec=None, seed=6):
-        return Plan.drawn(n, spec or self.spec, np.random.default_rng(seed), trials)
+    def drawn(self, size, generator=None):
+        return Plan.drawn(size, self.spec, generator or np.random.default_rng(6))
 
     def open(self, n, trials, plan=None):
-        row_ids, rows = self.chunk(trials)
-        plan = self.drawn(n, trials) if plan is None else plan
-        return oracle.open_nonadaptive_chunk(self.spec, row_ids, rows, plan)
+        plan = self.drawn(n * trials) if plan is None else plan
+        return open_nonadaptive(self.chunk(trials), plan)
+
+    def alone(self, chunk, r):
+        row_ids, block = chunk.row_ids, chunk.block
+        return MixedMatrix.from_rows(self.spec, [row_ids[r]], block[r : r + 1])
 
     def test_each_row_asks_its_own_instance(self):
-        row_ids, rows = self.chunk(5)
-        tape = self.open(7, 5)
+        chunk = self.chunk(5)
+        tape = open_nonadaptive(chunk, self.drawn(35))
         assert tape.mode is Mode.NONADAPTIVE and tape.budget == 35 and tape.card() == 0
         (answers,) = list(tape.answers())
         flat = np.random.default_rng(6).integers(0, 12, size=(5, 7))
         assert answers.shape == (5, 7)
         for r in range(5):
-            f = MixedMatrix.from_rows(self.spec, [row_ids[r]], rows[r : r + 1])
-            assert answers[r].tolist() == f.entries.reshape(-1)[flat[r]].tolist()
+            want = self.alone(chunk, r).entries.reshape(-1)[flat[r]]
+            assert answers[r].tolist() == want.tolist()
         assert tape.card() == 35
 
     def test_first_rows_do_not_depend_on_the_trial_count(self):
-        short = next(self.drawn(7, 3).blocks())
-        long = next(self.drawn(7, 5).blocks())
+        (short,) = list(self.open(7, 3).answers())
+        (long,) = list(self.open(7, 5).answers())
         assert short.tolist() == long[:3].tolist()
 
     def test_one_trial_comes_in_blocks(self, monkeypatch):
         monkeypatch.setattr(oracle, "PLAN_BLOCK", 4)
-        blocks = list(self.drawn(10, 1).blocks())
-        assert [b.shape for b in blocks] == [(1, 4), (1, 4), (1, 2)]
-        want = np.random.default_rng(6).integers(0, 12, size=10)
-        assert np.concatenate(blocks, axis=1)[0].tolist() == want.tolist()
+        assert [b.shape for b in self.drawn(10).blocks()] == [(4,), (4,), (2,)]
         tape = self.open(10, 1)
-        assert [a.shape for a in tape.answers()] == [(1, 4), (1, 4), (1, 2)]
+        answers = list(tape.answers())
+        assert [a.shape for a in answers] == [(1, 4), (1, 4), (1, 2)]
         assert tape.card() == 10
+        flat = np.random.default_rng(6).integers(0, 12, size=10)
+        want = self.alone(self.chunk(1), 0).entries.reshape(-1)[flat]
+        assert np.concatenate(answers, axis=1)[0].tolist() == want.tolist()
 
     def test_several_trials_fit_one_block(self, monkeypatch):
         monkeypatch.setattr(oracle, "PLAN_BLOCK", 12)
-        assert [b.shape for b in self.drawn(4, 3).blocks()] == [(3, 4)]
-        for n, trials in ((5, 3), (13, 2), (4, 0)):
-            with pytest.raises(ValueError, match="does not fit one block"):
-                self.drawn(n, trials)
+        assert [a.shape for a in self.open(4, 3).answers()] == [(3, 4)]
+        # A plan over one block with T > 1, a size that T does not divide,
+        # and an empty chunk are refused when the tape is opened, before
+        # the plan is handed out or anything is charged.
+        for size, trials in ((15, 3), (26, 2), (10, 3), (4, 0)):
+            plan = self.drawn(size)
+            match = "at least one instance" if not trials else "does not split"
+            with pytest.raises(ValueError, match=match):
+                open_nonadaptive(self.chunk(trials), plan)
+            assert next(plan.blocks()).shape == (min(size, 12),)
 
     @pytest.mark.parametrize("bad", [12, 100, -1])
     def test_out_of_range_index_is_refused_uncharged(self, bad):
@@ -638,10 +650,10 @@ class TestChunkTape:
 
             def integers(self, low, high, size):
                 flat = np.zeros(size, dtype=np.int64)
-                flat[-1, -1] = bad
+                flat[-1] = bad
                 return flat
 
-        tape = self.open(7, 5, Plan.drawn(7, self.spec, Fixed(), 5))
+        tape = self.open(7, 5, self.drawn(35, Fixed()))
         with pytest.raises(IndexOutOfRange):
             list(tape.answers())
         assert tape.card() == 0
@@ -656,20 +668,14 @@ class TestChunkTape:
         assert tape.card() == 35
 
     def test_chunk_and_plan_must_match(self):
-        row_ids, rows = self.chunk(5)
-        spec, plan = self.spec, self.drawn(7, 5)
-        for ids, block, match in [(row_ids[:4], rows[:4], "does not match"),
-                                  (row_ids, rows[:, :3], "does not match"),
-                                  (row_ids + 3, rows, r"row ids must be in \[0, 3\)"),
-                                  (row_ids - 5, rows, r"row ids must be in \[0, 3\)")]:
-            with pytest.raises(ValueError, match=match):
-                oracle.open_nonadaptive_chunk(spec, ids, block, plan)
-        one = Plan.drawn(7, spec, np.random.default_rng(6))
-        with pytest.raises(ValueError, match="does not match"):
-            oracle.open_nonadaptive_chunk(spec, row_ids, rows, one)
+        chunk = self.chunk(5)
+        with pytest.raises(ValueError, match="does not split into 5 equal rows"):
+            open_nonadaptive(chunk, self.drawn(36))
+        with pytest.raises(ValueError, match="does not split into 5 equal rows"):
+            open_nonadaptive(chunk, Plan(np.zeros(7, dtype=np.int64)))
         with pytest.raises(TypeError, match="takes a Plan"):
-            oracle.open_nonadaptive_chunk(spec, row_ids, rows, 35)
-        # A one-matrix tape takes no plan over trials.
-        f = MixedMatrix.from_rows(spec, [0], rows[:1])
-        with pytest.raises(ValueError, match="open_nonadaptive_chunk"):
-            open_nonadaptive(f, self.drawn(7, 1))
+            open_nonadaptive(chunk, 35)
+        # A chunk is non-adaptive only: an adaptive tape takes one matrix.
+        with pytest.raises(TypeError, match="one matrix and a budget"):
+            open_adaptive(chunk, 35)
+

@@ -9,6 +9,7 @@ does.
 """
 
 import dataclasses
+import math
 import os
 import pickle
 import subprocess
@@ -195,6 +196,32 @@ def test_negative_ids_are_rejected_as_numpy_does():
         RngStream(1, (-1,)).generator()
     with pytest.raises(ValueError):
         RngStream(-1)
+
+
+@pytest.mark.parametrize("path", [(1.5,), ("1",), (2, math.nan), (math.inf,)])
+def test_a_stream_id_that_is_not_an_integer_is_refused_by_name(path):
+    with pytest.raises(ValueError, match="stream id must be an integer, got"):
+        RngStream(3, path)
+
+
+def test_a_path_is_checked_and_stored_as_a_tuple_of_ints():
+    built = RngStream(3, [1, np.int64(2), 3.0])
+    want = RngStream(3, (1, 2, 3))
+    assert built == want and hash(built) == hash(want) and repr(built) == repr(want)
+    assert type(built.stream) is tuple and {type(i) for i in built.stream} == {int}
+    assert built.generator().integers(0, 2**63, size=4).tolist() == (
+        numpy_generator(3, (1, 2, 3)).integers(0, 2**63, size=4).tolist()
+    )
+    with pytest.raises(ValueError, match=r"stream ids must be nonnegative, got \(1, -2\)"):
+        RngStream(3, (1, -2))
+
+
+def test_child_takes_integer_ids_only():
+    # operator.index, not int: 1.5 would have named stream 1.
+    for bad in (1.5, "1", np.float64(2.0)):
+        with pytest.raises(TypeError):
+            RngStream(3).child(bad)
+    assert RngStream(3).child(np.int64(4), np.uint8(5)) == RngStream(3, (4, 5))
 
 
 def test_import_leaves_numpy_random_unloaded():

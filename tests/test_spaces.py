@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import pickle
 
@@ -11,6 +12,7 @@ from adaptgap.spaces import (
     INF,
     MixedMatrix,
     ProblemSpec,
+    RowChunk,
     abbreviate,
     as_exponent,
     inverse_power,
@@ -302,3 +304,49 @@ def test_triangle_inequality(data):
 @given(random_matrix())
 def test_mean_bounded_by_norm(f):
     assert abs(scalar_mean(f)) <= mixed_norm(f) + 1e-12
+
+
+class TestRowChunk:
+    """A chunk of one-row instances is checked as ``MixedMatrix`` checks its
+    rows, and keeps read-only copies."""
+
+    spec = ProblemSpec(3, 4, 1.0, INF)
+
+    def test_keeps_read_only_copies(self):
+        ids, rows = np.array([2, 0, 2]), np.arange(12.0).reshape(3, 4)
+        chunk = RowChunk(self.spec, ids, rows)
+        assert chunk.row_ids.dtype == np.int64 and chunk.block.dtype == np.float64
+        assert chunk.row_ids.tolist() == [2, 0, 2] and chunk.block.tolist() == rows.tolist()
+        assert not chunk.row_ids.flags.writeable and not chunk.block.flags.writeable
+        ids[0], rows[0, 0] = 1, 99.0
+        assert chunk.row_ids[0] == 2 and chunk.block[0, 0] == 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            chunk.block = rows
+        # An empty chunk is a chunk; open_nonadaptive refuses to open it.
+        empty = RowChunk(self.spec, np.array([], dtype=np.int64), np.zeros((0, 4)))
+        assert empty.row_ids.shape == (0,) and empty.block.shape == (0, 4)
+
+    @pytest.mark.parametrize("ids, shape", [([0, 1], (3, 4)), ([0, 1, 2], (3, 3)),
+                                            ([[0, 1, 2]], (3, 4)), (0, (1, 4)),
+                                            ([0, 1], (2, 2, 4))])
+    def test_mismatched_shapes_are_refused(self, ids, shape):
+        with pytest.raises(ValueError, match="do not match a chunk of 4-entry rows"):
+            RowChunk(self.spec, ids, np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [3, -1, 2**63 - 1])
+    def test_out_of_range_ids_are_refused(self, bad):
+        with pytest.raises(ValueError, match=r"row ids must be in \[0, 3\)"):
+            RowChunk(self.spec, [0, bad], np.zeros((2, 4)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_rows_are_refused(self, bad):
+        rows = np.zeros((2, 4))
+        rows[1, 3] = bad
+        with pytest.raises(ValueError, match="entries must all be finite"):
+            RowChunk(self.spec, [0, 1], rows)
+
+    def test_float_ids_and_complex_rows_are_refused(self):
+        with pytest.raises(TypeError):
+            RowChunk(self.spec, [0.0, 1.0], np.zeros((2, 4)))
+        with pytest.raises(ValueError, match="entries must be real"):
+            RowChunk(self.spec, [0, 1], np.zeros((2, 4), dtype=complex))
